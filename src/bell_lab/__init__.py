@@ -36,7 +36,6 @@ from .models import (
     detector_a,
     detector_b,
     factorizable_instrument,
-    register_family,
     sample_instrument_params,
     sample_source,
     setting_pair_dependent,
@@ -96,7 +95,6 @@ __all__ = [
     "AnticorrelationReport", "bell_deterministic", "factorizable_instrument",
     "time_tagged_anticorrelated", "setting_pair_dependent", "sample_source",
     "sample_instrument_params", "detector_a", "detector_b", "check_anticorrelation",
-    "register_family",
     # simulate
     "TrialLog", "TrialRecord", "CorrelationEstimate", "ChshStatistic", "BellStatistic",
     "run_experiment", "run_pairs", "estimate_correlations", "chsh_statistic", "bell_statistic",

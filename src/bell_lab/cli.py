@@ -8,7 +8,7 @@ correctness-critical tool is worse than an error.
 Exit codes are fixed and scriptable:
 
 * 0 — success (a bound VIOLATION verdict is a result, not an error)
-* 2 — config parse/validation error
+* 2 — invalid config, thread count, or oracle input file
 * 3 — model error or failed premise (e.g. anticorrelation pilot)
 * 4 — table precondition (lambda-keyed reordering of a continuous source)
 * 5 — enumeration size guard
@@ -43,6 +43,7 @@ from .models import (
     UniformAngleSource,
 )
 from .oracle import (
+    FiniteModel,
     enumerate_deterministic_strategies,
     exact_chsh,
     finite_model_from_json_obj,
@@ -415,14 +416,20 @@ def _prefix_log(log: TrialLog, n: int) -> TrialLog:
         b=log.b[:n],
         lambda_kind=log.lambda_kind,
         n_pairs=log.n_pairs,
-        source_size=log.source_size,
-        meta=log.meta,
     )
+
+
+def _threads(args) -> int:
+    """``--threads`` or BELL_LAB_THREADS, validated; a bad value is a ConfigError."""
+    try:
+        return resolve_threads(args.threads)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def cmd_simulate(args) -> int:
     cfg = parse_config_file(args.config)
-    threads = resolve_threads(args.threads)
+    threads = _threads(args)
     log = run_experiment(cfg.model, cfg.quad, cfg.n_trials, cfg.seed, threads=threads)
     estimates = estimate_correlations(log)
     stat = chsh_statistic(estimates, cfg.model.flags)
@@ -469,7 +476,7 @@ def _verdict_line(name: str, ok: bool, detail: str) -> str:
 
 def cmd_check(args) -> int:
     cfg = parse_config_file(args.config)
-    threads = resolve_threads(args.threads)
+    threads = _threads(args)
     report = _report_header(cfg)
     report["schema"] = "bell-lab.check.v1"
     quad = cfg.quad
@@ -509,7 +516,7 @@ def cmd_check(args) -> int:
 
     margin = rhs - lhs
     bell_ok = margin >= -SIGMA_BAND * bell_se
-    chsh_excess = chsh_value - CHSH_LOCAL_BOUND
+    chsh_excess = abs(chsh_value) - CHSH_LOCAL_BOUND
     chsh_ok = chsh_excess <= SIGMA_BAND * chsh_se
 
     def sigmas(x: float, se: float) -> str:
@@ -559,7 +566,7 @@ def cmd_check(args) -> int:
 
 def cmd_tables(args) -> int:
     cfg = parse_config_file(args.config)
-    threads = resolve_threads(args.threads)
+    threads = _threads(args)
     key_mode = KeyMode(args.key_mode)
     log = run_experiment(cfg.model, cfg.quad, cfg.n_trials, cfg.seed, threads=threads)
     table = build_reordered_table(log, key_mode)
@@ -623,6 +630,15 @@ def _emit_certificate(args, record: dict) -> None:
         _write_json(path, record)
 
 
+def _load_finite_model(path: str) -> FiniteModel:
+    """Read a finite-model JSON file; a missing or malformed file is a ConfigError naming it."""
+    try:
+        with open(path) as fh:
+            return finite_model_from_json_obj(json.load(fh))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot load finite-model file {path!r} ({type(exc).__name__}: {exc})") from None
+
+
 def cmd_oracle(args) -> int:
     if args.oracle_op == "enumerate":
         result = enumerate_deterministic_strategies(args.settings1, args.settings2, args.m)
@@ -662,14 +678,8 @@ def cmd_oracle(args) -> int:
         return 0
 
     # exact
-    with open(args.model) as fh:
-        fm = finite_model_from_json_obj(json.load(fh))
-    overrides = None
-    if args.per_pair:
-        overrides = []
-        for path in args.per_pair:
-            with open(path) as fh:
-                overrides.append(finite_model_from_json_obj(json.load(fh)))
+    fm = _load_finite_model(args.model)
+    overrides = [_load_finite_model(path) for path in args.per_pair] if args.per_pair else None
     value = exact_chsh(fm, quad, per_pair_distributions=overrides)
     record = {
         "operation": "exact",

@@ -94,9 +94,6 @@ def chsh_pairs(quad: SettingQuad) -> list[tuple[Setting, Setting, int]]:
     ]
 
 
-PM1 = (-1, 1)
-
-
 def require_outcome(value: int) -> int:
     """Validate a detector outcome: must be exactly +1 or -1."""
     if value not in (-1, 1):

@@ -33,7 +33,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 import numpy as np
 
@@ -67,6 +67,17 @@ class Station(enum.Enum):
     S2 = "s2"
 
 
+def check_weights(weights, what: str) -> None:
+    """Raise InvalidSpec unless ``weights`` is a non-empty probability vector."""
+    if len(weights) == 0:
+        raise InvalidSpec(f"{what} must be non-empty")
+    if any((not math.isfinite(w)) or w < 0.0 for w in weights):
+        raise InvalidSpec(f"{what} must be finite and >= 0, got {tuple(weights)}")
+    total = math.fsum(weights)
+    if abs(total - 1.0) > WEIGHT_TOLERANCE:
+        raise InvalidSpec(f"{what} must sum to 1 within {WEIGHT_TOLERANCE}, got {total!r}")
+
+
 @dataclass(frozen=True)
 class DiscreteSource:
     """Finite source space with explicit weights over m values."""
@@ -74,13 +85,7 @@ class DiscreteSource:
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.weights) == 0:
-            raise InvalidSpec("discrete source needs at least one weight")
-        if any((not math.isfinite(w)) or w < 0.0 for w in self.weights):
-            raise InvalidSpec(f"source weights must be finite and >= 0, got {self.weights}")
-        total = math.fsum(self.weights)
-        if abs(total - 1.0) > WEIGHT_TOLERANCE:
-            raise InvalidSpec(f"source weights must sum to 1 within {WEIGHT_TOLERANCE}, got {total!r}")
+        check_weights(self.weights, "source weights")
 
     @classmethod
     def uniform(cls, size: int) -> "DiscreteSource":
@@ -136,6 +141,18 @@ class ModelSpec:
     @property
     def flags(self) -> dict[str, bool]:
         return {"setting_dependent_distribution": self.setting_dependent_distribution}
+
+    # The ModelFamily methods (typed on the protocol). Each calls the
+    # module-level kernel of the same name, looked up at call time.
+
+    def source_arrays(self, seed, indices):
+        return source_arrays(self, seed, indices)
+
+    def instrument_arrays(self, seed, indices, t, theta_local, station, pair_id=None):
+        return instrument_arrays(self, seed, indices, t, theta_local, station, pair_id=pair_id)
+
+    def outcome_arrays(self, station, theta_local, lam_angle, ip):
+        return outcome_arrays(self, station, theta_local, lam_angle, ip)
 
 
 def bell_deterministic(source: SourceDistribution | None = None) -> ModelSpec:
@@ -358,20 +375,17 @@ def check_anticorrelation(
     return AnticorrelationReport(trials=n_trials, violations=violations)
 
 
-# --- Plug-in point -----------------------------------------------------------
+# --- Model family interface --------------------------------------------------
 
 
-@runtime_checkable
 class ModelFamily(Protocol):
-    """Interface a custom (externally supplied) model family must satisfy.
+    """What the experiment runner needs from a model family.
 
-    The experiment runner accepts any such object in place of a ModelSpec.
-    No custom family ships with the package.
+    ``ModelSpec`` implements it for the shipped families; any other object
+    with these members runs through the same code path.
     """
 
     lambda_kind: str  # "discrete" or "angle"
-    source_size: int | None
-    flags: dict[str, bool]
 
     def source_arrays(self, seed: int, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]: ...
 
@@ -388,19 +402,3 @@ class ModelFamily(Protocol):
     def outcome_arrays(
         self, station: Station, theta_local: np.ndarray, lam_angle: np.ndarray, ip: np.ndarray
     ) -> np.ndarray: ...
-
-
-_CUSTOM_FAMILIES: dict[str, ModelFamily] = {}
-
-
-def register_family(name: str, family: ModelFamily) -> None:
-    """Register a custom model family under a kind name."""
-    if name in {k.value for k in ModelKind}:
-        raise InvalidSpec(f"kind name {name!r} is reserved for a shipped family")
-    if not isinstance(family, ModelFamily):
-        raise InvalidSpec(f"object {family!r} does not satisfy the model family interface")
-    _CUSTOM_FAMILIES[name] = family
-
-
-def registered_family(name: str) -> ModelFamily | None:
-    return _CUSTOM_FAMILIES.get(name)

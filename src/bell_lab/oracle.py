@@ -17,22 +17,10 @@ import numpy as np
 
 from .core import TAU, Setting, SettingQuad, chsh_pairs
 from .errors import InvalidSpec, TooLarge, UnknownSetting
-from .models import DiscreteSource, ModelKind, ModelSpec, UniformAngleSource
-
-WEIGHT_TOLERANCE = 1e-12
+from .models import DiscreteSource, ModelKind, ModelSpec, UniformAngleSource, check_weights
 
 # 2^((n1+n2)*m) deterministic strategy pairs must fit under this.
 ENUMERATION_GUARD_BITS = 32
-
-
-def _check_weights(w, what: str) -> None:
-    if len(w) == 0:
-        raise InvalidSpec(f"{what} must be non-empty")
-    if any((not math.isfinite(x)) or x < 0.0 for x in w):
-        raise InvalidSpec(f"{what} must be finite and >= 0")
-    total = math.fsum(w)
-    if abs(total - 1.0) > WEIGHT_TOLERANCE:
-        raise InvalidSpec(f"{what} must sum to 1 within {WEIGHT_TOLERANCE}, got {total!r}")
 
 
 @dataclass(frozen=True)
@@ -53,12 +41,12 @@ class FiniteModel:
 
     def __post_init__(self):
         m = len(self.lambda_weights)
-        _check_weights(self.lambda_weights, "lambda weights")
+        check_weights(self.lambda_weights, "lambda weights")
         for name, rows in (("ip1", self.ip1_weights), ("ip2", self.ip2_weights)):
             if len(rows) != m:
                 raise InvalidSpec(f"{name} weights need one row per lambda value ({m})")
             for lam, row in enumerate(rows):
-                _check_weights(row, f"{name} weights for lambda {lam}")
+                check_weights(row, f"{name} weights for lambda {lam}")
         n1 = len(self.ip1_weights[0])
         n2 = len(self.ip2_weights[0])
         if any(len(r) != n1 for r in self.ip1_weights) or any(len(r) != n2 for r in self.ip2_weights):
@@ -301,8 +289,9 @@ def finite_model_to_json_obj(fm: FiniteModel) -> dict:
 
 
 def finite_model_from_json_obj(obj: dict) -> FiniteModel:
-    if obj.get("schema") != "bell-lab.finite-model.v1":
-        raise ValueError(f"unexpected finite-model schema {obj.get('schema')!r}")
+    schema = obj.get("schema") if isinstance(obj, dict) else None
+    if schema != "bell-lab.finite-model.v1":
+        raise ValueError(f"unexpected finite-model schema {schema!r}")
     a_table = {
         Setting(angle): np.asarray(rows, dtype=np.int8)
         for angle, rows in zip(obj["a_settings_rad"], obj["a_table"])

@@ -33,14 +33,7 @@ from .core import (
     chsh_pairs,
 )
 from .errors import AnticorrelationViolated, InsufficientData, InvalidSpec
-from .models import (
-    ModelSpec,
-    Station,
-    check_anticorrelation,
-    instrument_arrays,
-    outcome_arrays,
-    source_arrays,
-)
+from .models import ModelFamily, ModelSpec, Station, check_anticorrelation
 
 CSV_COLUMNS = ("index", "t", "pair_id", "setting_1", "setting_2", "lambda", "ip_1", "ip_2", "A", "B")
 
@@ -51,6 +44,8 @@ def resolve_threads(threads: int | None = None) -> int:
     """Worker-thread count: explicit argument, else BELL_LAB_THREADS, else 1."""
     if threads is None:
         env = os.environ.get("BELL_LAB_THREADS", "").strip()
+        if env and not env.isdecimal():
+            raise ValueError(f"BELL_LAB_THREADS must be a positive integer, got {env!r}")
         threads = int(env) if env else 1
     if threads < 1:
         raise ValueError(f"thread count must be >= 1, got {threads}")
@@ -77,7 +72,7 @@ class TrialLog:
     """Column-oriented log of an experiment.
 
     Equality compares the logged columns and the lambda representation —
-    exactly what the CSV round-trips — not the run metadata.
+    exactly what the CSV round-trips.
     """
 
     def __init__(
@@ -94,8 +89,6 @@ class TrialLog:
         b: np.ndarray,
         lambda_kind: str,
         n_pairs: int,
-        source_size: int | None = None,
-        meta: dict | None = None,
     ):
         self.t = np.asarray(t, dtype=np.int64)
         self.pair_id = np.asarray(pair_id, dtype=np.int8)
@@ -110,8 +103,6 @@ class TrialLog:
             raise ValueError(f"lambda_kind must be 'discrete' or 'angle', got {lambda_kind!r}")
         self.lambda_kind = lambda_kind
         self.n_pairs = n_pairs
-        self.source_size = source_size
-        self.meta = meta or {}
 
     def __len__(self) -> int:
         return len(self.t)
@@ -201,92 +192,30 @@ class TrialLog:
             n_pairs=n_pairs,
         )
 
-    def to_json_obj(self) -> dict:
-        """JSON form of the log (schema bell-lab.trial-log.v1)."""
-        discrete = self.lambda_kind == "discrete"
-        return {
-            "schema": "bell-lab.trial-log.v1",
-            "lambda_kind": self.lambda_kind,
-            "n_pairs": self.n_pairs,
-            "columns": list(CSV_COLUMNS),
-            "trials": [
-                [
-                    i,
-                    int(self.t[i]),
-                    int(self.pair_id[i]),
-                    float(self.setting_1[i]),
-                    float(self.setting_2[i]),
-                    int(self.lam[i]) if discrete else float(self.lam[i]),
-                    float(self.ip_1[i]),
-                    float(self.ip_2[i]),
-                    int(self.a[i]),
-                    int(self.b[i]),
-                ]
-                for i in range(len(self))
-            ],
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "TrialLog":
-        if obj.get("schema") != "bell-lab.trial-log.v1":
-            raise ValueError(f"unexpected trial-log schema {obj.get('schema')!r}")
-        rows = obj["trials"]
-        arr = lambda j, dtype: np.array([r[j] for r in rows], dtype=dtype)  # noqa: E731
-        return cls(
-            t=arr(1, np.int64),
-            pair_id=arr(2, np.int8),
-            setting_1=arr(3, np.float64),
-            setting_2=arr(4, np.float64),
-            lam=arr(5, np.float64),
-            ip_1=arr(6, np.float64),
-            ip_2=arr(7, np.float64),
-            a=arr(8, np.int8),
-            b=arr(9, np.int8),
-            lambda_kind=obj["lambda_kind"],
-            n_pairs=obj["n_pairs"],
-        )
-
 
 # --- Running experiments ----------------------------------------------------
 
 
-def _model_ops(spec):
-    """Adapt a ModelSpec or a custom ModelFamily object to the runner."""
-    if isinstance(spec, ModelSpec):
-        return (
-            lambda seed, idx: source_arrays(spec, seed, idx),
-            lambda seed, idx, t, th, st, pid: instrument_arrays(spec, seed, idx, t, th, st, pair_id=pid),
-            lambda st, th, lang, ip: outcome_arrays(spec, st, th, lang, ip),
-        )
-    return (
-        spec.source_arrays,
-        lambda seed, idx, t, th, st, pid: spec.instrument_arrays(seed, idx, t, th, st, pid),
-        spec.outcome_arrays,
-    )
-
-
 def run_pairs(
-    spec,
+    spec: ModelFamily,
     pairs: list[tuple[Setting, Setting]],
     n_trials: int,
     seed: int,
     threads: int | None = None,
-    meta: dict | None = None,
 ) -> TrialLog:
     """Core runner: per-trial uniform choice among ``pairs``, shared tick t=index.
 
-    ``spec`` is a ModelSpec or any object satisfying the ModelFamily protocol.
+    ``spec`` is a ModelSpec or any other object satisfying the ModelFamily
+    protocol; both run through the same calls.
     """
     if n_trials < 1:
         raise InvalidSpec(f"n_trials must be >= 1, got {n_trials}")
-    source_of, instrument_of, outcome_of = _model_ops(spec)
     n_pairs = len(pairs)
     theta1_by_pair = np.asarray([p[0].angle for p in pairs])
     theta2_by_pair = np.asarray([p[1].angle for p in pairs])
 
     pair_id = np.empty(n_trials, dtype=np.int8)
     lam = np.empty(n_trials, dtype=np.float64)
-    lam_angle = np.empty(n_trials, dtype=np.float64)
     ip_1 = np.empty(n_trials, dtype=np.float64)
     ip_2 = np.empty(n_trials, dtype=np.float64)
     a = np.empty(n_trials, dtype=np.int8)
@@ -301,17 +230,16 @@ def run_pairs(
             pid = rng.integers_below(seed, "die", idx, n_pairs)
         th1 = theta1_by_pair[pid]
         th2 = theta2_by_pair[pid]
-        lrep, lang = source_of(seed, idx)
-        i1 = instrument_of(seed, idx, t, th1, Station.S1, pid)
-        i2 = instrument_of(seed, idx, t, th2, Station.S2, pid)
+        lrep, lang = spec.source_arrays(seed, idx)
+        i1 = spec.instrument_arrays(seed, idx, t, th1, Station.S1, pid)
+        i2 = spec.instrument_arrays(seed, idx, t, th2, Station.S2, pid)
         sl = slice(lo, hi)
         pair_id[sl] = pid
         lam[sl] = lrep
-        lam_angle[sl] = lang
         ip_1[sl] = i1
         ip_2[sl] = i2
-        a[sl] = outcome_of(Station.S1, th1, lang, i1)
-        b[sl] = outcome_of(Station.S2, th2, lang, i2)
+        a[sl] = spec.outcome_arrays(Station.S1, th1, lang, i1)
+        b[sl] = spec.outcome_arrays(Station.S2, th2, lang, i2)
 
     workers = resolve_threads(threads)
     if workers == 1:
@@ -335,18 +263,18 @@ def run_pairs(
         b=b,
         lambda_kind=spec.lambda_kind,
         n_pairs=n_pairs,
-        source_size=spec.source_size,
-        meta={"seed": seed, "flags": spec.flags, **(meta or {})},
     )
 
 
-def run_experiment(spec, quad: SettingQuad, n_trials: int, seed: int, threads: int | None = None) -> TrialLog:
+def run_experiment(
+    spec: ModelFamily, quad: SettingQuad, n_trials: int, seed: int, threads: int | None = None
+) -> TrialLog:
     """Run n_trials over the four canonical pairs of ``quad``.
 
-    ``spec`` may be a shipped ModelSpec or a registered custom model family.
+    ``spec`` may be a shipped ModelSpec or a custom model family.
     """
     pairs = [(s1, s2) for s1, s2, _sign in chsh_pairs(quad)]
-    return run_pairs(spec, pairs, n_trials, seed, threads=threads, meta={"quad": quad})
+    return run_pairs(spec, pairs, n_trials, seed, threads=threads)
 
 
 # --- Statistics -------------------------------------------------------------

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -175,6 +177,64 @@ def test_oracle_guard_exit_five(capsys):
     assert main(["oracle", "enumerate", "--m", "1000000"]) == 5
 
 
+@pytest.mark.parametrize(
+    "case",
+    [
+        "threads-zero",
+        "env-threads-text",
+        "env-threads-zero",
+        "model-missing",
+        "model-not-json",
+        "model-wrong-schema",
+        "per-pair-missing",
+    ],
+)
+def test_bad_threads_and_oracle_files_exit_two_without_traceback(tmp_path, case):
+    from bell_lab.core import SettingQuad
+    from bell_lab.models import bell_deterministic
+    from bell_lab.oracle import discretize_model, finite_model_to_json_obj
+
+    cfg = write_cfg(tmp_path, MINIMAL)
+    quad = SettingQuad.from_degrees(0, 45, 135, 90)
+    valid = tmp_path / "valid.json"
+    fm = discretize_model(bell_deterministic(), [quad.a, quad.b, quad.c, quad.d], grid=8)
+    valid.write_text(json.dumps(finite_model_to_json_obj(fm)))
+    not_json = tmp_path / "not.json"
+    not_json.write_text("{ not json")
+    wrong_schema = tmp_path / "wrong.json"
+    wrong_schema.write_text('{"schema": "bell-lab.report.v1"}')
+    missing = tmp_path / "missing.json"
+    quad_args = ["--quad-deg", "0", "45", "135", "90"]
+
+    simulate = ["simulate", "--config", cfg]
+    argv, env_threads, named = {
+        "threads-zero": (simulate + ["--threads", "0"], None, None),
+        "env-threads-text": (simulate, "x", None),
+        "env-threads-zero": (simulate, "0", None),
+        "model-missing": (["oracle", "exact", "--model", str(missing), *quad_args], None, missing),
+        "model-not-json": (["oracle", "exact", "--model", str(not_json), *quad_args], None, not_json),
+        "model-wrong-schema": (["oracle", "exact", "--model", str(wrong_schema), *quad_args], None, wrong_schema),
+        "per-pair-missing": (
+            ["oracle", "exact", "--model", str(valid), *quad_args, "--per-pair", str(valid), str(missing),
+             str(valid), str(valid)],
+            None,
+            missing,
+        ),
+    }[case]
+    env = {k: v for k, v in os.environ.items() if k != "BELL_LAB_THREADS"}
+    env["PYTHONPATH"] = str(Path(__file__).parents[1] / "src")
+    if env_threads is not None:
+        env["BELL_LAB_THREADS"] = env_threads
+    proc = subprocess.run(
+        [sys.executable, "-m", "bell_lab.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+    if named is not None:
+        assert str(named) in proc.stderr
+
+
 # --- command outputs -----------------------------------------------------------------
 
 
@@ -210,6 +270,18 @@ def test_check_quantum_reference_violates(tmp_path, capsys):
     assert report["chsh"]["verdict"] == "VIOLATION"
     assert report["chsh"]["value"] == pytest.approx(2 * math.sqrt(2), abs=1e-12)
     assert report["bell"]["verdict"] == "VIOLATION"
+
+
+def test_check_quantum_reference_negative_side_violates(tmp_path, capsys):
+    # S = -2*sqrt(2) breaks the two-sided local bound |S| <= 2
+    cfg = write_cfg(tmp_path, MINIMAL.replace("quad.b_deg = 45", "quad.b_deg = 225").replace(
+        "quad.c_deg = 135", "quad.c_deg = 315"))
+    out = tmp_path / "out"
+    assert main(["check", "--config", cfg, "--quantum-reference", "--out", str(out)]) == 0
+    report = json.loads((out / "check.json").read_text())
+    assert report["chsh"]["value"] == pytest.approx(-2 * math.sqrt(2), abs=1e-12)
+    assert report["chsh"]["verdict"] == "VIOLATION"
+    assert "four-term bound <= 2: VIOLATION" in capsys.readouterr().out
 
 
 def test_tables_command_discrete(tmp_path, capsys):

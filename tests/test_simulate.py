@@ -211,12 +211,6 @@ def test_csv_round_trip_bit_identical(tmp_path, source):
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_json_round_trip(tmp_path):
-    log = run_experiment(factorizable_instrument(0.2), QUAD, 500, seed=41)
-    again = TrialLog.from_json_obj(log.to_json_obj())
-    assert again == log
-
-
 def test_csv_header_frozen(tmp_path):
     log = run_experiment(bell_deterministic(), QUAD, 2, seed=1)
     path = tmp_path / "log.csv"
