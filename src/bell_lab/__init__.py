@@ -66,14 +66,9 @@ from .simulate import (
 )
 from .tables import (
     BalanceReport,
-    Counterfactual,
-    Factual,
     KeyMode,
-    LambdaKey,
-    LambdaTimeKey,
     OutcomeTable,
     Sum,
-    TableRow,
     Undefined,
     build_reordered_table,
     lln_balance_check,
@@ -99,8 +94,7 @@ __all__ = [
     "TrialLog", "TrialRecord", "CorrelationEstimate", "ChshStatistic", "BellStatistic",
     "run_experiment", "run_pairs", "estimate_correlations", "chsh_statistic", "bell_statistic",
     # tables
-    "KeyMode", "Factual", "Counterfactual", "LambdaKey", "LambdaTimeKey", "TableRow",
-    "OutcomeTable", "Sum", "Undefined", "BalanceReport", "build_reordered_table",
+    "KeyMode", "OutcomeTable", "Sum", "Undefined", "BalanceReport", "build_reordered_table",
     "row_sums", "lln_balance_check", "render_table", "table_to_json_obj",
     # oracle
     "FiniteModel", "EnumerationResult", "exact_correlation", "exact_chsh",

@@ -506,8 +506,8 @@ def cmd_check(args) -> int:
         lhs, rhs, bell_se = abs(e_ab - e_ac), 1.0 + e_bc, 0.0
         flags = {"setting_dependent_distribution": False}
     else:
-        log = run_experiment(cfg.model, quad, cfg.n_trials, cfg.seed, threads=threads)
-        estimates = estimate_correlations(log)
+        # The log is not kept: the three-setting run below allocates its own.
+        estimates = estimate_correlations(run_experiment(cfg.model, quad, cfg.n_trials, cfg.seed, threads=threads))
         stat = chsh_statistic(estimates, cfg.model.flags)
         chsh_value, chsh_se, flags = stat.value, stat.std_error, stat.flags
         report["estimates"] = _estimates_json(cfg, estimates)

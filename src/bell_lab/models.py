@@ -50,8 +50,9 @@ from .errors import InvalidSpec
 
 WEIGHT_TOLERANCE = 1e-12
 
-# Setting angles are quantized to this grid when they key a hash; equal
-# normalized angles always collide, which is all correctness requires.
+# Setting angles are quantized to this grid when they key a hash or look up a
+# finite model's detector table; equal normalized angles always collide, which
+# is all correctness requires.
 _ANGLE_QUANTUM = 1e-9
 
 
@@ -197,7 +198,8 @@ def source_arrays(spec: ModelSpec, seed: int, indices: np.ndarray) -> tuple[np.n
     return angle, angle
 
 
-def _quantize_angle(theta: np.ndarray) -> np.ndarray:
+def quantize_angle(theta: np.ndarray) -> np.ndarray:
+    """Angles as integer multiples of the 1e-9 rad quantum: the identity of a setting."""
     return np.round(np.asarray(theta, dtype=np.float64) / _ANGLE_QUANTUM).astype(np.uint64)
 
 
@@ -229,7 +231,7 @@ def instrument_arrays(
     if kind is ModelKind.FACTORIZABLE_INSTRUMENT:
         return rng.uniforms(seed, f"ip.{station.value}", indices)
     if kind is ModelKind.TIME_TAGGED_ANTICORRELATED:
-        return rng.uniforms(seed, "ttac.flip", np.asarray(t), draw=_quantize_angle(theta_local))
+        return rng.uniforms(seed, "ttac.flip", np.asarray(t), draw=quantize_angle(theta_local))
     if kind is ModelKind.SETTING_PAIR_DEPENDENT:
         if pair_id is None:
             raise InvalidSpec(

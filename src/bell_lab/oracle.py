@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import TAU, Setting, SettingQuad, chsh_pairs
 from .errors import InvalidSpec, TooLarge, UnknownSetting
-from .models import DiscreteSource, ModelKind, ModelSpec, UniformAngleSource, check_weights
+from .models import DiscreteSource, ModelKind, ModelSpec, UniformAngleSource, check_weights, quantize_angle
 
 # 2^((n1+n2)*m) deterministic strategy pairs must fit under this.
 ENUMERATION_GUARD_BITS = 32
@@ -64,11 +64,19 @@ class FiniteModel:
         return len(self.lambda_weights)
 
 
-def _mean_response(table: dict[Setting, np.ndarray], ip_weights, setting: Setting, lam: int) -> float:
-    arr = table.get(setting)
-    if arr is None:
-        raise UnknownSetting(f"no detector column for setting {setting.degrees:.6g} deg")
-    return math.fsum(w * int(v) for w, v in zip(ip_weights[lam], arr[lam]))
+def _detector_column(table: dict[Setting, np.ndarray], setting: Setting) -> np.ndarray:
+    """The table's entry for ``setting``, matched on the angle quantum so that
+    361 deg finds the column built at 1 deg despite float rounding."""
+    key = quantize_angle(setting.angle)
+    for s, arr in table.items():
+        if quantize_angle(s.angle) == key:
+            return arr
+    raise UnknownSetting(f"no detector column for setting {setting.degrees:.6g} deg")
+
+
+def _mean_responses(table: dict[Setting, np.ndarray], ip_weights, setting: Setting) -> list[float]:
+    arr = _detector_column(table, setting)
+    return [math.fsum(w * int(v) for w, v in zip(weights, row)) for weights, row in zip(ip_weights, arr)]
 
 
 def exact_correlation(fm: FiniteModel, pair: tuple[Setting, Setting]) -> float:
@@ -78,12 +86,9 @@ def exact_correlation(fm: FiniteModel, pair: tuple[Setting, Setting]) -> float:
     E = sum_lam w_lam * <A>_lam * <B>_lam.
     """
     s1, s2 = pair
-    terms = []
-    for lam, w in enumerate(fm.lambda_weights):
-        abar = _mean_response(fm.a_table, fm.ip1_weights, s1, lam)
-        bbar = _mean_response(fm.b_table, fm.ip2_weights, s2, lam)
-        terms.append(w * abar * bbar)
-    return math.fsum(terms)
+    abar = _mean_responses(fm.a_table, fm.ip1_weights, s1)
+    bbar = _mean_responses(fm.b_table, fm.ip2_weights, s2)
+    return math.fsum(w * a * b for w, a, b in zip(fm.lambda_weights, abar, bbar))
 
 
 def exact_chsh(
@@ -133,7 +138,9 @@ def enumerate_deterministic_strategies(
 
     Strategies are all A: settings x lambda -> +/-1 and B likewise, with a
     uniform setting-independent lambda. The four-term statistic reads the
-    first two settings on each side (a, d and b, c).
+    first two settings on each side (a, d and b, c), so only those 2 x 2
+    assignments are scanned; every further setting is set to -1, the first
+    assignment a full scan in the same order would reach.
 
     Reduction: with a shared lambda distribution the statistic is a weighted
     average of independent per-lambda rows, so the maximum is the weighted
@@ -154,8 +161,8 @@ def enumerate_deterministic_strategies(
 
     best_row = None
     best_val = None
-    for a in _pm1_assignments(n_settings_1):
-        for b in _pm1_assignments(n_settings_2):
+    for a in _pm1_assignments(2):
+        for b in _pm1_assignments(2):
             # columns (a,c), (a,b), (d,b), (d,c) with side-2 order [b, c]
             val = a[0] * b[1] - a[0] * b[0] - a[1] * b[0] - a[1] * b[1]
             if best_val is None or val > best_val:
@@ -166,8 +173,10 @@ def enumerate_deterministic_strategies(
     # Every lambda's subproblem is the same scan; spelling the loop keeps the
     # per-lambda structure of the reduction visible in the result.
     per_lambda_max = tuple(best_val for _ in range(m))
-    a_tab = np.tile(np.asarray(best_row[0], dtype=np.int8).reshape(-1, 1), (1, m))
-    b_tab = np.tile(np.asarray(best_row[1], dtype=np.int8).reshape(-1, 1), (1, m))
+    a_best = best_row[0] + (-1,) * (n_settings_1 - 2)
+    b_best = best_row[1] + (-1,) * (n_settings_2 - 2)
+    a_tab = np.tile(np.asarray(a_best, dtype=np.int8).reshape(-1, 1), (1, m))
+    b_tab = np.tile(np.asarray(b_best, dtype=np.int8).reshape(-1, 1), (1, m))
     # Integer total over lambda divided by m: exact in floating point.
     value = float(sum(per_lambda_max)) / m
     return EnumerationResult(

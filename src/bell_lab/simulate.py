@@ -241,7 +241,9 @@ def run_pairs(
         a[sl] = spec.outcome_arrays(Station.S1, th1, lang, i1)
         b[sl] = spec.outcome_arrays(Station.S2, th2, lang, i2)
 
-    workers = resolve_threads(threads)
+    # More workers than cores only adds OS threads: the results never depend
+    # on the thread count, so it is capped at the core count.
+    workers = min(resolve_threads(threads), os.cpu_count() or 1)
     if workers == 1:
         fill(0, n_trials)
     else:

@@ -9,6 +9,10 @@
   keys are unique per trial, no row can ever fill its four columns, and row
   sums are Undefined.
 
+A table is columnar: one key entry per row in ``lam`` (and ``t``), and an
+(n, 4) int8 array ``rows`` of signed outcome products in which 0 marks a
+counterfactual cell — a setting pair that was not measured for that key.
+
 Undefined is a first-class tag, not NaN or None: it supports no arithmetic
 and no numeric coercion, so nothing downstream can total it up by accident.
 """
@@ -30,56 +34,26 @@ class KeyMode(enum.Enum):
     LAMBDA_TIME = "lambda-time"
 
 
-@dataclass(frozen=True)
-class Factual:
-    """A cell backed by an actual trial: the signed outcome product."""
-
-    product: int
-
-    def __post_init__(self):
-        if self.product not in (-1, 1):
-            raise ValueError(f"cell product must be +1 or -1, got {self.product!r}")
-
-
-@dataclass(frozen=True)
-class Counterfactual:
-    """A cell for a setting pair that was not measured at that row's time."""
-
-
-TableCell = Factual | Counterfactual
-
-
-@dataclass(frozen=True)
-class LambdaKey:
-    lam: int
-
-
-@dataclass(frozen=True)
-class LambdaTimeKey:
-    lam: float
-    t: int
-
-
-RowKey = LambdaKey | LambdaTimeKey
-
-
-@dataclass(frozen=True)
-class TableRow:
-    key: RowKey
-    cells: tuple[TableCell, TableCell, TableCell, TableCell]
-
-    @property
-    def complete(self) -> bool:
-        return all(isinstance(c, Factual) for c in self.cells)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutcomeTable:
-    rows: tuple[TableRow, ...]
-    complete_rows: int
+    """Row keys and cells as parallel arrays.
+
+    ``lam`` is int64 for a discrete source and float64 for an angle source;
+    ``t`` is the int64 tick in lambda-time mode and None in lambda mode.
+    ``rows[i, k]`` is the signed product of column k in row i, or 0 where
+    that cell is counterfactual.
+    """
+
+    key_mode: KeyMode
+    lam: np.ndarray
+    t: np.ndarray | None
+    rows: np.ndarray
     leftover_trials: int
     n_trials: int
-    key_mode: KeyMode
+
+    @property
+    def complete_rows(self) -> int:
+        return int(np.count_nonzero(self.rows.all(axis=1)))
 
 
 @dataclass(frozen=True)
@@ -105,6 +79,14 @@ def _require_four_columns(log: TrialLog) -> None:
         raise ValueError(f"outcome tables need a four-pair log, got {log.n_pairs} pairs")
 
 
+def _lambda_pair_counts(log: TrialLog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct lambda values, each trial's (lambda index * 4 + pair) group, and group counts."""
+    values, lam_idx = np.unique(log.lam.astype(np.int64), return_inverse=True)
+    group = lam_idx * 4 + log.pair_id
+    counts = np.bincount(group, minlength=4 * len(values)).reshape(-1, 4)
+    return values, group, counts
+
+
 def build_reordered_table(log: TrialLog, key_mode: KeyMode) -> OutcomeTable:
     """Greedily regroup trials into four-column rows by the chosen key.
 
@@ -115,57 +97,38 @@ def build_reordered_table(log: TrialLog, key_mode: KeyMode) -> OutcomeTable:
     """
     _require_four_columns(log)
     n = len(log)
-    signed = log.a.astype(np.int64) * log.b.astype(np.int64)
-    signs = np.asarray(CHSH_SIGNS, dtype=np.int64)
-    signed = signs[log.pair_id] * signed
+    signs = np.asarray(CHSH_SIGNS, dtype=np.int8)
+    signed = signs[log.pair_id] * log.a * log.b
+    discrete = log.lambda_kind == "discrete"
 
     if key_mode is KeyMode.LAMBDA_TIME:
         # (lambda, t) is unique per trial: no key can ever fill four columns.
-        rows = []
-        discrete = log.lambda_kind == "discrete"
-        blank = Counterfactual()
-        factual = {1: Factual(1), -1: Factual(-1)}
-        lam_col = log.lam.astype(np.int64) if discrete else log.lam
-        pid_col = log.pair_id.tolist()
-        t_col = log.t.tolist()
-        signed_col = signed.tolist()
-        for lam, pid, t, sp in zip(lam_col.tolist(), pid_col, t_col, signed_col):
-            cells: list[TableCell] = [blank] * 4
-            cells[pid] = factual[sp]
-            rows.append(TableRow(key=LambdaTimeKey(lam=lam, t=t), cells=tuple(cells)))
-        return OutcomeTable(
-            rows=tuple(rows),
-            complete_rows=0,
-            leftover_trials=n,
-            n_trials=n,
-            key_mode=key_mode,
-        )
+        rows = np.zeros((n, 4), dtype=np.int8)
+        rows[np.arange(n), log.pair_id] = signed
+        lam = log.lam.astype(np.int64) if discrete else log.lam
+        return OutcomeTable(key_mode, lam, log.t, rows, leftover_trials=n, n_trials=n)
 
-    if log.lambda_kind != "discrete":
+    if not discrete:
         raise ContinuousLambdaUnorderable(
             "lambda-keyed reordering needs a discrete source whose value set is "
             "much smaller than the number of trials; a continuous lambda never repeats"
         )
 
-    lam_int = log.lam.astype(np.int64)
-    rows = []
-    used = 0
-    for lam_value in np.unique(lam_int):
-        queues = [
-            np.flatnonzero((lam_int == lam_value) & (log.pair_id == pid)) for pid in range(4)
-        ]
-        n_rows = min(len(q) for q in queues)
-        for j in range(n_rows):
-            cells = tuple(Factual(int(signed[queues[k][j]])) for k in range(4))
-            rows.append(TableRow(key=LambdaKey(lam=int(lam_value)), cells=cells))
-        used += 4 * n_rows
-    return OutcomeTable(
-        rows=tuple(rows),
-        complete_rows=len(rows),
-        leftover_trials=n - used,
-        n_trials=n,
-        key_mode=key_mode,
-    )
+    # The j-th trial (in index order) of each (lambda, pair) group fills row j
+    # of that lambda; a lambda has as many rows as its rarest pair has trials.
+    values, group, counts = _lambda_pair_counts(log)
+    order = np.argsort(group, kind="stable")
+    sorted_group = group[order]
+    flat = counts.ravel()
+    rank = np.arange(n) - (np.cumsum(flat) - flat)[sorted_group]
+    rows_per_lam = counts.min(axis=1)
+    lam_sorted = sorted_group // 4
+    used = rank < rows_per_lam[lam_sorted]
+    row_index = (np.cumsum(rows_per_lam) - rows_per_lam)[lam_sorted[used]] + rank[used]
+    rows = np.zeros((int(rows_per_lam.sum()), 4), dtype=np.int8)
+    rows[row_index, sorted_group[used] % 4] = signed[order[used]]
+    lam = np.repeat(values, rows_per_lam)
+    return OutcomeTable(key_mode, lam, None, rows, leftover_trials=n - 4 * len(rows), n_trials=n)
 
 
 def row_sums(table: OutcomeTable) -> list[RowSum]:
@@ -177,13 +140,10 @@ def row_sums(table: OutcomeTable) -> list[RowSum]:
     the point of that construction, so this function reports values honestly
     rather than enforcing the +/-2 band.
     """
-    return [_row_sum(row) for row in table.rows]
-
-
-def _row_sum(row: TableRow) -> RowSum:
-    if row.complete:
-        return Sum(sum(c.product for c in row.cells))  # type: ignore[union-attr]
-    return Undefined()
+    complete = table.rows.all(axis=1).tolist()
+    totals = table.rows.sum(axis=1, dtype=np.int64).tolist()
+    undefined = Undefined()
+    return [Sum(s) if ok else undefined for s, ok in zip(totals, complete)]
 
 
 @dataclass(frozen=True)
@@ -207,73 +167,30 @@ def lln_balance_check(log: TrialLog) -> BalanceReport:
         )
     _require_four_columns(log)
     p = 1.0 / log.n_pairs
-    lam_int = log.lam.astype(np.int64)
-    counts: dict[int, tuple[int, ...]] = {}
-    max_abs_z = 0.0
-    for lam_value in np.unique(lam_int):
-        mask = lam_int == lam_value
-        n_lam = int(np.count_nonzero(mask))
-        c = tuple(int(np.count_nonzero(log.pair_id[mask] == pid)) for pid in range(log.n_pairs))
-        counts[int(lam_value)] = c
-        sd = np.sqrt(n_lam * p * (1.0 - p))
-        for ck in c:
-            z = abs(ck - n_lam * p) / sd
-            max_abs_z = max(max_abs_z, float(z))
-    return BalanceReport(per_key_pair_counts=counts, max_abs_z=max_abs_z)
+    values, _group, counts = _lambda_pair_counts(log)
+    n_lam = counts.sum(axis=1, keepdims=True)
+    z = np.abs(counts - n_lam * p) / np.sqrt(n_lam * p * (1.0 - p))
+    per_key = {v: tuple(c) for v, c in zip(values.tolist(), counts.tolist())}
+    return BalanceReport(per_key_pair_counts=per_key, max_abs_z=float(z.max(initial=0.0)))
 
 
 # --- Serialization and rendering --------------------------------------------
 
 
-def _key_to_json(key: RowKey) -> dict:
-    if isinstance(key, LambdaKey):
-        return {"lambda": key.lam}
-    return {"lambda": key.lam, "t": key.t}
-
-
-def _cell_to_json(cell: TableCell) -> dict:
-    if isinstance(cell, Factual):
-        return {"kind": "factual", "product": cell.product}
-    return {"kind": "counterfactual"}
-
-
 def table_to_json_obj(table: OutcomeTable) -> dict:
-    return {
-        "schema": "bell-lab.outcome-table.v1",
+    """``bell-lab.outcome-table.v2``: parallel key lists and one cell list per row."""
+    obj = {
+        "schema": "bell-lab.outcome-table.v2",
         "key_mode": table.key_mode.value,
         "complete_rows": table.complete_rows,
         "leftover_trials": table.leftover_trials,
         "n_trials": table.n_trials,
-        "rows": [
-            {"key": _key_to_json(row.key), "cells": [_cell_to_json(c) for c in row.cells]}
-            for row in table.rows
-        ],
+        "lambda": table.lam.tolist(),
+        "cells": table.rows.tolist(),
     }
-
-
-def table_from_json_obj(obj: dict) -> OutcomeTable:
-    if obj.get("schema") != "bell-lab.outcome-table.v1":
-        raise ValueError(f"unexpected outcome-table schema {obj.get('schema')!r}")
-    key_mode = KeyMode(obj["key_mode"])
-    rows = []
-    for r in obj["rows"]:
-        k = r["key"]
-        key: RowKey
-        if "t" in k:
-            key = LambdaTimeKey(lam=k["lambda"], t=k["t"])
-        else:
-            key = LambdaKey(lam=k["lambda"])
-        cells = tuple(
-            Factual(c["product"]) if c["kind"] == "factual" else Counterfactual() for c in r["cells"]
-        )
-        rows.append(TableRow(key=key, cells=cells))
-    return OutcomeTable(
-        rows=tuple(rows),
-        complete_rows=obj["complete_rows"],
-        leftover_trials=obj["leftover_trials"],
-        n_trials=obj["n_trials"],
-        key_mode=key_mode,
-    )
+    if table.t is not None:
+        obj["t"] = table.t.tolist()
+    return obj
 
 
 _COLUMN_HEADS = ("+(a,c)", "-(a,b)", "-(d,b)", "-(d,c)")
@@ -288,22 +205,17 @@ def render_table(table: OutcomeTable, max_rows: int = 24) -> str:
     lines = []
     head = "  ".join(f"{h:>7}" for h in _COLUMN_HEADS)
     lines.append(f"{'key':>16}  {head}   sum")
-    for row in table.rows[:max_rows]:
-        rsum = _row_sum(row)
-        if isinstance(row.key, LambdaKey):
-            key_txt = f"lam={row.key.lam}"
-        else:
-            lam = row.key.lam
-            lam_txt = f"{lam}" if isinstance(lam, int) else f"{lam:.4f}"
-            key_txt = f"lam={lam_txt} t={row.key.t}"
-        cells_txt = []
-        for cell in row.cells:
-            if isinstance(cell, Factual):
-                mark = "*" if not row.complete else " "
-                cells_txt.append(f"{mark}{cell.product:+d}".rjust(7))
-            else:
-                cells_txt.append(f"{'?':>7}")
-        sum_txt = f"{rsum.value:+d}" if isinstance(rsum, Sum) else "?"
+    shown = table.rows[:max_rows].tolist()
+    lams = table.lam[:max_rows].tolist()
+    ticks = table.t[:max_rows].tolist() if table.t is not None else [None] * len(shown)
+    for cells, lam, t in zip(shown, lams, ticks):
+        complete = all(cells)
+        key_txt = f"lam={lam}" if isinstance(lam, int) else f"lam={lam:.4f}"
+        if t is not None:
+            key_txt += f" t={t}"
+        mark = " " if complete else "*"
+        cells_txt = [f"{mark}{c:+d}".rjust(7) if c else f"{'?':>7}" for c in cells]
+        sum_txt = f"{sum(cells):+d}" if complete else "?"
         lines.append(f"{key_txt:>16}  {'  '.join(cells_txt)}   {sum_txt}")
     if len(table.rows) > max_rows:
         lines.append(f"... ({len(table.rows) - max_rows} more rows)")

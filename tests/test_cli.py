@@ -293,7 +293,7 @@ def test_tables_command_discrete(tmp_path, capsys):
     assert "row-sum histogram" in stdout
     assert "balance check: max |z|" in stdout
     obj = json.loads((out / "table.json").read_text())
-    assert obj["table"]["schema"] == "bell-lab.outcome-table.v1"
+    assert obj["table"]["schema"] == "bell-lab.outcome-table.v2"
     assert obj["lln_balance"] is not None
     assert set(obj["row_sum_histogram"]) <= {"-2", "2"}
 
@@ -338,6 +338,23 @@ def test_oracle_exact_with_model_file(tmp_path, capsys):
     assert record["value"] == 2.0
 
 
+def test_oracle_exact_matches_settings_modulo_full_turn(tmp_path, capsys):
+    from bell_lab.core import SettingQuad
+    from bell_lab.models import DiscreteSource, bell_deterministic
+    from bell_lab.oracle import discretize_model, finite_model_to_json_obj
+
+    # radians(361) normalizes to a float a few ulps away from radians(1)
+    quad = SettingQuad.from_degrees(1, 45, 135, 90)
+    fm = discretize_model(bell_deterministic(DiscreteSource.uniform(8)), [quad.a, quad.b, quad.c, quad.d])
+    path = tmp_path / "fm.json"
+    path.write_text(json.dumps(finite_model_to_json_obj(fm)))
+    values = []
+    for a_deg in ("1", "361"):
+        assert main(["oracle", "exact", "--model", str(path), "--quad-deg", a_deg, "45", "135", "90"]) == 0
+        values.append(json.loads(capsys.readouterr().out)["value"])
+    assert values[0] == values[1]
+
+
 def test_plot_data_emission(tmp_path, capsys):
     cfg = write_cfg(tmp_path, MINIMAL.replace("n_trials = 1000", "n_trials = 4000"))
     sweep = tmp_path / "sweep.csv"
@@ -365,7 +382,13 @@ def test_byte_identical_outputs_across_runs_and_threads(tmp_path):
     for sub, threads in (("r1", "1"), ("r2", "1"), ("r4", "4")):
         out = tmp_path / sub
         assert main(["simulate", "--config", cfg, "--out", str(out), "--threads", threads]) == 0
-        blobs.append(((out / "report.json").read_bytes(), (out / "trials.csv").read_bytes()))
+        run = [(out / "report.json").read_bytes(), (out / "trials.csv").read_bytes()]
+        for mode in ("lambda", "lambda-time"):
+            table_out = out / mode
+            argv = ["tables", "--config", cfg, "--out", str(table_out), "--threads", threads, "--key-mode", mode]
+            assert main(argv) == 0
+            run.append((table_out / "table.json").read_bytes())
+        blobs.append(run)
     assert blobs[0] == blobs[1] == blobs[2]
 
 

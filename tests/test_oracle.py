@@ -181,6 +181,20 @@ def test_enumeration_argmax_achieves_maximum():
     assert delta == result.max_abs_chsh
 
 
+def test_enumeration_pads_unread_settings():
+    # Only the first two settings per side enter the statistic; the rest are
+    # padded with -1, so 16 x 16 settings cost what 2 x 2 does.
+    small = enumerate_deterministic_strategies(2, 2, 1)
+    big = enumerate_deterministic_strategies(16, 16, 1)
+    assert big.max_abs_chsh == small.max_abs_chsh
+    assert big.per_lambda_max == small.per_lambda_max
+    assert big.total_strategies == 2**32
+    assert np.array_equal(big.a_table[:2], small.a_table)
+    assert np.array_equal(big.b_table[:2], small.b_table)
+    assert np.all(big.a_table[2:] == -1) and np.all(big.b_table[2:] == -1)
+    assert big.a_table.shape == (16, 1) and big.b_table.shape == (16, 1)
+
+
 def test_enumeration_guard():
     with pytest.raises(TooLarge):
         enumerate_deterministic_strategies(2, 2, 9)  # 36 bits

@@ -1,10 +1,12 @@
 """Experiment runner: determinism, statistics, serialization."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from bell_lab import simulate
 from bell_lab.core import Setting, SettingQuad, chsh_pairs
 from bell_lab.errors import AnticorrelationViolated, InsufficientData, InvalidSpec
 from bell_lab.models import DiscreteSource, bell_deterministic, factorizable_instrument
@@ -52,6 +54,37 @@ def test_threads_env_var(monkeypatch):
     assert resolve_threads(2) == 2
     with pytest.raises(ValueError):
         resolve_threads(0)
+
+
+def test_thread_count_is_capped_at_core_count(monkeypatch):
+    # A serial stand-in for the pool records what the runner asks for and
+    # starts no thread, so the uncapped request is never made for real.
+    requested, chunks = [], []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            items = list(items)
+            chunks.append(len(items))
+            return map(fn, items)
+
+    spec = factorizable_instrument(0.3)
+    serial = run_experiment(spec, QUAD, 1_000, seed=5, threads=1)
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
+    before = threading.active_count()
+    capped = run_experiment(spec, QUAD, 1_000, seed=5, threads=10**5)
+    assert threading.active_count() == before
+    assert requested == [3] and chunks == [3]
+    assert capped == serial
 
 
 def test_pair_choice_uniformity():

@@ -1,5 +1,6 @@
 """Reordering tables: the regrouping argument and its time-tag obstruction."""
 
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bell_lab.core import SettingQuad
+from bell_lab.core import CHSH_SIGNS, SettingQuad
 from bell_lab.errors import ContinuousLambdaUnorderable
 from bell_lab.models import (
     DiscreteSource,
@@ -18,17 +19,13 @@ from bell_lab.models import (
 )
 from bell_lab.simulate import TrialLog, chsh_statistic, estimate_correlations, run_experiment
 from bell_lab.tables import (
-    Factual,
     KeyMode,
-    LambdaKey,
-    LambdaTimeKey,
     Sum,
     Undefined,
     build_reordered_table,
     lln_balance_check,
     render_table,
     row_sums,
-    table_from_json_obj,
     table_to_json_obj,
 )
 
@@ -59,10 +56,10 @@ def test_four_matching_trials_make_one_row():
     table = build_reordered_table(log, KeyMode.LAMBDA_ONLY)
     assert table.complete_rows == 1
     assert table.leftover_trials == 0
-    (row,) = table.rows
-    assert row.key == LambdaKey(5)
+    assert table.lam.tolist() == [5]
+    assert table.t is None
     # products all +1, signed by (+,-,-,-)
-    assert [c.product for c in row.cells] == [1, -1, -1, -1]
+    assert table.rows.tolist() == [[1, -1, -1, -1]]
     (s,) = row_sums(table)
     assert s == Sum(-2)
 
@@ -73,8 +70,8 @@ def test_partition_property():
         log = run_experiment(spec, QUAD, n, seed=43)
         table = build_reordered_table(log, KeyMode.LAMBDA_ONLY)
         assert 4 * table.complete_rows + table.leftover_trials == n
-        assert table.complete_rows == len(table.rows)
-        assert all(row.complete for row in table.rows)
+        assert table.complete_rows == len(table.rows) == len(table.lam)
+        assert np.all(table.rows != 0)
 
 
 @given(
@@ -98,6 +95,39 @@ def test_partition_property_holds_for_arbitrary_logs(trials):
         counts = [sum(1 for p, w in zip(pair_ids, lams) if w == v and p == k) for k in range(4)]
         expected += sum(counts) - 4 * min(counts)
     assert table.leftover_trials == expected
+    signed = [CHSH_SIGNS[p] * x * y for p, x, y in zip(pair_ids, a, b)]
+    got = list(zip(table.lam.tolist(), table.rows.tolist()))
+    assert got == _first_fit_rows(pair_ids, lams, signed)
+
+
+def _first_fit_rows(pair_ids, lams, signed):
+    """Plain-Python greedy matcher: each trial, in index order, takes the first
+    row of its lambda whose column is still empty; complete rows are kept,
+    ordered by lambda and then by opening order."""
+    open_rows: dict[int, list[list]] = {}
+    for pid, lam, s in zip(pair_ids, lams, signed):
+        rows = open_rows.setdefault(lam, [])
+        for cells in rows:
+            if cells[pid] is None:
+                cells[pid] = s
+                break
+        else:
+            cells = [None] * 4
+            cells[pid] = s
+            rows.append(cells)
+    return [(lam, cells) for lam in sorted(open_rows) for cells in open_rows[lam] if None not in cells]
+
+
+def test_rows_match_first_fit_oracle_on_a_run():
+    # A run long enough that every (lambda, pair) group holds trials of both
+    # signs, so any reordering inside a group shows up in the cells.
+    spec = factorizable_instrument(0.5, DiscreteSource.uniform(4))
+    log = run_experiment(spec, MIXED_QUAD, 3_000, seed=41)
+    table = build_reordered_table(log, KeyMode.LAMBDA_ONLY)
+    pair_ids = log.pair_id.tolist()
+    signed = [CHSH_SIGNS[p] * x * y for p, x, y in zip(pair_ids, log.a.tolist(), log.b.tolist())]
+    expected = _first_fit_rows(pair_ids, log.lam.astype(int).tolist(), signed)
+    assert list(zip(table.lam.tolist(), table.rows.tolist())) == expected
 
 
 def test_leftover_count_matches_counting_oracle():
@@ -161,17 +191,16 @@ def test_lambda_time_obstruction():
             assert len(table.rows) == n
             sums = row_sums(table)
             assert all(isinstance(s, Undefined) for s in sums)
-            for row in table.rows:
-                factual = [c for c in row.cells if isinstance(c, Factual)]
-                assert len(factual) == 1
+            assert np.all(np.count_nonzero(table.rows, axis=1) == 1)
 
 
 def test_lambda_time_keys_are_unique():
     log = run_experiment(bell_deterministic(DiscreteSource.uniform(2)), QUAD, 500, seed=71)
     table = build_reordered_table(log, KeyMode.LAMBDA_TIME)
-    keys = [row.key for row in table.rows]
-    assert len(set(keys)) == len(keys)
-    assert all(isinstance(k, LambdaTimeKey) for k in keys)
+    assert table.t is not None
+    assert table.lam.dtype == np.int64 and table.t.dtype == np.int64
+    keys = list(zip(table.lam.tolist(), table.t.tolist()))
+    assert len(set(keys)) == len(keys) == 500
 
 
 def test_continuous_lambda_refused():
@@ -228,17 +257,27 @@ def test_json_round_trip():
     log = run_experiment(spec, QUAD, 200, seed=89)
     for mode in (KeyMode.LAMBDA_ONLY, KeyMode.LAMBDA_TIME):
         table = build_reordered_table(log, mode)
-        again = table_from_json_obj(table_to_json_obj(table))
-        assert again == table
+        obj = json.loads(json.dumps(table_to_json_obj(table)))
+        assert obj["schema"] == "bell-lab.outcome-table.v2"
+        assert KeyMode(obj["key_mode"]) is mode
+        for key in ("complete_rows", "leftover_trials", "n_trials"):
+            assert obj[key] == getattr(table, key)
+        assert np.array_equal(np.asarray(obj["lambda"], dtype=table.lam.dtype), table.lam)
+        assert np.array_equal(np.asarray(obj["cells"], dtype=np.int8), table.rows)
+        if table.t is None:
+            assert "t" not in obj
+        else:
+            assert np.array_equal(np.asarray(obj["t"], dtype=np.int64), table.t)
 
 
 def test_json_cell_tags_explicit():
     log = run_experiment(bell_deterministic(DiscreteSource.uniform(2)), QUAD, 40, seed=97)
     obj = table_to_json_obj(build_reordered_table(log, KeyMode.LAMBDA_TIME))
-    kinds = {c["kind"] for row in obj["rows"] for c in row["cells"]}
-    assert kinds == {"factual", "counterfactual"}
-    for row in obj["rows"]:
-        assert sum(c["kind"] == "factual" for c in row["cells"]) == 1
+    cells = np.asarray(obj["cells"])
+    assert cells.shape == (40, 4)
+    assert set(cells.ravel().tolist()) <= {-1, 0, 1}
+    # 0 tags the counterfactual cells; exactly one factual +/-1 per row
+    assert np.all(np.count_nonzero(cells, axis=1) == 1)
 
 
 def test_render_table_views():
