@@ -57,7 +57,6 @@ from .simulate import (
     ChshStatistic,
     CorrelationEstimate,
     TrialLog,
-    TrialRecord,
     bell_statistic,
     chsh_statistic,
     estimate_correlations,
@@ -91,7 +90,7 @@ __all__ = [
     "time_tagged_anticorrelated", "setting_pair_dependent", "sample_source",
     "sample_instrument_params", "detector_a", "detector_b", "check_anticorrelation",
     # simulate
-    "TrialLog", "TrialRecord", "CorrelationEstimate", "ChshStatistic", "BellStatistic",
+    "TrialLog", "CorrelationEstimate", "ChshStatistic", "BellStatistic",
     "run_experiment", "run_pairs", "estimate_correlations", "chsh_statistic", "bell_statistic",
     # tables
     "KeyMode", "OutcomeTable", "Sum", "Undefined", "BalanceReport", "build_reordered_table",

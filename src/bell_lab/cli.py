@@ -133,26 +133,17 @@ def _split_entries(text: str) -> dict[str, tuple[str, int]]:
     return entries
 
 
-class _Entries:
-    def __init__(self, entries: dict[str, tuple[str, int]]):
-        self._entries = dict(entries)
-        self._consumed: set[str] = set()
+def _require(entries: dict[str, tuple[str, int]], key: str) -> tuple[str, int]:
+    got = entries.get(key)
+    if got is None:
+        raise ConfigError("missing required key", key=key)
+    return got
 
-    def take(self, key: str) -> tuple[str, int] | None:
-        self._consumed.add(key)
-        return self._entries.get(key)
 
-    def require(self, key: str) -> tuple[str, int]:
-        got = self.take(key)
-        if got is None:
-            raise ConfigError("missing required key", key=key)
-        return got
-
-    def forbid(self, key: str, why: str) -> None:
-        got = self._entries.get(key)
-        self._consumed.add(key)
-        if got is not None:
-            raise ConfigError(why, key=key, line=got[1])
+def _forbid(entries: dict[str, tuple[str, int]], key: str, why: str) -> None:
+    got = entries.get(key)
+    if got is not None:
+        raise ConfigError(why, key=key, line=got[1])
 
 
 def _as_int(key: str, raw: tuple[str, int]) -> int:
@@ -184,9 +175,9 @@ def _as_float_list(key: str, raw: tuple[str, int]) -> tuple[float, ...]:
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    entries = _Entries(_split_entries(text))
+    entries = _split_entries(text)
 
-    kind_raw = entries.require("model.kind")
+    kind_raw = _require(entries, "model.kind")
     kind = _KIND_BY_NAME.get(kind_raw[0])
     if kind is None:
         raise ConfigError(
@@ -195,15 +186,15 @@ def parse_config_text(text: str) -> ExperimentConfig:
             line=kind_raw[1],
         )
 
-    source_kind_raw = entries.take("model.source.kind")
+    source_kind_raw = entries.get("model.source.kind")
     source_kind = source_kind_raw[0] if source_kind_raw else "uniform_angle"
     if source_kind == "uniform_angle":
-        entries.forbid("model.source.size", "only valid for a discrete source")
-        entries.forbid("model.source.weights", "only valid for a discrete source")
+        _forbid(entries, "model.source.size", "only valid for a discrete source")
+        _forbid(entries, "model.source.weights", "only valid for a discrete source")
         source = UniformAngleSource()
     elif source_kind == "discrete":
-        size_raw = entries.take("model.source.size")
-        weights_raw = entries.take("model.source.weights")
+        size_raw = entries.get("model.source.size")
+        weights_raw = entries.get("model.source.weights")
         if (size_raw is None) == (weights_raw is None):
             raise ConfigError(
                 "a discrete source needs exactly one of model.source.size or model.source.weights",
@@ -224,7 +215,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
             line=source_kind_raw[1] if source_kind_raw else None,
         )
 
-    epsilon_raw = entries.take("model.epsilon")
+    epsilon_raw = entries.get("model.epsilon")
     if kind is ModelKind.FACTORIZABLE_INSTRUMENT:
         epsilon = _as_float("model.epsilon", epsilon_raw) if epsilon_raw else 0.0
     else:
@@ -241,21 +232,21 @@ def parse_config_text(text: str) -> ExperimentConfig:
     except InvalidSpec as exc:
         raise ConfigError(str(exc), key="model.kind") from None
 
-    quad_deg = tuple(_as_float(k, entries.require(k)) for k in ("quad.a_deg", "quad.b_deg", "quad.c_deg", "quad.d_deg"))
+    quad_deg = tuple(_as_float(k, _require(entries, k)) for k in ("quad.a_deg", "quad.b_deg", "quad.c_deg", "quad.d_deg"))
 
-    n_raw = entries.require("n_trials")
+    n_raw = _require(entries, "n_trials")
     n_trials = _as_int("n_trials", n_raw)
     if n_trials < 1:
         raise ConfigError(f"n_trials must be >= 1, got {n_trials}", key="n_trials", line=n_raw[1])
 
-    seed_raw = entries.require("seed")
+    seed_raw = _require(entries, "seed")
     seed = _as_int("seed", seed_raw)
     if not 0 <= seed < 2**64:
         raise ConfigError("seed must fit in 64 unsigned bits", key="seed", line=seed_raw[1])
 
     outputs = {}
     for name in ("trial_log", "report", "table"):
-        got = entries.take(f"outputs.{name}")
+        got = entries.get(f"outputs.{name}")
         if got is not None:
             outputs[name] = got[0]
 
@@ -339,10 +330,15 @@ def _estimates_json(cfg: ExperimentConfig, estimates) -> list[dict]:
     return out
 
 
-def _write_json(path: str, obj: dict) -> None:
+def _write_json(path: str, obj: dict, compact: bool = False) -> None:
+    """Write ``obj`` with sorted keys, indented, or on one line without spaces if ``compact``."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        if compact:
+            # json.dumps without indent runs the C encoder; json.dump never does.
+            fh.write(json.dumps(obj, separators=(",", ":"), sort_keys=True))
+        else:
+            json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -395,28 +391,11 @@ def _write_convergence_csv(path: str, log: TrialLog, flags: dict) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("n_trials,chsh_value,chsh_std_error\n")
         for n in ns:
-            head = _prefix_log(log, n)
             try:
-                stat = chsh_statistic(estimate_correlations(head), flags)
+                stat = chsh_statistic(estimate_correlations(log.head(n)), flags)
             except InsufficientData:
                 continue
             fh.write(f"{n},{stat.value!r},{stat.std_error!r}\n")
-
-
-def _prefix_log(log: TrialLog, n: int) -> TrialLog:
-    return TrialLog(
-        t=log.t[:n],
-        pair_id=log.pair_id[:n],
-        setting_1=log.setting_1[:n],
-        setting_2=log.setting_2[:n],
-        lam=log.lam[:n],
-        ip_1=log.ip_1[:n],
-        ip_2=log.ip_2[:n],
-        a=log.a[:n],
-        b=log.b[:n],
-        lambda_kind=log.lambda_kind,
-        n_pairs=log.n_pairs,
-    )
 
 
 def _threads(args) -> int:
@@ -610,7 +589,7 @@ def cmd_tables(args) -> int:
         obj["undefined_row_sums"] = undefined
         obj["leftover_fraction"] = leftover_fraction
         obj["lln_balance"] = lln_json
-        _write_json(table_path, obj)
+        _write_json(table_path, obj, compact=True)
         print(f"  table -> {table_path}")
     return 0
 

@@ -9,8 +9,7 @@ label), so the log for a given (spec, quad, n_trials, seed) is bit-identical
 no matter how many worker threads evaluate it or in which order chunks
 complete.
 
-Logs are stored column-wise (numpy arrays); ``TrialRecord`` objects are cheap
-per-trial views materialized on demand.
+Logs are stored column-wise (numpy arrays), one array per logged column.
 """
 
 from __future__ import annotations
@@ -18,24 +17,14 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import rng
-from .core import (
-    CHSH_SIGNS,
-    DiscreteIndex,
-    HiddenVariable,
-    PlanarAngle,
-    Setting,
-    SettingQuad,
-    chsh_pairs,
-)
+from .core import CHSH_SIGNS, Setting, SettingQuad, chsh_pairs
 from .errors import AnticorrelationViolated, InsufficientData, InvalidSpec
 from .models import ModelFamily, ModelSpec, Station, check_anticorrelation
-
-CSV_COLUMNS = ("index", "t", "pair_id", "setting_1", "setting_2", "lambda", "ip_1", "ip_2", "A", "B")
 
 _DEFAULT_PILOT_TRIALS = 1000
 
@@ -52,145 +41,107 @@ def resolve_threads(threads: int | None = None) -> int:
     return threads
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One experimental run, as logged."""
-
-    index: int
-    t: int
-    pair_id: int
-    setting_1: Setting
-    setting_2: Setting
-    lam: HiddenVariable
-    ip_1: float
-    ip_2: float
-    a: int
-    b: int
+def _column(dtype, header: str | None = None):
+    """A logged column: its dtype, and its CSV header where that differs from its name."""
+    return field(metadata={"dtype": np.dtype(dtype), "header": header})
 
 
+@dataclass(kw_only=True, eq=False)
 class TrialLog:
-    """Column-oriented log of an experiment.
+    """Column-oriented log of an experiment: one numpy array per logged column.
 
-    Equality compares the logged columns and the lambda representation —
-    exactly what the CSV round-trips.
+    Equality compares every column, the lambda representation and the pair
+    count — exactly what the CSV round-trips.
     """
 
-    def __init__(
-        self,
-        *,
-        t: np.ndarray,
-        pair_id: np.ndarray,
-        setting_1: np.ndarray,
-        setting_2: np.ndarray,
-        lam: np.ndarray,
-        ip_1: np.ndarray,
-        ip_2: np.ndarray,
-        a: np.ndarray,
-        b: np.ndarray,
-        lambda_kind: str,
-        n_pairs: int,
-    ):
-        self.t = np.asarray(t, dtype=np.int64)
-        self.pair_id = np.asarray(pair_id, dtype=np.int8)
-        self.setting_1 = np.asarray(setting_1, dtype=np.float64)
-        self.setting_2 = np.asarray(setting_2, dtype=np.float64)
-        self.lam = np.asarray(lam, dtype=np.float64)
-        self.ip_1 = np.asarray(ip_1, dtype=np.float64)
-        self.ip_2 = np.asarray(ip_2, dtype=np.float64)
-        self.a = np.asarray(a, dtype=np.int8)
-        self.b = np.asarray(b, dtype=np.int8)
-        if lambda_kind not in ("discrete", "angle"):
-            raise ValueError(f"lambda_kind must be 'discrete' or 'angle', got {lambda_kind!r}")
-        self.lambda_kind = lambda_kind
-        self.n_pairs = n_pairs
+    t: np.ndarray = _column(np.int64)
+    pair_id: np.ndarray = _column(np.int8)
+    setting_1: np.ndarray = _column(np.float64)
+    setting_2: np.ndarray = _column(np.float64)
+    lam: np.ndarray = _column(np.float64, "lambda")
+    ip_1: np.ndarray = _column(np.float64)
+    ip_2: np.ndarray = _column(np.float64)
+    a: np.ndarray = _column(np.int8, "A")
+    b: np.ndarray = _column(np.int8, "B")
+    lambda_kind: str
+    n_pairs: int
+
+    def __post_init__(self):
+        for name, (_header, dtype) in _COLUMNS.items():
+            setattr(self, name, np.ascontiguousarray(getattr(self, name), dtype=dtype))
+        if self.lambda_kind not in ("discrete", "angle"):
+            raise ValueError(f"lambda_kind must be 'discrete' or 'angle', got {self.lambda_kind!r}")
 
     def __len__(self) -> int:
         return len(self.t)
 
-    def __getitem__(self, i: int) -> TrialRecord:
-        lam: HiddenVariable
-        if self.lambda_kind == "discrete":
-            lam = DiscreteIndex(int(self.lam[i]))
-        else:
-            lam = PlanarAngle(float(self.lam[i]))
-        return TrialRecord(
-            index=i,
-            t=int(self.t[i]),
-            pair_id=int(self.pair_id[i]),
-            setting_1=Setting(float(self.setting_1[i])),
-            setting_2=Setting(float(self.setting_2[i])),
-            lam=lam,
-            ip_1=float(self.ip_1[i]),
-            ip_2=float(self.ip_2[i]),
-            a=int(self.a[i]),
-            b=int(self.b[i]),
-        )
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TrialLog):
             return NotImplemented
-        return (
-            self.lambda_kind == other.lambda_kind
-            and len(self) == len(other)
-            and bool(np.array_equal(self.t, other.t))
-            and bool(np.array_equal(self.pair_id, other.pair_id))
-            and bool(np.array_equal(self.setting_1, other.setting_1))
-            and bool(np.array_equal(self.setting_2, other.setting_2))
-            and bool(np.array_equal(self.lam, other.lam))
-            and bool(np.array_equal(self.ip_1, other.ip_1))
-            and bool(np.array_equal(self.ip_2, other.ip_2))
-            and bool(np.array_equal(self.a, other.a))
-            and bool(np.array_equal(self.b, other.b))
+        return (self.lambda_kind, self.n_pairs) == (other.lambda_kind, other.n_pairs) and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _COLUMNS
         )
+
+    def head(self, n: int) -> "TrialLog":
+        """The first ``n`` trials, as views of this log's columns."""
+        return replace(self, **{name: getattr(self, name)[:n] for name in _COLUMNS})
 
     # -- serialization --------------------------------------------------
 
     def to_csv(self, path) -> None:
         """Write the frozen CSV schema; floats use shortest round-trip repr."""
+        lam = self.lam.astype(np.int64) if self.lambda_kind == "discrete" else self.lam
+        columns = [lam if name == "lam" else getattr(self, name) for name in _COLUMNS]
         with open(path, "w", newline="") as fh:
             fh.write(",".join(CSV_COLUMNS) + "\n")
-            discrete = self.lambda_kind == "discrete"
-            for i in range(len(self)):
-                lam_cell = str(int(self.lam[i])) if discrete else repr(float(self.lam[i]))
-                fh.write(
-                    f"{i},{int(self.t[i])},{int(self.pair_id[i])},"
-                    f"{float(self.setting_1[i])!r},{float(self.setting_2[i])!r},"
-                    f"{lam_cell},"
-                    f"{float(self.ip_1[i])!r},{float(self.ip_2[i])!r},"
-                    f"{int(self.a[i])},{int(self.b[i])}\n"
-                )
+            # str of a Python float is its shortest round-trip repr. Formatting
+            # a block of rows at a time bounds the text held in memory.
+            for lo in range(0, len(self), _CSV_BLOCK_ROWS):
+                hi = min(lo + _CSV_BLOCK_ROWS, len(self))
+                cells = [map(str, range(lo, hi))] + [map(str, col[lo:hi].tolist()) for col in columns]
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
     @classmethod
     def from_csv(cls, path) -> "TrialLog":
+        """Read a log that ``to_csv`` wrote; a malformed row raises ValueError.
+
+        ``pair_id`` indexes the four canonical pairs, so the log has
+        ``n_pairs = 4`` whichever of them its trials drew.
+        """
         with open(path, newline="") as fh:
             header = fh.readline().rstrip("\n")
             if tuple(header.split(",")) != CSV_COLUMNS:
                 raise ValueError(f"unexpected CSV header {header!r}")
-            rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
-        n = len(rows)
-        lambda_kind = "angle"
-        if n and not any(ch in rows[0][5] for ch in ".e"):
-            lambda_kind = "discrete"
-        cols = list(zip(*rows)) if rows else [[]] * len(CSV_COLUMNS)
-        t = np.array([int(v) for v in cols[1]], dtype=np.int64)
-        pair_id = np.array([int(v) for v in cols[2]], dtype=np.int8)
-        n_pairs = int(pair_id.max()) + 1 if n else 0
+            body = fh.tell()
+            first = fh.readline().split(",")
+            if first == [""]:  # header only; loadtxt would warn about an empty input
+                rows = np.empty(0, dtype=_CSV_DTYPE)
+            elif len(first) != len(CSV_COLUMNS):
+                raise ValueError(f"trial log line 2: expected {len(CSV_COLUMNS)} cells, got {len(first)}")
+            else:
+                fh.seek(body)
+                rows = np.loadtxt(fh, delimiter=",", dtype=_CSV_DTYPE, comments=None, ndmin=1)
+        _reject_rows(rows["index"] != np.arange(len(rows)), "index must count the rows from 0")
+        _reject_rows((rows["pair_id"] < 0) | (rows["pair_id"] > 3), "pair_id must be 0, 1, 2 or 3")
+        _reject_rows((np.abs(rows["A"]) != 1) | (np.abs(rows["B"]) != 1), "A and B must be -1 or 1")
+        discrete = len(rows) > 0 and not any(ch in first[CSV_COLUMNS.index("lambda")] for ch in ".e")
         return cls(
-            t=t,
-            pair_id=pair_id,
-            setting_1=np.array([float(v) for v in cols[3]]),
-            setting_2=np.array([float(v) for v in cols[4]]),
-            lam=np.array([float(v) for v in cols[5]]),
-            ip_1=np.array([float(v) for v in cols[6]]),
-            ip_2=np.array([float(v) for v in cols[7]]),
-            a=np.array([int(v) for v in cols[8]], dtype=np.int8),
-            b=np.array([int(v) for v in cols[9]], dtype=np.int8),
-            lambda_kind=lambda_kind,
-            n_pairs=n_pairs,
+            **{name: rows[header] for name, (header, _dtype) in _COLUMNS.items()},
+            lambda_kind="discrete" if discrete else "angle",
+            n_pairs=4,
         )
+
+
+# Attribute -> (CSV header, dtype) of each logged column, in CSV order after "index".
+_COLUMNS = {f.name: (f.metadata["header"] or f.name, f.metadata["dtype"]) for f in fields(TrialLog) if f.metadata}
+CSV_COLUMNS = ("index", *(header for header, _dtype in _COLUMNS.values()))
+_CSV_DTYPE = np.dtype([("index", np.int64), *_COLUMNS.values()])
+_CSV_BLOCK_ROWS = 1 << 14
+
+
+def _reject_rows(bad: np.ndarray, what: str) -> None:
+    if bad.any():
+        raise ValueError(f"trial log line {int(np.argmax(bad)) + 2}: {what}")
 
 
 # --- Running experiments ----------------------------------------------------

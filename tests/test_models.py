@@ -258,21 +258,19 @@ def test_check_anticorrelation_validates_inputs():
 def test_scalar_api_reconstructs_logged_trials(spec):
     seed = 31
     log = run_experiment(spec, QUAD, 50, seed=seed)
+    assert np.array_equal(log.t, np.arange(len(log)))
     for i in range(len(log)):
-        rec = log[i]
-        assert rec.t == rec.index == i
+        t, pair_id = int(log.t[i]), int(log.pair_id[i])
+        setting_1, setting_2 = Setting(float(log.setting_1[i])), Setting(float(log.setting_2[i]))
         lam = sample_source(spec, seed, i)
-        assert lam == rec.lam
-        ip1 = sample_instrument_params(
-            spec, rec.setting_1, rec.t, lam, seed, i, Station.S1, pair_id=rec.pair_id
-        )
-        ip2 = sample_instrument_params(
-            spec, rec.setting_2, rec.t, lam, seed, i, Station.S2, pair_id=rec.pair_id
-        )
-        assert ip1 == rec.ip_1
-        assert ip2 == rec.ip_2
-        assert detector_a(spec, rec.setting_1, lam, ip1, rec.t) == rec.a
-        assert detector_b(spec, rec.setting_2, lam, ip2, rec.t) == rec.b
+        logged_lam = DiscreteIndex(int(log.lam[i])) if log.lambda_kind == "discrete" else PlanarAngle(float(log.lam[i]))
+        assert lam == logged_lam
+        ip1 = sample_instrument_params(spec, setting_1, t, lam, seed, i, Station.S1, pair_id=pair_id)
+        ip2 = sample_instrument_params(spec, setting_2, t, lam, seed, i, Station.S2, pair_id=pair_id)
+        assert ip1 == log.ip_1[i]
+        assert ip2 == log.ip_2[i]
+        assert detector_a(spec, setting_1, lam, ip1, t) == log.a[i]
+        assert detector_b(spec, setting_2, lam, ip2, t) == log.b[i]
 
 
 # --- custom model families ----------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import math
 import threading
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,10 +29,8 @@ QUAD = SettingQuad.from_degrees(0.0, 45.0, 135.0, 90.0)
 def test_single_trial_log():
     log = run_experiment(bell_deterministic(), QUAD, 1, seed=1)
     assert len(log) == 1
-    rec = log[0]
-    assert rec.t == 0
-    assert rec.index == 0
-    assert rec.a in (-1, 1) and rec.b in (-1, 1)
+    assert np.array_equal(log.t, [0])
+    assert log.a[0] in (-1, 1) and log.b[0] in (-1, 1)
 
 
 def test_same_arguments_identical_logs():
@@ -99,11 +99,9 @@ def test_pair_choice_uniformity():
 def test_trial_records_match_pair_settings():
     log = run_experiment(bell_deterministic(), QUAD, 200, seed=5)
     pairs = chsh_pairs(QUAD)
-    for rec in log:
-        s1, s2, _sign = pairs[rec.pair_id]
-        assert rec.setting_1 == s1
-        assert rec.setting_2 == s2
-        assert rec.t == rec.index
+    assert np.array_equal(log.setting_1, [pairs[p][0].angle for p in log.pair_id])
+    assert np.array_equal(log.setting_2, [pairs[p][1].angle for p in log.pair_id])
+    assert np.array_equal(log.t, np.arange(len(log)))
 
 
 def test_n_trials_validation():
@@ -232,7 +230,8 @@ def test_bell_statistic_refuses_without_anticorrelation():
 @pytest.mark.parametrize("source", [None, DiscreteSource.uniform(16)], ids=["angle", "discrete"])
 def test_csv_round_trip_bit_identical(tmp_path, source):
     spec = bell_deterministic(source)
-    log = run_experiment(spec, QUAD, 2_000, seed=37)
+    # two full blocks of the writer and a partial third
+    log = run_experiment(spec, QUAD, 2 * simulate._CSV_BLOCK_ROWS + 3, seed=37)
     path = tmp_path / "log.csv"
     log.to_csv(path)
     again = TrialLog.from_csv(path)
@@ -250,3 +249,50 @@ def test_csv_header_frozen(tmp_path):
     log.to_csv(path)
     header = path.read_text().splitlines()[0]
     assert header == "index,t,pair_id,setting_1,setting_2,lambda,ip_1,ip_2,A,B"
+
+
+def test_csv_reload_keeps_four_pairs_when_one_is_never_drawn(tmp_path):
+    # pair 3 is never drawn in these eight trials (pair counts 2, 3, 3, 0)
+    log = run_experiment(bell_deterministic(DiscreteSource.uniform(4)), QUAD, 8, seed=16)
+    assert np.bincount(log.pair_id, minlength=4).tolist() == [2, 3, 3, 0]
+    path = tmp_path / "log.csv"
+    log.to_csv(path)
+    again = TrialLog.from_csv(path)
+    assert again.n_pairs == 4
+    assert again == log
+    assert again != replace(log, n_pairs=3)
+    with pytest.raises(InsufficientData) as exc:
+        estimate_correlations(again)
+    assert exc.value.pair_id == 3
+
+
+@pytest.mark.parametrize(
+    "line, edit",
+    [
+        (2, lambda cells: cells[:-1]),
+        (4, lambda cells: cells[:-1]),
+        (2, lambda cells: ["7", *cells[1:]]),
+        (3, lambda cells: [*cells[:2], "9", *cells[3:]]),
+        (3, lambda cells: [*cells[:8], "3", cells[9]]),
+        (2, lambda cells: [*cells[:9], "0"]),
+        (3, lambda cells: [*cells[:2], "1.5", *cells[3:]]),
+    ],
+    ids=["short-first-row", "short-later-row", "index-7", "pair-id-9", "a-3", "b-0", "pair-id-1.5"],
+)
+def test_csv_reader_rejects_malformed_rows(tmp_path, line, edit):
+    path = tmp_path / "log.csv"
+    run_experiment(bell_deterministic(), QUAD, 5, seed=1).to_csv(path)
+    lines = path.read_text().splitlines()
+    lines[line - 1] = ",".join(edit(lines[line - 1].split(",")))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError):
+        TrialLog.from_csv(path)
+
+
+def test_csv_header_only_loads_as_empty_log(tmp_path):
+    path = tmp_path / "log.csv"
+    path.write_text(",".join(simulate.CSV_COLUMNS) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log = TrialLog.from_csv(path)
+    assert len(log) == 0 and log.n_pairs == 4
