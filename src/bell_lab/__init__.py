@@ -5,9 +5,6 @@ __version__ = "0.1.0"
 
 from .core import (
     CHSH_SIGNS,
-    DiscreteIndex,
-    HiddenVariable,
-    PlanarAngle,
     Setting,
     SettingQuad,
     chsh_pairs,
@@ -33,11 +30,7 @@ from .models import (
     UniformAngleSource,
     bell_deterministic,
     check_anticorrelation,
-    detector_a,
-    detector_b,
     factorizable_instrument,
-    sample_instrument_params,
-    sample_source,
     setting_pair_dependent,
     time_tagged_anticorrelated,
 )
@@ -79,16 +72,14 @@ from .tables import (
 __all__ = [
     "__version__",
     # core
-    "CHSH_SIGNS", "Setting", "SettingQuad", "DiscreteIndex", "PlanarAngle",
-    "HiddenVariable", "chsh_pairs", "row_identity", "row_sum",
+    "CHSH_SIGNS", "Setting", "SettingQuad", "chsh_pairs", "row_identity", "row_sum",
     # errors
     "BellLabError", "InvalidSpec", "InsufficientData", "AnticorrelationViolated",
     "ContinuousLambdaUnorderable", "UnknownSetting", "TooLarge", "ConfigError",
     # models
     "ModelKind", "ModelSpec", "DiscreteSource", "UniformAngleSource", "Station",
     "AnticorrelationReport", "bell_deterministic", "factorizable_instrument",
-    "time_tagged_anticorrelated", "setting_pair_dependent", "sample_source",
-    "sample_instrument_params", "detector_a", "detector_b", "check_anticorrelation",
+    "time_tagged_anticorrelated", "setting_pair_dependent", "check_anticorrelation",
     # simulate
     "TrialLog", "CorrelationEstimate", "ChshStatistic", "BellStatistic",
     "run_experiment", "run_pairs", "estimate_correlations", "chsh_statistic", "bell_statistic",

@@ -51,6 +51,7 @@ from .oracle import (
     singlet_correlation,
 )
 from .simulate import (
+    CorrelationEstimate,
     TrialLog,
     bell_statistic,
     chsh_statistic,
@@ -464,21 +465,13 @@ def cmd_check(args) -> int:
 
     if args.quantum_reference:
         # Exact singlet reference: no sampling, zero standard error.
-        pairs = chsh_pairs(quad)
         chsh_value = singlet_chsh(quad)
         chsh_se = 0.0
-        report["estimates"] = [
-            {
-                "pair_id": i,
-                "sign": sign,
-                "setting_1_deg": s1.degrees,
-                "setting_2_deg": s2.degrees,
-                "mean": singlet_correlation(s1, s2),
-                "std_error": 0.0,
-                "count": 0,
-            }
-            for i, (s1, s2, sign) in enumerate(pairs)
+        estimates = [
+            CorrelationEstimate(i, singlet_correlation(s1, s2), 0.0, 0)
+            for i, (s1, s2, _sign) in enumerate(chsh_pairs(quad))
         ]
+        report["estimates"] = _estimates_json(cfg, estimates)
         e_ab = singlet_correlation(quad.a, quad.b)
         e_ac = singlet_correlation(quad.a, quad.c)
         e_bc = singlet_correlation(quad.b, quad.c)
@@ -681,9 +674,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"bell-lab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="path to a key = value config file")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="path to a key = value config file")
         p.add_argument("--out", default=None, help="directory for output files")
         p.add_argument("--threads", type=int, default=None, help="worker threads (default: BELL_LAB_THREADS or 1)")
 
@@ -714,14 +706,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.set_defaults(func=cmd_tables)
 
     p_orc = sub.add_parser("oracle", help="exact finite-space computations")
-    add_common(p_orc, needs_config=False)
     orc_sub = p_orc.add_subparsers(dest="oracle_op", required=True)
 
     p_enum = orc_sub.add_parser("enumerate", help="exhaustive deterministic-strategy maximum")
     p_enum.add_argument("--m", type=int, required=True, help="lambda space size")
     p_enum.add_argument("--settings1", type=int, default=2)
     p_enum.add_argument("--settings2", type=int, default=2)
-    add_common(p_enum, needs_config=False)
+    p_enum.add_argument("--out", default=None, help="directory for the certificate file")
     p_enum.set_defaults(func=cmd_oracle)
 
     p_exact = orc_sub.add_parser("exact", help="exact statistic of a finite model")
@@ -729,12 +720,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_exact.add_argument("--quad-deg", type=float, nargs=4, required=True, metavar=("A", "B", "C", "D"))
     p_exact.add_argument("--per-pair", nargs=4, default=None, metavar=("M0", "M1", "M2", "M3"),
                          help="per-column finite-model JSON overrides")
-    add_common(p_exact, needs_config=False)
+    p_exact.add_argument("--out", default=None, help="directory for the certificate file")
     p_exact.set_defaults(func=cmd_oracle)
 
     p_quant = orc_sub.add_parser("quantum", help="singlet reference statistic")
     p_quant.add_argument("--quad-deg", type=float, nargs=4, required=True, metavar=("A", "B", "C", "D"))
-    add_common(p_quant, needs_config=False)
+    p_quant.add_argument("--out", default=None, help="directory for the certificate file")
     p_quant.set_defaults(func=cmd_oracle)
 
     return parser

@@ -30,11 +30,6 @@ def normalize_angle(theta: float) -> float:
     return a
 
 
-def sign_pm1(x: float) -> int:
-    """Sign with the fixed tie rule sign(0) := +1 (bit-reproducible tests)."""
-    return 1 if x >= 0.0 else -1
-
-
 @dataclass(frozen=True)
 class Setting:
     """A measurement direction: one station's macroscopic knob."""
@@ -52,11 +47,6 @@ class Setting:
     def degrees(self) -> float:
         return math.degrees(self.angle)
 
-    def relative_angle(self, other: "Setting") -> float:
-        """Circular distance to another setting, in [0, pi]."""
-        d = abs(self.angle - other.angle)
-        return min(d, TAU - d)
-
 
 @dataclass(frozen=True)
 class SettingQuad:
@@ -66,10 +56,6 @@ class SettingQuad:
     b: Setting
     c: Setting
     d: Setting
-
-    @classmethod
-    def from_angles(cls, a: float, b: float, c: float, d: float) -> "SettingQuad":
-        return cls(Setting(a), Setting(b), Setting(c), Setting(d))
 
     @classmethod
     def from_degrees(cls, a: float, b: float, c: float, d: float) -> "SettingQuad":
@@ -99,42 +85,6 @@ def require_outcome(value: int) -> int:
     if value not in (-1, 1):
         raise ValueError(f"outcome must be +1 or -1, got {value!r}")
     return value
-
-
-@dataclass(frozen=True)
-class DiscreteIndex:
-    """A source value drawn from a finite space {0, ..., m-1}."""
-
-    index: int
-
-    def __post_init__(self):
-        if self.index < 0:
-            raise ValueError(f"discrete source index must be >= 0, got {self.index}")
-
-
-@dataclass(frozen=True)
-class PlanarAngle:
-    """A source value that is itself a planar angle."""
-
-    angle: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "angle", normalize_angle(self.angle))
-
-
-HiddenVariable = DiscreteIndex | PlanarAngle
-
-
-def discrete_lambda_angle(index: int, size: int) -> float:
-    """Angle carried by discrete source value ``index`` of a size-``size`` space.
-
-    Midpoint grid on the circle: index i maps to 2*pi*(i + 0.5)/size. The same
-    grid is used by the exact-oracle discretization, so discrete simulation
-    and exact integration see identical detector inputs.
-    """
-    if not 0 <= index < size:
-        raise ValueError(f"index {index} outside discrete space of size {size}")
-    return TAU * (index + 0.5) / size
 
 
 # --- Row algebra -----------------------------------------------------------

@@ -22,10 +22,10 @@ Four families are shipped, bracketing the space the laboratory explores:
   model; it exists to exhibit the algebraic maximum of the four-term
   statistic.
 
-All randomness enters through the ``sample_*`` functions; the ``detector_*``
-functions are pure in (setting, lambda, instrument value). Internal kernels
-are vectorized over trial indices, and the scalar API calls the same kernels
-with length-1 arrays, so scalar and batch evaluation agree bit for bit.
+Each family is three kernels, vectorized over trials. All randomness enters
+through ``source_arrays`` and ``instrument_arrays``; ``outcome_arrays`` is
+pure in (setting, lambda angle, instrument value). One trial is the same call
+on length-1 arrays.
 """
 
 from __future__ import annotations
@@ -38,14 +38,7 @@ from typing import Protocol
 import numpy as np
 
 from . import rng
-from .core import (
-    TAU,
-    DiscreteIndex,
-    HiddenVariable,
-    PlanarAngle,
-    Setting,
-    discrete_lambda_angle,
-)
+from .core import TAU, Setting
 from .errors import InvalidSpec
 
 WEIGHT_TOLERANCE = 1e-12
@@ -131,10 +124,6 @@ class ModelSpec:
         return "discrete" if isinstance(self.source, DiscreteSource) else "angle"
 
     @property
-    def source_size(self) -> int | None:
-        return self.source.size if isinstance(self.source, DiscreteSource) else None
-
-    @property
     def setting_dependent_distribution(self) -> bool:
         """True for the flagged non-factorizable diagnostic family."""
         return self.kind is ModelKind.SETTING_PAIR_DEPENDENT
@@ -172,10 +161,27 @@ def setting_pair_dependent(source: SourceDistribution | None = None) -> ModelSpe
     return ModelSpec(ModelKind.SETTING_PAIR_DEPENDENT, source or UniformAngleSource())
 
 
+# --- Model laws --------------------------------------------------------------
+#
+# The midpoint grid and the sign tie rule. The kernels below and the exact
+# oracle's discretization both call them, so simulation and exact integration
+# see identical detector inputs.
+
+
+def midpoint_angles(index: np.ndarray, size: int) -> np.ndarray:
+    """Angle of each discrete source value: the midpoint grid 2*pi*(i + 0.5)/size."""
+    return TAU * (index + 0.5) / size
+
+
+def pm1_signs(x: np.ndarray) -> np.ndarray:
+    """Elementwise sign as +1/-1 int8, with the tie rule sign(0) := +1."""
+    return np.where(x >= 0.0, 1, -1).astype(np.int8)
+
+
 # --- Vectorized kernels ------------------------------------------------------
 #
-# These are the single implementation of each family; the scalar API below
-# and the experiment runner both call them.
+# The single implementation of each family. bench/layers.py wraps them by
+# name, so renaming one is a benchmark change.
 
 
 def source_arrays(spec: ModelSpec, seed: int, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -191,9 +197,7 @@ def source_arrays(spec: ModelSpec, seed: int, indices: np.ndarray) -> tuple[np.n
             np.searchsorted(cumulative, u, side="right"),
             len(cumulative) - 1,
         )
-        m = spec.source.size
-        angle = TAU * (idx + 0.5) / m
-        return idx.astype(np.float64), angle
+        return idx.astype(np.float64), midpoint_angles(idx, spec.source.size)
     angle = u * TAU
     return angle, angle
 
@@ -242,11 +246,6 @@ def instrument_arrays(
     raise InvalidSpec(f"unknown model kind {kind!r}")
 
 
-def _deterministic_sign(theta: np.ndarray, lam_angle: np.ndarray) -> np.ndarray:
-    """sign(cos(theta - lambda)) with the tie rule sign(0) := +1."""
-    return np.where(np.cos(np.asarray(theta) - np.asarray(lam_angle)) >= 0.0, 1, -1).astype(np.int8)
-
-
 def outcome_arrays(
     spec: ModelSpec,
     station: Station,
@@ -264,7 +263,7 @@ def outcome_arrays(
             return np.ones(ip.shape, dtype=np.int8)
         return np.where(ip < 0.25, 1, -1).astype(np.int8)
 
-    base = _deterministic_sign(theta_local, lam_angle)
+    base = pm1_signs(np.cos(np.asarray(theta_local) - np.asarray(lam_angle)))
     if kind is ModelKind.BELL_DETERMINISTIC:
         return (negate * base).astype(np.int8)
     if kind is ModelKind.FACTORIZABLE_INSTRUMENT:
@@ -276,68 +275,6 @@ def outcome_arrays(
         flip = np.where(np.asarray(ip) < 0.5, 1, -1).astype(np.int8)
         return (negate * flip * base).astype(np.int8)
     raise InvalidSpec(f"unknown model kind {kind!r}")
-
-
-# --- Scalar API (one trial at a time) ---------------------------------------
-
-
-def sample_source(spec: ModelSpec, seed: int, trial: int) -> HiddenVariable:
-    """Draw the source value for one trial from substream (seed, trial, "source")."""
-    repr_v, _ = source_arrays(spec, seed, np.asarray([trial], dtype=np.uint64))
-    if spec.lambda_kind == "discrete":
-        return DiscreteIndex(int(repr_v[0]))
-    return PlanarAngle(float(repr_v[0]))
-
-
-def _lambda_angle(spec: ModelSpec, lam: HiddenVariable) -> float:
-    if isinstance(lam, DiscreteIndex):
-        if spec.source_size is None:
-            raise InvalidSpec("discrete source value supplied to a continuous-source spec")
-        return discrete_lambda_angle(lam.index, spec.source_size)
-    return lam.angle
-
-
-def sample_instrument_params(
-    spec: ModelSpec,
-    setting_local: Setting,
-    t: int,
-    lam: HiddenVariable,
-    seed: int,
-    trial: int,
-    station: Station,
-    pair_id: int | None = None,
-) -> float:
-    """Instrument value for one station on one trial (canonical [0,1) real)."""
-    del lam  # shipped families key instruments on (setting, t, station) only
-    pid = None if pair_id is None else np.asarray([pair_id])
-    out = instrument_arrays(
-        spec,
-        seed,
-        np.asarray([trial], dtype=np.uint64),
-        np.asarray([t], dtype=np.uint64),
-        np.asarray([setting_local.angle]),
-        station,
-        pair_id=pid,
-    )
-    return float(out[0])
-
-
-def detector_a(spec: ModelSpec, setting: Setting, lam: HiddenVariable, ip: float, t: int) -> int:
-    """Station-1 outcome; pure in its inputs."""
-    del t  # time enters only through the instrument value
-    out = outcome_arrays(
-        spec, Station.S1, np.asarray([setting.angle]), np.asarray([_lambda_angle(spec, lam)]), np.asarray([ip])
-    )
-    return int(out[0])
-
-
-def detector_b(spec: ModelSpec, setting: Setting, lam: HiddenVariable, ip: float, t: int) -> int:
-    """Station-2 outcome; the globally negated side."""
-    del t
-    out = outcome_arrays(
-        spec, Station.S2, np.asarray([setting.angle]), np.asarray([_lambda_angle(spec, lam)]), np.asarray([ip])
-    )
-    return int(out[0])
 
 
 # --- Anticorrelation check ---------------------------------------------------

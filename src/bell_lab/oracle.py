@@ -15,9 +15,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import TAU, Setting, SettingQuad, chsh_pairs
+from .core import Setting, SettingQuad, chsh_pairs
 from .errors import InvalidSpec, TooLarge, UnknownSetting
-from .models import DiscreteSource, ModelKind, ModelSpec, UniformAngleSource, check_weights, quantize_angle
+from .models import (
+    DiscreteSource,
+    ModelKind,
+    ModelSpec,
+    UniformAngleSource,
+    check_weights,
+    midpoint_angles,
+    pm1_signs,
+    quantize_angle,
+)
 
 # 2^((n1+n2)*m) deterministic strategy pairs must fit under this.
 ENUMERATION_GUARD_BITS = 32
@@ -218,7 +227,7 @@ def discretize_model(spec: ModelSpec, settings: list[Setting], grid: int = 360) 
         assert isinstance(spec.source, UniformAngleSource)
         m = grid
         weights = tuple([1.0 / m] * m)
-    angles = TAU * (np.arange(m) + 0.5) / m
+    angles = midpoint_angles(np.arange(m), m)
 
     eps = spec.epsilon
     if spec.kind is ModelKind.BELL_DETERMINISTIC or eps == 0.0:
@@ -232,7 +241,7 @@ def discretize_model(spec: ModelSpec, settings: list[Setting], grid: int = 360) 
     a_table: dict[Setting, np.ndarray] = {}
     b_table: dict[Setting, np.ndarray] = {}
     for s in settings:
-        sign = np.where(np.cos(s.angle - angles) >= 0.0, 1, -1).astype(np.int8)
+        sign = pm1_signs(np.cos(s.angle - angles))
         a_cols = [sign] if n_ip == 1 else [sign, np.ones(m, np.int8), -np.ones(m, np.int8)]
         b_cols = [-sign] if n_ip == 1 else [-sign, np.ones(m, np.int8), -np.ones(m, np.int8)]
         a_table[s] = np.stack(a_cols, axis=1)

@@ -125,6 +125,11 @@ class TrialLog:
         _reject_rows((rows["pair_id"] < 0) | (rows["pair_id"] > 3), "pair_id must be 0, 1, 2 or 3")
         _reject_rows((np.abs(rows["A"]) != 1) | (np.abs(rows["B"]) != 1), "A and B must be -1 or 1")
         discrete = len(rows) > 0 and not any(ch in first[CSV_COLUMNS.index("lambda")] for ch in ".e")
+        if discrete:
+            # to_csv writes a discrete lambda through int64, so only whole numbers round-trip.
+            lam = rows["lambda"]
+            whole = (lam >= 0.0) & (lam < 2.0**63) & (lam == np.floor(lam))
+            _reject_rows(~whole, "a discrete lambda must be a whole number in [0, 2**63)")
         return cls(
             **{name: rows[header] for name, (header, _dtype) in _COLUMNS.items()},
             lambda_kind="discrete" if discrete else "angle",

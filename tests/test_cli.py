@@ -318,6 +318,29 @@ def test_oracle_enumerate_certificate(capsys):
     assert record["certificate"]["total_strategies"] == 2**16
 
 
+def test_oracle_out_goes_after_the_operation(tmp_path, capsys):
+    # The oracle group takes no options of its own, so --out before the
+    # operation is a usage error, not a run that exits 0 and writes nothing.
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--out", str(tmp_path), "enumerate", "--m", "2"])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+    assert main(["oracle", "enumerate", "--m", "2", "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "oracle-enumerate.json").read_text()) == json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["enumerate", "--m", "2"], ["quantum", "--quad-deg", "0", "45", "135", "90"]],
+    ids=["enumerate", "quantum"],
+)
+def test_oracle_operations_take_no_threads(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", *argv, "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_oracle_quantum_certificate(capsys):
     assert main(["oracle", "quantum", "--quad-deg", "0", "45", "135", "90"]) == 0
     record = json.loads(capsys.readouterr().out)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,13 +13,12 @@ from bell_lab.core import (
     Setting,
     SettingQuad,
     chsh_pairs,
-    discrete_lambda_angle,
     normalize_angle,
     require_outcome,
     row_identity,
     row_sum,
-    sign_pm1,
 )
+from bell_lab.models import midpoint_angles, pm1_signs
 
 PM1 = (-1, 1)
 
@@ -41,6 +41,10 @@ def test_row_identity_rejects_non_outcomes():
         row_identity(0, 1, 1)
     with pytest.raises(ValueError):
         row_identity(1, 1, 2)
+    with pytest.raises(ValueError):
+        row_sum(0, 1, 1, 1)
+    with pytest.raises(ValueError):
+        row_sum(1, 1, 1, -2)
 
 
 def test_row_sum_exhaustive_in_pm2():
@@ -59,7 +63,7 @@ def test_row_sum_examples():
 
 
 def test_chsh_pairs_canonical_order_and_signs():
-    quad = SettingQuad.from_angles(0.0, math.pi / 4, 3 * math.pi / 4, math.pi / 2)
+    quad = SettingQuad(Setting(0.0), Setting(math.pi / 4), Setting(3 * math.pi / 4), Setting(math.pi / 2))
     pairs = chsh_pairs(quad)
     assert [(p[0].angle, p[1].angle) for p in pairs] == [
         (0.0, 3 * math.pi / 4),
@@ -73,7 +77,7 @@ def test_chsh_pairs_canonical_order_and_signs():
 
 
 def test_chsh_pairs_degenerate_quad():
-    quad = SettingQuad.from_angles(0.0, 0.0, 0.0, 0.0)
+    quad = SettingQuad(*[Setting(0.0)] * 4)
     pairs = chsh_pairs(quad)
     assert all(p[0] == Setting(0.0) and p[1] == Setting(0.0) for p in pairs)
     assert [p[2] for p in pairs] == [1, -1, -1, -1]
@@ -103,19 +107,10 @@ def test_setting_equality_after_normalization():
     assert Setting.from_degrees(90.0).angle == pytest.approx(math.pi / 2, abs=0)
 
 
-def test_setting_relative_angle():
-    a = Setting(0.1)
-    b = Setting(TAU - 0.1)
-    assert a.relative_angle(b) == pytest.approx(0.2, abs=1e-15)
-    assert a.relative_angle(a) == 0.0
-    assert Setting(0.0).relative_angle(Setting(math.pi)) == pytest.approx(math.pi, abs=0)
-
-
 def test_sign_tie_rule():
-    assert sign_pm1(0.0) == 1
-    assert sign_pm1(-0.0) == 1
-    assert sign_pm1(1e-300) == 1
-    assert sign_pm1(-1e-300) == -1
+    signs = pm1_signs(np.array([0.0, -0.0, 1e-300, -1e-300]))
+    assert signs.dtype == np.int8
+    assert signs.tolist() == [1, 1, 1, -1]
 
 
 def test_require_outcome():
@@ -127,9 +122,4 @@ def test_require_outcome():
 
 
 def test_discrete_lambda_angle_midpoints():
-    assert discrete_lambda_angle(0, 4) == pytest.approx(TAU / 8)
-    assert discrete_lambda_angle(3, 4) == pytest.approx(7 * TAU / 8)
-    with pytest.raises(ValueError):
-        discrete_lambda_angle(4, 4)
-    with pytest.raises(ValueError):
-        discrete_lambda_angle(-1, 4)
+    assert midpoint_angles(np.array([0, 3]), 4) == pytest.approx([TAU / 8, 7 * TAU / 8])

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bell_lab.core import DiscreteIndex, PlanarAngle, Setting, SettingQuad
+from bell_lab.core import TAU, Setting, SettingQuad
 from bell_lab.errors import InvalidSpec
 from bell_lab.models import (
     DiscreteSource,
@@ -15,12 +15,10 @@ from bell_lab.models import (
     UniformAngleSource,
     bell_deterministic,
     check_anticorrelation,
-    detector_a,
-    detector_b,
     factorizable_instrument,
     instrument_arrays,
-    sample_instrument_params,
-    sample_source,
+    midpoint_angles,
+    outcome_arrays,
     setting_pair_dependent,
     source_arrays,
     time_tagged_anticorrelated,
@@ -82,8 +80,9 @@ def test_model_spec_validation():
 
 def test_sample_source_point_mass():
     spec = bell_deterministic(DiscreteSource((1.0,)))
-    for trial in range(20):
-        assert sample_source(spec, 5, trial) == DiscreteIndex(0)
+    lam, angle = source_arrays(spec, 5, np.arange(20, dtype=np.uint64))
+    assert lam.tolist() == [0.0] * 20
+    assert angle.tolist() == [math.pi] * 20
 
 
 def test_sample_source_uniform_discrete_frequencies():
@@ -98,10 +97,12 @@ def test_sample_source_uniform_discrete_frequencies():
 
 def test_sample_source_deterministic_given_substream():
     spec = bell_deterministic()
-    a = sample_source(spec, 99, 17)
-    b = sample_source(spec, 99, 17)
-    assert a == b
-    assert isinstance(a, PlanarAngle)
+    a, a_angle = source_arrays(spec, 99, np.asarray([17], dtype=np.uint64))
+    b, _ = source_arrays(spec, 99, np.asarray([17], dtype=np.uint64))
+    batch, _ = source_arrays(spec, 99, np.arange(20, dtype=np.uint64))
+    assert a[0] == b[0] == batch[17]
+    # an angle source logs the angle itself
+    assert spec.lambda_kind == "angle" and a[0] == a_angle[0] and 0.0 <= a[0] < TAU
 
 
 def test_sample_source_weighted():
@@ -118,38 +119,42 @@ def test_sample_source_weighted():
 
 def test_detector_examples_bell_deterministic():
     spec = bell_deterministic()
-    zero = Setting(0.0)
-    assert detector_a(spec, zero, PlanarAngle(0.0), 0.0, 0) == 1
-    assert detector_a(spec, zero, PlanarAngle(math.pi), 0.0, 0) == -1
-    # tie at relative angle pi/2 resolves to +1 (sign(0) := +1)
-    assert detector_a(spec, zero, PlanarAngle(math.pi / 2), 0.0, 0) == 1
-    assert detector_b(spec, zero, PlanarAngle(0.0), 0.0, 0) == -1
+    zero = np.zeros(3)
+    a = outcome_arrays(spec, Station.S1, zero, np.array([0.0, math.pi, math.pi / 2]), zero)
+    # the last case, relative angle pi/2, resolves to +1 (sign(0) := +1)
+    assert a.tolist() == [1, -1, 1]
+    assert outcome_arrays(spec, Station.S2, zero[:1], zero[:1], zero[:1]).tolist() == [-1]
 
 
 def test_detector_b_negates_a_at_equal_settings():
     spec = bell_deterministic()
-    s = Setting(1.234)
-    for k in range(50):
-        lam = PlanarAngle(k * 0.13)
-        assert detector_a(spec, s, lam, 0.0, k) == -detector_b(spec, s, lam, 0.0, k)
+    theta = np.full(50, 1.234)
+    lam = np.arange(50) * 0.13
+    ip = np.zeros(50)
+    a = outcome_arrays(spec, Station.S1, theta, lam, ip)
+    b = outcome_arrays(spec, Station.S2, theta, lam, ip)
+    assert np.array_equal(a, -b)
 
 
 def test_discrete_lambda_feeds_midpoint_angle():
     spec = bell_deterministic(DiscreteSource.uniform(4))
+    index, angle = source_arrays(spec, 0, np.arange(64, dtype=np.uint64))
+    assert np.array_equal(angle, midpoint_angles(index, 4))
+    a = outcome_arrays(spec, Station.S1, np.zeros(64), angle, np.zeros(64))
+    assert np.any(index == 0) and np.any(index == 2)
     # index 0 -> angle pi/4: detector at setting 0 sees cos(pi/4) > 0
-    assert detector_a(spec, Setting(0.0), DiscreteIndex(0), 0.0, 0) == 1
+    assert np.all(a[index == 0] == 1)
     # index 2 -> angle 5pi/4: cos < 0
-    assert detector_a(spec, Setting(0.0), DiscreteIndex(2), 0.0, 0) == -1
+    assert np.all(a[index == 2] == -1)
 
 
 # --- instrument parameters -----------------------------------------------------
 
 
 def test_bell_deterministic_instruments_constant_zero():
-    spec = bell_deterministic()
-    for trial in (0, 5, 999):
-        ip = sample_instrument_params(spec, Setting(0.3), trial, PlanarAngle(0.1), 7, trial, Station.S1)
-        assert ip == 0.0
+    trials = np.asarray([0, 5, 999], dtype=np.uint64)
+    ip = instrument_arrays(bell_deterministic(), 7, trials, trials, np.full(3, 0.3), Station.S1)
+    assert ip.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_instrument_values_canonical_range():
@@ -182,11 +187,11 @@ def test_factorization_witness_instrument_stream_ignores_remote_setting():
 
 def test_time_tagged_instruments_shared_at_equal_inputs():
     spec = time_tagged_anticorrelated()
-    s = Setting(0.5)
-    for t in range(10):
-        ip1 = sample_instrument_params(spec, s, t, PlanarAngle(0.0), 4, t, Station.S1)
-        ip2 = sample_instrument_params(spec, s, t, PlanarAngle(0.0), 4, t, Station.S2)
-        assert ip1 == ip2
+    t = np.arange(10, dtype=np.uint64)
+    theta = np.full(10, 0.5)
+    ip1 = instrument_arrays(spec, 4, t, t, theta, Station.S1)
+    ip2 = instrument_arrays(spec, 4, t, t, theta, Station.S2)
+    assert np.array_equal(ip1, ip2)
 
 
 def test_time_tagged_instruments_vary_with_setting_and_time():
@@ -202,8 +207,9 @@ def test_time_tagged_instruments_vary_with_setting_and_time():
 
 def test_setting_pair_dependent_requires_pair_context():
     spec = setting_pair_dependent()
+    zero = np.zeros(1, dtype=np.uint64)
     with pytest.raises(InvalidSpec):
-        sample_instrument_params(spec, Setting(0.0), 0, PlanarAngle(0.0), 1, 0, Station.S1)
+        instrument_arrays(spec, 1, zero, zero, np.zeros(1), Station.S1)
     with pytest.raises(InvalidSpec):
         check_anticorrelation(spec, [Setting(0.0)], 10, seed=1)
 
@@ -241,7 +247,7 @@ def test_check_anticorrelation_validates_inputs():
         check_anticorrelation(bell_deterministic(), [], 10, seed=1)
 
 
-# --- scalar API agrees with the vectorized runner --------------------------------
+# --- one trial through the kernels agrees with the vectorized runner -------------
 
 
 @pytest.mark.parametrize(
@@ -253,24 +259,26 @@ def test_check_anticorrelation_validates_inputs():
         time_tagged_anticorrelated(),
         setting_pair_dependent(),
     ],
-    ids=lambda s: s.kind.value + ("_discrete" if s.source_size else ""),
+    ids=lambda s: s.kind.value + ("_discrete" if s.lambda_kind == "discrete" else ""),
 )
 def test_scalar_api_reconstructs_logged_trials(spec):
     seed = 31
     log = run_experiment(spec, QUAD, 50, seed=seed)
     assert np.array_equal(log.t, np.arange(len(log)))
     for i in range(len(log)):
-        t, pair_id = int(log.t[i]), int(log.pair_id[i])
-        setting_1, setting_2 = Setting(float(log.setting_1[i])), Setting(float(log.setting_2[i]))
-        lam = sample_source(spec, seed, i)
-        logged_lam = DiscreteIndex(int(log.lam[i])) if log.lambda_kind == "discrete" else PlanarAngle(float(log.lam[i]))
-        assert lam == logged_lam
-        ip1 = sample_instrument_params(spec, setting_1, t, lam, seed, i, Station.S1, pair_id=pair_id)
-        ip2 = sample_instrument_params(spec, setting_2, t, lam, seed, i, Station.S2, pair_id=pair_id)
-        assert ip1 == log.ip_1[i]
-        assert ip2 == log.ip_2[i]
-        assert detector_a(spec, setting_1, lam, ip1, t) == log.a[i]
-        assert detector_b(spec, setting_2, lam, ip2, t) == log.b[i]
+        # one trial: the kernels called on length-1 arrays
+        trial = np.asarray([i], dtype=np.uint64)
+        t = log.t[i : i + 1].astype(np.uint64)
+        pair_id = log.pair_id[i : i + 1]
+        theta_1, theta_2 = log.setting_1[i : i + 1], log.setting_2[i : i + 1]
+        lam, lam_angle = source_arrays(spec, seed, trial)
+        assert lam[0] == log.lam[i]
+        ip1 = instrument_arrays(spec, seed, trial, t, theta_1, Station.S1, pair_id=pair_id)
+        ip2 = instrument_arrays(spec, seed, trial, t, theta_2, Station.S2, pair_id=pair_id)
+        assert ip1[0] == log.ip_1[i]
+        assert ip2[0] == log.ip_2[i]
+        assert outcome_arrays(spec, Station.S1, theta_1, lam_angle, ip1)[0] == log.a[i]
+        assert outcome_arrays(spec, Station.S2, theta_2, lam_angle, ip2)[0] == log.b[i]
 
 
 # --- custom model families ----------------------------------------------------------
@@ -280,8 +288,6 @@ class _CoinFamily:
     """Trivial custom family: fair independent coins at both stations."""
 
     lambda_kind = "angle"
-    source_size = None
-    flags = {"setting_dependent_distribution": False}
 
     def source_arrays(self, seed, indices):
         from bell_lab import rng

@@ -23,7 +23,7 @@ from bell_lab.oracle import (
 )
 from bell_lab.simulate import estimate_correlations, run_experiment
 
-QUAD = SettingQuad.from_angles(0.0, math.pi / 4, 3 * math.pi / 4, math.pi / 2)
+QUAD = SettingQuad(Setting(0.0), Setting(math.pi / 4), Setting(3 * math.pi / 4), Setting(math.pi / 2))
 
 
 def _tiny_model(a_val=1, b_val=-1, setting=Setting(0.0)):

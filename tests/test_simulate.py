@@ -266,27 +266,46 @@ def test_csv_reload_keeps_four_pairs_when_one_is_never_drawn(tmp_path):
     assert exc.value.pair_id == 3
 
 
+DISCRETE_4 = DiscreteSource.uniform(4)
+
+
+def _lambda_cell(text):
+    return lambda cells: [*cells[:5], text, *cells[6:]]
+
+
 @pytest.mark.parametrize(
-    "line, edit",
+    "line, edit, source",
     [
-        (2, lambda cells: cells[:-1]),
-        (4, lambda cells: cells[:-1]),
-        (2, lambda cells: ["7", *cells[1:]]),
-        (3, lambda cells: [*cells[:2], "9", *cells[3:]]),
-        (3, lambda cells: [*cells[:8], "3", cells[9]]),
-        (2, lambda cells: [*cells[:9], "0"]),
-        (3, lambda cells: [*cells[:2], "1.5", *cells[3:]]),
+        (2, lambda cells: cells[:-1], None),
+        (4, lambda cells: cells[:-1], None),
+        (2, lambda cells: ["7", *cells[1:]], None),
+        (3, lambda cells: [*cells[:2], "9", *cells[3:]], None),
+        (3, lambda cells: [*cells[:8], "3", cells[9]], None),
+        (2, lambda cells: [*cells[:9], "0"], None),
+        (3, lambda cells: [*cells[:2], "1.5", *cells[3:]], None),
+        # a discrete log's lambda is written through int64: only whole numbers >= 0 round-trip
+        (3, _lambda_cell("2.5"), DISCRETE_4),
+        (2, _lambda_cell("nan"), DISCRETE_4),
+        (4, _lambda_cell("-1"), DISCRETE_4),
+        (5, _lambda_cell("inf"), DISCRETE_4),
+        (3, _lambda_cell("100000000000000000000"), DISCRETE_4),
     ],
-    ids=["short-first-row", "short-later-row", "index-7", "pair-id-9", "a-3", "b-0", "pair-id-1.5"],
+    ids=[
+        "short-first-row", "short-later-row", "index-7", "pair-id-9", "a-3", "b-0", "pair-id-1.5",
+        "discrete-lambda-2.5", "discrete-lambda-nan-first", "discrete-lambda-negative",
+        "discrete-lambda-inf", "discrete-lambda-1e20",
+    ],
 )
-def test_csv_reader_rejects_malformed_rows(tmp_path, line, edit):
+def test_csv_reader_rejects_malformed_rows(tmp_path, line, edit, source):
     path = tmp_path / "log.csv"
-    run_experiment(bell_deterministic(), QUAD, 5, seed=1).to_csv(path)
+    run_experiment(bell_deterministic(source), QUAD, 5, seed=1).to_csv(path)
     lines = path.read_text().splitlines()
     lines[line - 1] = ",".join(edit(lines[line - 1].split(",")))
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         TrialLog.from_csv(path)
+    if source is DISCRETE_4:
+        assert str(exc.value).startswith(f"trial log line {line}: a discrete lambda")
 
 
 def test_csv_header_only_loads_as_empty_log(tmp_path):
