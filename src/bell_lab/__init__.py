@@ -23,8 +23,8 @@ from .errors import (
 )
 from .models import (
     AnticorrelationReport,
+    FAMILIES,
     DiscreteSource,
-    ModelKind,
     ModelSpec,
     Station,
     UniformAngleSource,
@@ -77,7 +77,7 @@ __all__ = [
     "BellLabError", "InvalidSpec", "InsufficientData", "AnticorrelationViolated",
     "ContinuousLambdaUnorderable", "UnknownSetting", "TooLarge", "ConfigError",
     # models
-    "ModelKind", "ModelSpec", "DiscreteSource", "UniformAngleSource", "Station",
+    "FAMILIES", "ModelSpec", "DiscreteSource", "UniformAngleSource", "Station",
     "AnticorrelationReport", "bell_deterministic", "factorizable_instrument",
     "time_tagged_anticorrelated", "setting_pair_dependent", "check_anticorrelation",
     # simulate

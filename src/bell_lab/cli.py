@@ -8,7 +8,8 @@ correctness-critical tool is worse than an error.
 Exit codes are fixed and scriptable:
 
 * 0 — success (a bound VIOLATION verdict is a result, not an error)
-* 2 — invalid config, thread count, or oracle input file
+* 2 — invalid config, thread count, oracle argument or input file, or an
+  output path that cannot be written
 * 3 — model error or failed premise (e.g. anticorrelation pilot)
 * 4 — table precondition (lambda-keyed reordering of a continuous source)
 * 5 — enumeration size guard
@@ -37,8 +38,8 @@ from .errors import (
     UnknownSetting,
 )
 from .models import (
+    FAMILIES,
     DiscreteSource,
-    ModelKind,
     ModelSpec,
     UniformAngleSource,
 )
@@ -73,15 +74,14 @@ from .tables import (
 CHSH_LOCAL_BOUND = 2.0
 SIGMA_BAND = 4.0
 
-_KIND_BY_NAME = {k.value: k for k in ModelKind}
-
+_PARAM_KEYS = {f"model.{name}" for family in FAMILIES.values() for name in family.parameters()}
 _CONFIG_KEYS = frozenset(
     {
         "model.kind",
         "model.source.kind",
         "model.source.size",
         "model.source.weights",
-        "model.epsilon",
+        *_PARAM_KEYS,
         "quad.a_deg",
         "quad.b_deg",
         "quad.c_deg",
@@ -179,10 +179,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
     entries = _split_entries(text)
 
     kind_raw = _require(entries, "model.kind")
-    kind = _KIND_BY_NAME.get(kind_raw[0])
-    if kind is None:
+    family = FAMILIES.get(kind_raw[0])
+    if family is None:
         raise ConfigError(
-            f"unknown model kind {kind_raw[0]!r}; expected one of {sorted(_KIND_BY_NAME)}",
+            f"unknown model kind {kind_raw[0]!r}; expected one of {sorted(FAMILIES)}",
             key="model.kind",
             line=kind_raw[1],
         )
@@ -216,20 +216,16 @@ def parse_config_text(text: str) -> ExperimentConfig:
             line=source_kind_raw[1] if source_kind_raw else None,
         )
 
-    epsilon_raw = entries.get("model.epsilon")
-    if kind is ModelKind.FACTORIZABLE_INSTRUMENT:
-        epsilon = _as_float("model.epsilon", epsilon_raw) if epsilon_raw else 0.0
-    else:
-        if epsilon_raw is not None:
-            raise ConfigError(
-                "only valid for model.kind = factorizable_instrument",
-                key="model.epsilon",
-                line=epsilon_raw[1],
-            )
-        epsilon = 0.0
+    params = {}
+    for key in sorted(_PARAM_KEYS & entries.keys()):
+        name = key.removeprefix("model.")
+        if name not in family.parameters():
+            owners = " or ".join(n for n, other in FAMILIES.items() if name in other.parameters())
+            raise ConfigError(f"only valid for model.kind = {owners}", key=key, line=entries[key][1])
+        params[name] = _as_float(key, entries[key])
 
     try:
-        model = ModelSpec(kind, source, epsilon=epsilon)
+        model = family(source, **params)
     except InvalidSpec as exc:
         raise ConfigError(str(exc), key="model.kind") from None
 
@@ -267,14 +263,14 @@ def parse_config_file(path: str) -> ExperimentConfig:
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical config text; parse(serialize(parse(x))) is a fixed point."""
-    lines = [f"model.kind = {cfg.model.kind.value}"]
+    lines = [f"model.kind = {cfg.model.name}"]
     if isinstance(cfg.model.source, DiscreteSource):
         lines.append("model.source.kind = discrete")
         lines.append("model.source.weights = " + " ".join(repr(w) for w in cfg.model.source.weights))
     else:
         lines.append("model.source.kind = uniform_angle")
-    if cfg.model.kind is ModelKind.FACTORIZABLE_INSTRUMENT:
-        lines.append(f"model.epsilon = {cfg.model.epsilon!r}")
+    for name in cfg.model.parameters():
+        lines.append(f"model.{name} = {getattr(cfg.model, name)!r}")
     for name, value in zip(("a", "b", "c", "d"), cfg.quad_deg):
         lines.append(f"quad.{name}_deg = {value!r}")
     lines.append(f"n_trials = {cfg.n_trials}")
@@ -295,10 +291,8 @@ def _model_json(model: ModelSpec) -> dict:
     source: dict = {"kind": "uniform_angle"}
     if isinstance(model.source, DiscreteSource):
         source = {"kind": "discrete", "weights": list(model.source.weights)}
-    out = {"kind": model.kind.value, "source": source}
-    if model.kind is ModelKind.FACTORIZABLE_INSTRUMENT:
-        out["epsilon"] = model.epsilon
-    return out
+    params = {name: getattr(model, name) for name in model.parameters()}
+    return {"kind": model.name, "source": source, **params}
 
 
 def _report_header(cfg: ExperimentConfig) -> dict:
@@ -419,7 +413,7 @@ def cmd_simulate(args) -> int:
     report["estimates"] = _estimates_json(cfg, estimates)
     report["chsh"] = {"value": stat.value, "std_error": stat.std_error, "flags": stat.flags}
 
-    print(f"bell-lab simulate: {cfg.model.kind.value}, n_trials={cfg.n_trials}, seed={cfg.seed}")
+    print(f"bell-lab simulate: {cfg.model.name}, n_trials={cfg.n_trials}, seed={cfg.seed}")
     for e in report["estimates"]:
         print(
             f"  pair {e['pair_id']} ({e['setting_1_deg']:g}, {e['setting_2_deg']:g}) deg, sign {e['sign']:+d}: "
@@ -461,7 +455,7 @@ def cmd_check(args) -> int:
     report["schema"] = "bell-lab.check.v1"
     quad = cfg.quad
 
-    print(f"bell-lab check: {'quantum reference' if args.quantum_reference else cfg.model.kind.value}")
+    print(f"bell-lab check: {'quantum reference' if args.quantum_reference else cfg.model.name}")
 
     if args.quantum_reference:
         # Exact singlet reference: no sampling, zero standard error.
@@ -613,7 +607,10 @@ def _load_finite_model(path: str) -> FiniteModel:
 
 def cmd_oracle(args) -> int:
     if args.oracle_op == "enumerate":
-        result = enumerate_deterministic_strategies(args.settings1, args.settings2, args.m)
+        try:
+            result = enumerate_deterministic_strategies(args.settings1, args.settings2, args.m)
+        except ValueError as exc:  # too few settings or lambda values
+            raise ConfigError(str(exc)) from None
         record = {
             "operation": "enumerate",
             "inputs_digest": _digest_inputs(
@@ -631,7 +628,10 @@ def cmd_oracle(args) -> int:
         return 0
 
     quad_deg = args.quad_deg
-    quad = SettingQuad.from_degrees(*quad_deg)
+    try:
+        quad = SettingQuad.from_degrees(*quad_deg)
+    except ValueError as exc:  # a non-finite angle
+        raise ConfigError(f"--quad-deg: {exc}") from None
     if args.oracle_op == "quantum":
         value = singlet_chsh(quad)
         record = {
@@ -737,6 +737,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # unreadable inputs are ConfigErrors: this is an output write
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
     except AnticorrelationViolated as exc:
         print(

@@ -9,6 +9,7 @@ appear in every downstream statistic.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 TAU = 2.0 * math.pi
@@ -81,8 +82,8 @@ def chsh_pairs(quad: SettingQuad) -> list[tuple[Setting, Setting, int]]:
 
 
 def require_outcome(value: int) -> int:
-    """Validate a detector outcome: must be exactly +1 or -1."""
-    if value not in (-1, 1):
+    """Validate a detector outcome: must be the integer +1 or -1, not a bool or a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value not in (-1, 1):
         raise ValueError(f"outcome must be +1 or -1, got {value!r}")
     return value
 

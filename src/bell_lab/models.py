@@ -1,39 +1,20 @@
 """Local hidden-variable model families.
 
-Four families are shipped, bracketing the space the laboratory explores:
-
-* ``bell_deterministic`` — outcomes are pure functions of (setting, lambda);
-  no instrument randomness at all.
-* ``factorizable_instrument`` — each station independently replaces its
-  deterministic outcome with a fair coin with probability ``epsilon``. The
-  two stations' instrument values are conditionally independent given lambda
-  by construction (they come from disjoint substreams that never see the
-  remote setting).
-* ``time_tagged_anticorrelated`` — each station's instrument value is a
-  deterministic function of (local setting, shared clock tick); the station
-  output is that flip times the deterministic sign, with station 2 globally
-  negated. Equal settings at equal ticks therefore give A = -B on every
-  trial even though the instrument values genuinely vary with setting and
-  time.
-* ``setting_pair_dependent`` — a diagnostic construction whose instrument
-  value reads the trial's full setting pair and forces the product +1 on the
-  first canonical pair and -1 on the other three. It is flagged as
-  distribution-level setting dependence and is not offered as a physical
-  model; it exists to exhibit the algebraic maximum of the four-term
-  statistic.
-
-Each family is three kernels, vectorized over trials. All randomness enters
-through ``source_arrays`` and ``instrument_arrays``; ``outcome_arrays`` is
-pure in (setting, lambda angle, instrument value). One trial is the same call
-on length-1 arrays.
+Each shipped family is one ``ModelSpec`` subclass holding its config ``name``,
+its parameters (dataclass fields after ``source``) and its two vectorized laws,
+instrument value and outcome. ``FAMILIES`` maps each name to its class:
+``BellDeterministic``, ``FactorizableInstrument``, ``TimeTaggedAnticorrelated``
+and ``SettingPairDependent``. Randomness enters only through ``source_arrays``
+and the instrument law. The runner, the equal-settings pilot and
+``bell_statistic`` accept any ``ModelFamily``, shipped or not.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Protocol
+from dataclasses import dataclass, field, fields
+from typing import ClassVar, Protocol
 
 import numpy as np
 
@@ -47,13 +28,6 @@ WEIGHT_TOLERANCE = 1e-12
 # finite model's detector table; equal normalized angles always collide, which
 # is all correctness requires.
 _ANGLE_QUANTUM = 1e-9
-
-
-class ModelKind(enum.Enum):
-    BELL_DETERMINISTIC = "bell_deterministic"
-    FACTORIZABLE_INSTRUMENT = "factorizable_instrument"
-    TIME_TAGGED_ANTICORRELATED = "time_tagged_anticorrelated"
-    SETTING_PAIR_DEPENDENT = "setting_pair_dependent"
 
 
 class Station(enum.Enum):
@@ -102,31 +76,26 @@ SourceDistribution = DiscreteSource | UniformAngleSource
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A model family plus its source distribution and parameters."""
+    """A shipped model family: a subclass sets ``name``, declares its parameters as
+    dataclass fields after ``source`` and implements ``instrument_law`` and ``outcome_law``."""
 
-    kind: ModelKind
+    name: ClassVar[str]  # the config file's model.kind
+    setting_dependent_distribution: ClassVar[bool] = False  # the flagged non-factorizable diagnostic
     source: SourceDistribution = field(default_factory=UniformAngleSource)
-    epsilon: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.kind, ModelKind):
-            raise InvalidSpec(f"unknown model kind {self.kind!r}")
         if not isinstance(self.source, (DiscreteSource, UniformAngleSource)):
             raise InvalidSpec(f"unknown source distribution {self.source!r}")
-        if not (math.isfinite(self.epsilon) and 0.0 <= self.epsilon <= 1.0):
-            raise InvalidSpec(f"epsilon must be in [0, 1], got {self.epsilon!r}")
-        if self.epsilon != 0.0 and self.kind is not ModelKind.FACTORIZABLE_INSTRUMENT:
-            raise InvalidSpec(f"epsilon applies only to factorizable_instrument, not {self.kind.value}")
+
+    @classmethod
+    def parameters(cls) -> tuple[str, ...]:
+        """Names of the family's own parameters: its dataclass fields after ``source``."""
+        return tuple(f.name for f in fields(cls)[1:])
 
     @property
     def lambda_kind(self) -> str:
         """'discrete' or 'angle': how the source value is represented."""
         return "discrete" if isinstance(self.source, DiscreteSource) else "angle"
-
-    @property
-    def setting_dependent_distribution(self) -> bool:
-        """True for the flagged non-factorizable diagnostic family."""
-        return self.kind is ModelKind.SETTING_PAIR_DEPENDENT
 
     @property
     def flags(self) -> dict[str, bool]:
@@ -145,20 +114,100 @@ class ModelSpec:
         return outcome_arrays(self, station, theta_local, lam_angle, ip)
 
 
+@dataclass(frozen=True)
+class BellDeterministic(ModelSpec):
+    """Outcomes are pure functions of (setting, lambda): no instrument randomness."""
+
+    name = "bell_deterministic"
+
+    def instrument_law(self, seed, indices, t, theta_local, station, pair_id):
+        return np.zeros(np.broadcast(np.asarray(indices), np.asarray(t)).shape, dtype=np.float64)
+
+    def outcome_law(self, station, theta_local, lam_angle, ip):
+        return sign_law(station, theta_local, lam_angle)
+
+
+@dataclass(frozen=True)
+class FactorizableInstrument(ModelSpec):
+    """Each station replaces its deterministic outcome with a fair coin with
+    probability ``epsilon``. The instrument value is a station-local uniform
+    that never sees the remote setting, so the two are independent given lambda."""
+
+    name = "factorizable_instrument"
+    epsilon: float = 0.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not (math.isfinite(self.epsilon) and 0.0 <= self.epsilon <= 1.0):
+            raise InvalidSpec(f"epsilon must be in [0, 1], got {self.epsilon!r}")
+
+    def instrument_law(self, seed, indices, t, theta_local, station, pair_id):
+        return rng.uniforms(seed, f"ip.{station.value}", indices)
+
+    def outcome_law(self, station, theta_local, lam_angle, ip):
+        ip = np.asarray(ip)
+        coin = np.where(ip < self.epsilon / 2.0, 1, -1).astype(np.int8)
+        return np.where(ip < self.epsilon, coin, sign_law(station, theta_local, lam_angle))
+
+
+@dataclass(frozen=True)
+class TimeTaggedAnticorrelated(ModelSpec):
+    """The instrument value hashes (local setting, shared tick) and flips the
+    deterministic sign, so equal settings at equal ticks give A = -B on every
+    trial although the instrument values vary with setting and time."""
+
+    name = "time_tagged_anticorrelated"
+
+    def instrument_law(self, seed, indices, t, theta_local, station, pair_id):
+        return rng.uniforms(seed, "ttac.flip", np.asarray(t), draw=quantize_angle(theta_local))
+
+    def outcome_law(self, station, theta_local, lam_angle, ip):
+        flip = np.where(np.asarray(ip) < 0.5, 1, -1).astype(np.int8)
+        return flip * sign_law(station, theta_local, lam_angle)
+
+
+@dataclass(frozen=True)
+class SettingPairDependent(ModelSpec):
+    """A flagged diagnostic, not a physical model: the instrument value
+    pair_id / 4 reads the trial's full setting pair, and the outcomes force the
+    products (+1, -1, -1, -1), the four-term statistic's algebraic maximum."""
+
+    name = "setting_pair_dependent"
+    setting_dependent_distribution = True
+
+    def instrument_law(self, seed, indices, t, theta_local, station, pair_id):
+        if pair_id is None:
+            raise InvalidSpec(
+                "setting_pair_dependent instruments need the trial's setting pair; "
+                "this model only runs inside a paired experiment"
+            )
+        return np.asarray(pair_id, dtype=np.float64) / 4.0
+
+    def outcome_law(self, station, theta_local, lam_angle, ip):
+        ip = np.asarray(ip)
+        if station is Station.S1:
+            return np.ones(ip.shape, dtype=np.int8)
+        return np.where(ip < 0.25, 1, -1).astype(np.int8)
+
+
+_SHIPPED = (BellDeterministic, FactorizableInstrument, TimeTaggedAnticorrelated, SettingPairDependent)
+FAMILIES: dict[str, type[ModelSpec]] = {family.name: family for family in _SHIPPED}
+
+
 def bell_deterministic(source: SourceDistribution | None = None) -> ModelSpec:
-    return ModelSpec(ModelKind.BELL_DETERMINISTIC, source or UniformAngleSource())
+    return BellDeterministic(source or UniformAngleSource())
 
 
 def factorizable_instrument(epsilon: float, source: SourceDistribution | None = None) -> ModelSpec:
-    return ModelSpec(ModelKind.FACTORIZABLE_INSTRUMENT, source or UniformAngleSource(), epsilon=epsilon)
+    return FactorizableInstrument(source or UniformAngleSource(), epsilon=epsilon)
 
 
 def time_tagged_anticorrelated(source: SourceDistribution | None = None) -> ModelSpec:
-    return ModelSpec(ModelKind.TIME_TAGGED_ANTICORRELATED, source or UniformAngleSource())
+    return TimeTaggedAnticorrelated(source or UniformAngleSource())
 
 
 def setting_pair_dependent(source: SourceDistribution | None = None) -> ModelSpec:
-    return ModelSpec(ModelKind.SETTING_PAIR_DEPENDENT, source or UniformAngleSource())
+    return SettingPairDependent(source or UniformAngleSource())
 
 
 # --- Model laws --------------------------------------------------------------
@@ -178,10 +227,16 @@ def pm1_signs(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, 1, -1).astype(np.int8)
 
 
+def sign_law(station: Station, theta_local: np.ndarray, lam_angle: np.ndarray) -> np.ndarray:
+    """The deterministic outcome sign(cos(setting - lambda)), negated at station 2."""
+    base = pm1_signs(np.cos(np.asarray(theta_local) - np.asarray(lam_angle)))
+    return -base if station is Station.S2 else base
+
+
 # --- Vectorized kernels ------------------------------------------------------
 #
-# The single implementation of each family. bench/layers.py wraps them by
-# name, so renaming one is a benchmark change.
+# The source law and thin dispatchers to each family's two laws. bench/layers.py
+# wraps them by name, so renaming one is a benchmark change.
 
 
 def source_arrays(spec: ModelSpec, seed: int, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -216,34 +271,8 @@ def instrument_arrays(
     station: Station,
     pair_id: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Instrument parameter values in [0, 1), one per trial.
-
-    What each family does with the uniform canonical representation:
-
-    * bell_deterministic: constant 0.0 (no instrument randomness).
-    * factorizable_instrument: a station-local uniform keyed only by
-      (seed, trial, station) — never by the remote setting.
-    * time_tagged_anticorrelated: a deterministic hash of (local setting,
-      shared tick); both stations compute the same value for equal inputs.
-    * setting_pair_dependent: pair_id / 4 — the instrument reads the trial's
-      full setting pair, the explicitly flagged locality-of-distribution
-      violation.
-    """
-    kind = spec.kind
-    if kind is ModelKind.BELL_DETERMINISTIC:
-        return np.zeros(np.broadcast(np.asarray(indices), np.asarray(t)).shape, dtype=np.float64)
-    if kind is ModelKind.FACTORIZABLE_INSTRUMENT:
-        return rng.uniforms(seed, f"ip.{station.value}", indices)
-    if kind is ModelKind.TIME_TAGGED_ANTICORRELATED:
-        return rng.uniforms(seed, "ttac.flip", np.asarray(t), draw=quantize_angle(theta_local))
-    if kind is ModelKind.SETTING_PAIR_DEPENDENT:
-        if pair_id is None:
-            raise InvalidSpec(
-                "setting_pair_dependent instruments need the trial's setting pair; "
-                "this model only runs inside a paired experiment"
-            )
-        return np.asarray(pair_id, dtype=np.float64) / 4.0
-    raise InvalidSpec(f"unknown model kind {kind!r}")
+    """Instrument parameter values in [0, 1), one per trial: the family's instrument law."""
+    return spec.instrument_law(seed, indices, t, theta_local, station, pair_id)
 
 
 def outcome_arrays(
@@ -253,28 +282,8 @@ def outcome_arrays(
     lam_angle: np.ndarray,
     ip: np.ndarray,
 ) -> np.ndarray:
-    """Detector outputs (+1/-1 int8), one per trial."""
-    kind = spec.kind
-    negate = -1 if station is Station.S2 else 1
-
-    if kind is ModelKind.SETTING_PAIR_DEPENDENT:
-        ip = np.asarray(ip)
-        if station is Station.S1:
-            return np.ones(ip.shape, dtype=np.int8)
-        return np.where(ip < 0.25, 1, -1).astype(np.int8)
-
-    base = pm1_signs(np.cos(np.asarray(theta_local) - np.asarray(lam_angle)))
-    if kind is ModelKind.BELL_DETERMINISTIC:
-        return (negate * base).astype(np.int8)
-    if kind is ModelKind.FACTORIZABLE_INSTRUMENT:
-        eps = spec.epsilon
-        ip = np.asarray(ip)
-        coin = np.where(ip < eps / 2.0, 1, -1).astype(np.int8)
-        return np.where(ip < eps, coin, (negate * base).astype(np.int8))
-    if kind is ModelKind.TIME_TAGGED_ANTICORRELATED:
-        flip = np.where(np.asarray(ip) < 0.5, 1, -1).astype(np.int8)
-        return (negate * flip * base).astype(np.int8)
-    raise InvalidSpec(f"unknown model kind {kind!r}")
+    """Detector outputs (+1/-1 int8), one per trial: the family's outcome law."""
+    return spec.outcome_law(station, theta_local, lam_angle, ip)
 
 
 # --- Anticorrelation check ---------------------------------------------------
@@ -287,7 +296,7 @@ class AnticorrelationReport:
 
 
 def check_anticorrelation(
-    spec: ModelSpec, settings: list[Setting], n_trials: int, seed: int
+    spec: ModelFamily, settings: list[Setting], n_trials: int, seed: int
 ) -> AnticorrelationReport:
     """Count trials where A != -B with equal settings and a shared tick.
 
@@ -297,19 +306,16 @@ def check_anticorrelation(
         raise InvalidSpec(f"n_trials must be >= 1, got {n_trials}")
     if not settings:
         raise InvalidSpec("need at least one setting")
-    if spec.kind is ModelKind.SETTING_PAIR_DEPENDENT:
-        raise InvalidSpec(
-            "setting_pair_dependent has no equal-settings semantics; "
-            "anticorrelation is not defined for it"
-        )
+    if isinstance(spec, ModelSpec) and spec.setting_dependent_distribution:
+        raise InvalidSpec(f"{spec.name} has no equal-settings semantics; anticorrelation is not defined for it")
     indices = np.arange(n_trials, dtype=np.uint64)
     t = indices
     theta = np.asarray([s.angle for s in settings])[np.arange(n_trials) % len(settings)]
-    _, lam_angle = source_arrays(spec, seed, indices)
-    ip1 = instrument_arrays(spec, seed, indices, t, theta, Station.S1)
-    ip2 = instrument_arrays(spec, seed, indices, t, theta, Station.S2)
-    a = outcome_arrays(spec, Station.S1, theta, lam_angle, ip1)
-    b = outcome_arrays(spec, Station.S2, theta, lam_angle, ip2)
+    _, lam_angle = spec.source_arrays(seed, indices)
+    ip1 = spec.instrument_arrays(seed, indices, t, theta, Station.S1, None)
+    ip2 = spec.instrument_arrays(seed, indices, t, theta, Station.S2, None)
+    a = spec.outcome_arrays(Station.S1, theta, lam_angle, ip1)
+    b = spec.outcome_arrays(Station.S2, theta, lam_angle, ip2)
     violations = int(np.count_nonzero(a != -b))
     return AnticorrelationReport(trials=n_trials, violations=violations)
 

@@ -18,8 +18,9 @@ import numpy as np
 from .core import Setting, SettingQuad, chsh_pairs
 from .errors import InvalidSpec, TooLarge, UnknownSetting
 from .models import (
+    BellDeterministic,
     DiscreteSource,
-    ModelKind,
+    FactorizableInstrument,
     ModelSpec,
     UniformAngleSource,
     check_weights,
@@ -218,8 +219,8 @@ def discretize_model(spec: ModelSpec, settings: list[Setting], grid: int = 360) 
     reproducible default is 360). Only the factorizable families have a
     single setting-independent joint distribution, so only they discretize.
     """
-    if spec.kind not in (ModelKind.BELL_DETERMINISTIC, ModelKind.FACTORIZABLE_INSTRUMENT):
-        raise InvalidSpec(f"{spec.kind.value} has no setting-independent finite form")
+    if not isinstance(spec, (BellDeterministic, FactorizableInstrument)):
+        raise InvalidSpec(f"{spec.name} has no setting-independent finite form")
     if isinstance(spec.source, DiscreteSource):
         weights = spec.source.weights
         m = len(weights)
@@ -229,8 +230,8 @@ def discretize_model(spec: ModelSpec, settings: list[Setting], grid: int = 360) 
         weights = tuple([1.0 / m] * m)
     angles = midpoint_angles(np.arange(m), m)
 
-    eps = spec.epsilon
-    if spec.kind is ModelKind.BELL_DETERMINISTIC or eps == 0.0:
+    eps = spec.epsilon if isinstance(spec, FactorizableInstrument) else 0.0
+    if eps == 0.0:
         ip_w = tuple((1.0,) for _ in range(m))
         n_ip = 1
     else:

@@ -24,7 +24,7 @@ import numpy as np
 from . import rng
 from .core import CHSH_SIGNS, Setting, SettingQuad, chsh_pairs
 from .errors import AnticorrelationViolated, InsufficientData, InvalidSpec
-from .models import ModelFamily, ModelSpec, Station, check_anticorrelation
+from .models import ModelFamily, Station, check_anticorrelation
 
 _DEFAULT_PILOT_TRIALS = 1000
 
@@ -130,6 +130,9 @@ class TrialLog:
             lam = rows["lambda"]
             whole = (lam >= 0.0) & (lam < 2.0**63) & (lam == np.floor(lam))
             _reject_rows(~whole, "a discrete lambda must be a whole number in [0, 2**63)")
+        for header, dtype in _COLUMNS.values():
+            if dtype.kind == "f":
+                _reject_rows(~np.isfinite(rows[header]), f"{header} must be finite")
         return cls(
             **{name: rows[header] for name, (header, _dtype) in _COLUMNS.items()},
             lambda_kind="discrete" if discrete else "angle",
@@ -298,7 +301,7 @@ def chsh_statistic(estimates: list[CorrelationEstimate], flags: dict | None = No
 
 
 def bell_statistic(
-    spec: ModelSpec,
+    spec: ModelFamily,
     a: Setting,
     b: Setting,
     c: Setting,
@@ -312,7 +315,8 @@ def bell_statistic(
     A pilot equal-settings run must show perfect anticorrelation first: the
     inequality's derivation presupposes A = -B at equal settings, which also
     licenses the A-only rewrite E(A_x A_y) = -E(A_x B_y). In measured form
-    lhs = |E(A_a B_b) - E(A_a B_c)| and rhs = 1 + E(A_b B_c).
+    lhs = |E(A_a B_b) - E(A_a B_c)| and rhs = 1 + E(A_b B_c). ``spec`` may be
+    a shipped ModelSpec or a custom model family.
     """
     pilot_seed = int(rng.hash_words(seed, "pilot", 0))
     pilot = check_anticorrelation(spec, [a, b, c], pilot_trials, pilot_seed)

@@ -173,7 +173,7 @@ def test_criterion_09_time_tag_obstruction():
         for n in (1, 1_000, 100_000):
             log = run_experiment(spec, CANONICAL_QUAD, n, seed=909)
             table = build_reordered_table(log, KeyMode.LAMBDA_TIME)
-            assert table.complete_rows == 0, (spec.kind, n)
+            assert table.complete_rows == 0, (spec.name, n)
             sums = row_sums(table)
             assert len(sums) == n
             assert all(isinstance(s, Undefined) for s in sums)

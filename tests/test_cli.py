@@ -17,7 +17,7 @@ from bell_lab.cli import (
     serialize_config,
 )
 from bell_lab.errors import ConfigError
-from bell_lab.models import DiscreteSource, ModelKind, UniformAngleSource
+from bell_lab.models import FAMILIES, BellDeterministic, DiscreteSource, UniformAngleSource
 from bell_lab.simulate import TrialLog
 
 DATA = Path(__file__).parent / "data"
@@ -44,7 +44,7 @@ def write_cfg(tmp_path, text, name="exp.cfg"):
 
 def test_parse_minimal():
     cfg = parse_config_text(MINIMAL)
-    assert cfg.model.kind is ModelKind.BELL_DETERMINISTIC
+    assert type(cfg.model) is BellDeterministic
     assert isinstance(cfg.model.source, UniformAngleSource)
     assert cfg.quad_deg == (0.0, 45.0, 135.0, 90.0)
     assert cfg.n_trials == 1000
@@ -135,6 +135,62 @@ def test_round_trip_is_fixed_point():
         assert config_digest(cfg2) == config_digest(cfg)
 
 
+# Per family: its parameter lines, their report JSON, and the config digest of
+# MINIMAL with that family and each source of FAMILY_SOURCES, as written before
+# the families became classes.
+FAMILY_CASES = {
+    "bell_deterministic": ("", {}, {
+        "angle": "sha256:81e09a40a54a4a70a9e8099c3302db49d62e4e34c3dab0044860dca6f2cbfc65",
+        "discrete": "sha256:5a48a00bcb12faa53cd6554c70a57dd51daf8f32c4cdffa692144cdec36fdff9",
+    }),
+    "factorizable_instrument": ("model.epsilon = 0.3\n", {"epsilon": 0.3}, {
+        "angle": "sha256:afcf2f74c056d5b6156cc0146ad969805e59cfcc1fa954a57b9fb0e955441b93",
+        "discrete": "sha256:ac281c44a953247e591c873a08982afc28ce1304e7baad7567ad213a252b78f9",
+    }),
+    "time_tagged_anticorrelated": ("", {}, {
+        "angle": "sha256:5e4b478754c18a8ff8f015b5e11487e876ff75ca83a0be312ac2a3432f347757",
+        "discrete": "sha256:7f094c3749d2b18bdfbea36be7a3b087f354905f777c38c31a36ac6e4fdf5d5d",
+    }),
+    "setting_pair_dependent": ("", {}, {
+        "angle": "sha256:bd27cd4ed29f1db9d34cf02d6291c700158d357e17ec3a6b03a1e031ddc4fe5c",
+        "discrete": "sha256:6fdd3b98f7de4c4087c18d5b5bef7e96b7622700582cd1a52cafbab3c1a4779a",
+    }),
+}
+FAMILY_SOURCES = {
+    "angle": ("", {"kind": "uniform_angle"}),
+    "discrete": (
+        "model.source.kind = discrete\nmodel.source.weights = 0.25 0.75\n",
+        {"kind": "discrete", "weights": [0.25, 0.75]},
+    ),
+}
+
+
+@pytest.mark.parametrize("source", sorted(FAMILY_SOURCES))
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_every_family_round_trips_reports_its_parameters_and_owns_its_keys(tmp_path, capsys, name, source):
+    param_lines, param_json, digests = FAMILY_CASES[name]
+    source_lines, source_json = FAMILY_SOURCES[source]
+    text = MINIMAL.replace("bell_deterministic", name) + param_lines + source_lines
+    cfg = parse_config_text(text)
+    assert parse_config_text(serialize_config(cfg)) == cfg
+    assert serialize_config(parse_config_text(serialize_config(cfg))) == serialize_config(cfg)
+
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["model"] == {"kind": name, "source": source_json, **param_json}
+    assert report["config_digest"] == digests[source]
+
+    if name != "factorizable_instrument":
+        capsys.readouterr()
+        bad = write_cfg(tmp_path, text + "model.epsilon = 0.25\n", "bad.cfg")
+        assert main(["simulate", "--config", bad]) == 2
+        line = len(text.splitlines()) + 1
+        assert capsys.readouterr().err == (
+            f"config error: only valid for model.kind = factorizable_instrument (key 'model.epsilon', line {line})\n"
+        )
+
+
 # --- exit codes ------------------------------------------------------------------
 
 
@@ -187,6 +243,11 @@ def test_oracle_guard_exit_five(capsys):
         "model-not-json",
         "model-wrong-schema",
         "per-pair-missing",
+        "out-is-a-file",
+        "quad-deg-nan",
+        "enumerate-m-zero",
+        "enumerate-m-negative",
+        "enumerate-one-setting",
     ],
 )
 def test_bad_threads_and_oracle_files_exit_two_without_traceback(tmp_path, case):
@@ -204,6 +265,8 @@ def test_bad_threads_and_oracle_files_exit_two_without_traceback(tmp_path, case)
     wrong_schema = tmp_path / "wrong.json"
     wrong_schema.write_text('{"schema": "bell-lab.report.v1"}')
     missing = tmp_path / "missing.json"
+    a_file = tmp_path / "a-file"
+    a_file.write_text("")
     quad_args = ["--quad-deg", "0", "45", "135", "90"]
 
     simulate = ["simulate", "--config", cfg]
@@ -220,6 +283,11 @@ def test_bad_threads_and_oracle_files_exit_two_without_traceback(tmp_path, case)
             None,
             missing,
         ),
+        "out-is-a-file": (simulate + ["--out", str(a_file)], None, a_file),
+        "quad-deg-nan": (["oracle", "quantum", "--quad-deg", "0", "45", "nan", "90"], None, None),
+        "enumerate-m-zero": (["oracle", "enumerate", "--m", "0"], None, None),
+        "enumerate-m-negative": (["oracle", "enumerate", "--m", "-3"], None, None),
+        "enumerate-one-setting": (["oracle", "enumerate", "--m", "2", "--settings1", "1"], None, None),
     }[case]
     env = {k: v for k, v in os.environ.items() if k != "BELL_LAB_THREADS"}
     env["PYTHONPATH"] = str(Path(__file__).parents[1] / "src")

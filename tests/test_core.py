@@ -45,6 +45,14 @@ def test_row_identity_rejects_non_outcomes():
         row_sum(0, 1, 1, 1)
     with pytest.raises(ValueError):
         row_sum(1, 1, 1, -2)
+    # outcomes are signed integers: a bool or a float equal to +/-1 is not one
+    with pytest.raises(ValueError):
+        row_identity(True, 1, 1.0)
+    with pytest.raises(ValueError):
+        row_identity(1, -1.0, 1)
+    with pytest.raises(ValueError):
+        row_sum(1, 1, np.True_, 1)
+    assert row_sum(np.int8(1), 1, 1, -1) == -2  # a numpy integer is one
 
 
 def test_row_sum_exhaustive_in_pm2():

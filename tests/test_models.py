@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from bell_lab.core import TAU, Setting, SettingQuad
-from bell_lab.errors import InvalidSpec
+from bell_lab.errors import AnticorrelationViolated, InvalidSpec
 from bell_lab.models import (
+    BellDeterministic,
     DiscreteSource,
-    ModelKind,
-    ModelSpec,
+    FactorizableInstrument,
     Station,
     UniformAngleSource,
     bell_deterministic,
@@ -23,7 +23,7 @@ from bell_lab.models import (
     source_arrays,
     time_tagged_anticorrelated,
 )
-from bell_lab.simulate import run_experiment
+from bell_lab.simulate import bell_statistic, run_experiment
 
 EIGHT_SETTINGS = [Setting(k * math.pi / 4) for k in range(8)]
 QUAD = SettingQuad.from_degrees(0.0, 45.0, 135.0, 90.0)
@@ -63,12 +63,10 @@ def test_discrete_source_validation():
 
 
 def test_model_spec_validation():
+    with pytest.raises(TypeError):  # epsilon is a parameter of factorizable_instrument only
+        BellDeterministic(UniformAngleSource(), epsilon=0.5)  # type: ignore[call-arg]
     with pytest.raises(InvalidSpec):
-        ModelSpec(ModelKind.BELL_DETERMINISTIC, UniformAngleSource(), epsilon=0.5)
-    with pytest.raises(InvalidSpec):
-        ModelSpec(ModelKind.FACTORIZABLE_INSTRUMENT, UniformAngleSource(), epsilon=1.5)
-    with pytest.raises(InvalidSpec):
-        ModelSpec("not a kind", UniformAngleSource())  # type: ignore[arg-type]
+        FactorizableInstrument(UniformAngleSource(), epsilon=1.5)
     spec = factorizable_instrument(0.25)
     assert spec.epsilon == 0.25
     assert not spec.setting_dependent_distribution
@@ -259,7 +257,7 @@ def test_check_anticorrelation_validates_inputs():
         time_tagged_anticorrelated(),
         setting_pair_dependent(),
     ],
-    ids=lambda s: s.kind.value + ("_discrete" if s.lambda_kind == "discrete" else ""),
+    ids=lambda s: s.name + ("_discrete" if s.lambda_kind == "discrete" else ""),
 )
 def test_scalar_api_reconstructs_logged_trials(spec):
     seed = 31
@@ -315,3 +313,9 @@ def test_register_custom_family():
     two = run_experiment(fam, QUAD, 20_000, seed=8, threads=2)
     for col in ("t", "pair_id", "setting_1", "setting_2", "lam", "ip_1", "ip_2", "a", "b"):
         assert getattr(one, col).tobytes() == getattr(two, col).tobytes(), col
+
+
+def test_custom_family_runs_the_equal_settings_pilot():
+    # independent coins give A != -B at equal settings on about half the pilot trials
+    with pytest.raises(AnticorrelationViolated):
+        bell_statistic(_CoinFamily(), *EIGHT_SETTINGS[:3], 1_000, seed=8)

@@ -132,7 +132,7 @@ def test_oracle_matches_monte_carlo_for_factorizable_models():
         log = run_experiment(spec, QUAD, 200_000, seed=103)
         for est, (s1, s2, _sign) in zip(estimate_correlations(log), chsh_pairs(QUAD)):
             exact = exact_correlation(fm, (s1, s2))
-            assert abs(est.mean - exact) < 4 * est.std_error, (spec.kind, est.pair_id)
+            assert abs(est.mean - exact) < 4 * est.std_error, (spec.name, est.pair_id)
 
 
 def test_discretize_rejects_non_factorizable_kinds():

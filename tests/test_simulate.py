@@ -11,7 +11,7 @@ import pytest
 from bell_lab import simulate
 from bell_lab.core import Setting, SettingQuad, chsh_pairs
 from bell_lab.errors import AnticorrelationViolated, InsufficientData, InvalidSpec
-from bell_lab.models import DiscreteSource, bell_deterministic, factorizable_instrument
+from bell_lab.models import DiscreteSource, UniformAngleSource, bell_deterministic, factorizable_instrument
 from bell_lab.simulate import (
     TrialLog,
     bell_statistic,
@@ -267,10 +267,12 @@ def test_csv_reload_keeps_four_pairs_when_one_is_never_drawn(tmp_path):
 
 
 DISCRETE_4 = DiscreteSource.uniform(4)
+ANGLE = UniformAngleSource()
 
 
-def _lambda_cell(text):
-    return lambda cells: [*cells[:5], text, *cells[6:]]
+def _cell(header, text):
+    k = simulate.CSV_COLUMNS.index(header)
+    return lambda cells: [*cells[:k], text, *cells[k + 1 :]]
 
 
 @pytest.mark.parametrize(
@@ -284,16 +286,23 @@ def _lambda_cell(text):
         (2, lambda cells: [*cells[:9], "0"], None),
         (3, lambda cells: [*cells[:2], "1.5", *cells[3:]], None),
         # a discrete log's lambda is written through int64: only whole numbers >= 0 round-trip
-        (3, _lambda_cell("2.5"), DISCRETE_4),
-        (2, _lambda_cell("nan"), DISCRETE_4),
-        (4, _lambda_cell("-1"), DISCRETE_4),
-        (5, _lambda_cell("inf"), DISCRETE_4),
-        (3, _lambda_cell("100000000000000000000"), DISCRETE_4),
+        (3, _cell("lambda", "2.5"), DISCRETE_4),
+        (2, _cell("lambda", "nan"), DISCRETE_4),
+        (4, _cell("lambda", "-1"), DISCRETE_4),
+        (5, _cell("lambda", "inf"), DISCRETE_4),
+        (3, _cell("lambda", "100000000000000000000"), DISCRETE_4),
+        # an angle log's float columns must be finite (line 2 would read "nan" as a discrete lambda)
+        (3, _cell("lambda", "nan"), ANGLE),
+        (4, _cell("setting_1", "inf"), ANGLE),
+        (3, _cell("setting_2", "nan"), ANGLE),
+        (2, _cell("ip_1", "-inf"), ANGLE),
+        (5, _cell("ip_2", "nan"), ANGLE),
     ],
     ids=[
         "short-first-row", "short-later-row", "index-7", "pair-id-9", "a-3", "b-0", "pair-id-1.5",
         "discrete-lambda-2.5", "discrete-lambda-nan-first", "discrete-lambda-negative",
         "discrete-lambda-inf", "discrete-lambda-1e20",
+        "angle-lambda-nan", "setting-1-inf", "setting-2-nan", "ip-1-minus-inf", "ip-2-nan",
     ],
 )
 def test_csv_reader_rejects_malformed_rows(tmp_path, line, edit, source):
@@ -306,6 +315,8 @@ def test_csv_reader_rejects_malformed_rows(tmp_path, line, edit, source):
         TrialLog.from_csv(path)
     if source is DISCRETE_4:
         assert str(exc.value).startswith(f"trial log line {line}: a discrete lambda")
+    if source is ANGLE:
+        assert str(exc.value).startswith(f"trial log line {line}: ") and str(exc.value).endswith(" must be finite")
 
 
 def test_csv_header_only_loads_as_empty_log(tmp_path):
