@@ -49,11 +49,14 @@ from .simulate import (
     BellStatistic,
     ChshStatistic,
     CorrelationEstimate,
+    PairProducts,
     TrialLog,
     bell_statistic,
     chsh_statistic,
     estimate_correlations,
     run_experiment,
+    run_experiment_products,
+    run_pair_products,
     run_pairs,
 )
 from .tables import (
@@ -81,8 +84,9 @@ __all__ = [
     "AnticorrelationReport", "bell_deterministic", "factorizable_instrument",
     "time_tagged_anticorrelated", "setting_pair_dependent", "check_anticorrelation",
     # simulate
-    "TrialLog", "CorrelationEstimate", "ChshStatistic", "BellStatistic",
-    "run_experiment", "run_pairs", "estimate_correlations", "chsh_statistic", "bell_statistic",
+    "TrialLog", "PairProducts", "CorrelationEstimate", "ChshStatistic", "BellStatistic",
+    "run_experiment", "run_pairs", "run_experiment_products", "run_pair_products",
+    "estimate_correlations", "chsh_statistic", "bell_statistic",
     # tables
     "KeyMode", "OutcomeTable", "Sum", "Undefined", "BalanceReport", "build_reordered_table",
     "row_sums", "lln_balance_check", "render_table", "table_to_json_obj",

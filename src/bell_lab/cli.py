@@ -8,8 +8,8 @@ correctness-critical tool is worse than an error.
 Exit codes are fixed and scriptable:
 
 * 0 — success (a bound VIOLATION verdict is a result, not an error)
-* 2 — invalid config, thread count, oracle argument or input file, or an
-  output path that cannot be written
+* 2 — invalid config, thread count, oracle or table argument or input file,
+  or an output path that cannot be written
 * 3 — model error or failed premise (e.g. anticorrelation pilot)
 * 4 — table precondition (lambda-keyed reordering of a continuous source)
 * 5 — enumeration size guard
@@ -53,13 +53,15 @@ from .oracle import (
 )
 from .simulate import (
     CorrelationEstimate,
+    PairProducts,
     TrialLog,
     bell_statistic,
     chsh_statistic,
     estimate_correlations,
     resolve_threads,
     run_experiment,
-    run_pairs,
+    run_experiment_products,
+    run_pair_products,
 )
 from .tables import (
     KeyMode,
@@ -360,8 +362,7 @@ def _sweep_rows(cfg: ExperimentConfig, threads: int) -> list[tuple[float, float,
         theta = math.radians(angle_deg)
         pair = (Setting(0.0), Setting(theta))
         sweep_seed = int(rng.hash_words(cfg.seed, "sweep", k))
-        log = run_pairs(cfg.model, [pair], n, sweep_seed, threads=threads)
-        est = estimate_correlations(log)[0]
+        est = estimate_correlations(run_pair_products(cfg.model, [pair], n, sweep_seed, threads=threads))[0]
         classical = -1.0 + 2.0 * theta / math.pi
         rows.append((float(angle_deg), est.mean, est.std_error, classical, -math.cos(theta)))
     return rows
@@ -375,19 +376,19 @@ def _write_sweep_csv(path: str, rows) -> None:
             fh.write(",".join(repr(v) for v in r) + "\n")
 
 
-def _write_convergence_csv(path: str, log: TrialLog, flags: dict) -> None:
+def _write_convergence_csv(path: str, result: TrialLog | PairProducts, flags: dict) -> None:
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     ns = []
     n = 16
-    while n < len(log):
+    while n < len(result):
         ns.append(n)
         n *= 2
-    ns.append(len(log))
+    ns.append(len(result))
     with open(path, "w", newline="") as fh:
         fh.write("n_trials,chsh_value,chsh_std_error\n")
         for n in ns:
             try:
-                stat = chsh_statistic(estimate_correlations(log.head(n)), flags)
+                stat = chsh_statistic(estimate_correlations(result.head(n)), flags)
             except InsufficientData:
                 continue
             fh.write(f"{n},{stat.value!r},{stat.std_error!r}\n")
@@ -404,8 +405,11 @@ def _threads(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = parse_config_file(args.config)
     threads = _threads(args)
-    log = run_experiment(cfg.model, cfg.quad, cfg.n_trials, cfg.seed, threads=threads)
-    estimates = estimate_correlations(log)
+    log_path = _resolve_output(cfg, args.out, "trial_log", None)
+    # Only the trial log needs every column; the reports read pair_id and A*B.
+    run = run_experiment if log_path else run_experiment_products
+    result = run(cfg.model, cfg.quad, cfg.n_trials, cfg.seed, threads=threads)
+    estimates = estimate_correlations(result)
     stat = chsh_statistic(estimates, cfg.model.flags)
 
     report = _report_header(cfg)
@@ -427,16 +431,15 @@ def cmd_simulate(args) -> int:
     if report_path:
         _write_json(report_path, report)
         print(f"  report -> {report_path}")
-    log_path = _resolve_output(cfg, args.out, "trial_log", None)
     if log_path:
         os.makedirs(os.path.dirname(os.path.abspath(log_path)), exist_ok=True)
-        log.to_csv(log_path)
+        result.to_csv(log_path)
         print(f"  trial log -> {log_path}")
     if args.sweep:
         _write_sweep_csv(args.sweep, _sweep_rows(cfg, threads))
         print(f"  correlation sweep -> {args.sweep}")
     if args.convergence:
-        _write_convergence_csv(args.convergence, log, cfg.model.flags)
+        _write_convergence_csv(args.convergence, result, cfg.model.flags)
         print(f"  convergence data -> {args.convergence}")
     return 0
 
@@ -472,8 +475,10 @@ def cmd_check(args) -> int:
         lhs, rhs, bell_se = abs(e_ab - e_ac), 1.0 + e_bc, 0.0
         flags = {"setting_dependent_distribution": False}
     else:
-        # The log is not kept: the three-setting run below allocates its own.
-        estimates = estimate_correlations(run_experiment(cfg.model, quad, cfg.n_trials, cfg.seed, threads=threads))
+        # The products are not kept: the three-setting run below allocates its own.
+        estimates = estimate_correlations(
+            run_experiment_products(cfg.model, quad, cfg.n_trials, cfg.seed, threads=threads)
+        )
         stat = chsh_statistic(estimates, cfg.model.flags)
         chsh_value, chsh_se, flags = stat.value, stat.std_error, stat.flags
         report["estimates"] = _estimates_json(cfg, estimates)
@@ -531,6 +536,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_tables(args) -> int:
+    if args.max_rows < 0:
+        raise ConfigError(f"--max-rows must be >= 0, got {args.max_rows}")
     cfg = parse_config_file(args.config)
     threads = _threads(args)
     key_mode = KeyMode(args.key_mode)

@@ -3,7 +3,7 @@
 Every draw is a pure function of (seed, stream label, trial index, draw
 counter): a 64-bit mix of the four keys, finalized twice, with no sequential
 state crossing trials. Trials can therefore be evaluated in any order, in any
-number of chunks, and still produce bit-identical results.
+number of blocks, and still produce bit-identical results.
 
 The mixer is the splitmix64 finalizer, applied to xor-combined keys. Each
 finalizer pass is a bijection on 64-bit words; two chained passes with
@@ -30,10 +30,11 @@ _DRAW_SALT = np.uint64(0xD1B54A32D192ED03)
 def _finalize(x: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer, vectorized over uint64 arrays.
 
-    uint64 wraparound is the point; errstate silences the scalar-path warning.
+    Works in place: ``x`` must be a fresh array that the caller owns. uint64
+    wraparound is the point; errstate silences the scalar-path warning.
     """
     with np.errstate(over="ignore"):
-        x = (x + _GAMMA).astype(np.uint64)
+        x += _GAMMA
         x ^= x >> np.uint64(30)
         x *= _MIX1
         x ^= x >> np.uint64(27)
@@ -58,9 +59,8 @@ def hash_words(seed: int, label: str, indices, draw=0) -> np.ndarray:
     ``indices``).
     """
     idx = np.asarray(indices, dtype=np.uint64)
-    x = idx ^ np.uint64(stream_key(label))
-    x = _finalize(x)
-    x = x ^ np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    x = _finalize(idx ^ np.uint64(stream_key(label)))
+    x ^= np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
     x = _finalize(x)
     with np.errstate(over="ignore"):
         tweak = np.asarray(draw, dtype=np.uint64) * _DRAW_SALT + _GAMMA

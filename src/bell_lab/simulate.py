@@ -4,12 +4,15 @@ One trial = one correlated pair: a tetrahedral-die choice among the four
 canonical setting pairs, a shared clock tick t equal to the trial index, a
 source draw, one instrument value per station, and two +/-1 outcomes.
 
-Every random quantity is a pure function of (seed, trial index, stream
-label), so the log for a given (spec, quad, n_trials, seed) is bit-identical
-no matter how many worker threads evaluate it or in which order chunks
-complete.
+The runner splits [0, n_trials) into fixed 65,536-trial blocks and hands
+them to min(threads, cores, blocks) worker threads. Every random quantity is a
+pure function of (seed, trial index, stream label), so the log for a given
+(spec, quad, n_trials, seed) is bit-identical no matter how many worker
+threads evaluate it or in which order blocks complete.
 
-Logs are stored column-wise (numpy arrays), one array per logged column.
+Logs are stored column-wise (numpy arrays), one array per logged column:
+51 bytes per trial. A report reads only each trial's pair and outcome product,
+so the report paths keep ``PairProducts``, 2 bytes per trial.
 """
 
 from __future__ import annotations
@@ -86,6 +89,11 @@ class TrialLog:
         """The first ``n`` trials, as views of this log's columns."""
         return replace(self, **{name: getattr(self, name)[:n] for name in _COLUMNS})
 
+    @property
+    def products(self) -> np.ndarray:
+        """The outcome product A*B of each trial (int8)."""
+        return self.a * self.b
+
     # -- serialization --------------------------------------------------
 
     def to_csv(self, path) -> None:
@@ -147,12 +155,73 @@ _CSV_DTYPE = np.dtype([("index", np.int64), *_COLUMNS.values()])
 _CSV_BLOCK_ROWS = 1 << 14
 
 
+@dataclass(eq=False)
+class PairProducts:
+    """What a report reads of a run: each trial's pair index and outcome product A*B (int8)."""
+
+    pair_id: np.ndarray
+    products: np.ndarray
+    n_pairs: int
+
+    def __len__(self) -> int:
+        return len(self.pair_id)
+
+    def head(self, n: int) -> "PairProducts":
+        return replace(self, pair_id=self.pair_id[:n], products=self.products[:n])
+
+
 def _reject_rows(bad: np.ndarray, what: str) -> None:
     if bad.any():
         raise ValueError(f"trial log line {int(np.argmax(bad)) + 2}: {what}")
 
 
 # --- Running experiments ----------------------------------------------------
+
+
+# Trials per block: the runner's unit of work. Every kernel temporary is one
+# block long whatever n_trials is, so it stays cache-sized.
+_BLOCK_TRIALS = 1 << 16
+
+
+def _run_blocks(spec: ModelFamily, pairs, n_trials: int, seed: int, threads: int | None, columns: dict) -> dict:
+    """The runner: fill ``columns`` (name -> dtype; a ``TrialLog`` column or ``products``, A*B)
+    block by block on min(threads, cores, blocks) workers. A one-worker run starts no thread."""
+    if n_trials < 1:
+        raise InvalidSpec(f"n_trials must be >= 1, got {n_trials}")
+    n_pairs = len(pairs)
+    theta1_by_pair = np.asarray([p[0].angle for p in pairs])
+    theta2_by_pair = np.asarray([p[1].angle for p in pairs])
+    out = {name: np.empty(n_trials, dtype=dtype) for name, dtype in columns.items()}
+
+    def fill(lo: int, hi: int) -> None:
+        idx = np.arange(lo, hi, dtype=np.uint64)
+        t = idx
+        if n_pairs == 4:
+            pid = rng.choice_of_4(seed, "die", idx)
+        else:
+            pid = rng.integers_below(seed, "die", idx, n_pairs)
+        th1 = theta1_by_pair[pid]
+        th2 = theta2_by_pair[pid]
+        lrep, lang = spec.source_arrays(seed, idx)
+        i1 = spec.instrument_arrays(seed, idx, t, th1, Station.S1, pid)
+        i2 = spec.instrument_arrays(seed, idx, t, th2, Station.S2, pid)
+        a = spec.outcome_arrays(Station.S1, th1, lang, i1)
+        b = spec.outcome_arrays(Station.S2, th2, lang, i2)
+        block = dict(t=t, pair_id=pid, setting_1=th1, setting_2=th2, lam=lrep, ip_1=i1, ip_2=i2, a=a, b=b)
+        for name, column in out.items():
+            column[lo:hi] = block[name] if name != "products" else a * b
+
+    bounds = [(lo, min(lo + _BLOCK_TRIALS, n_trials)) for lo in range(0, n_trials, _BLOCK_TRIALS)]
+    # More workers than cores only adds OS threads: the results never depend
+    # on the thread count, so it is capped at the core count.
+    workers = min(resolve_threads(threads), os.cpu_count() or 1, len(bounds))
+    if workers == 1:
+        for lo, hi in bounds:
+            fill(lo, hi)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(lambda br: fill(*br), bounds))
+    return out
 
 
 def run_pairs(
@@ -167,64 +236,20 @@ def run_pairs(
     ``spec`` is a ModelSpec or any other object satisfying the ModelFamily
     protocol; both run through the same calls.
     """
-    if n_trials < 1:
-        raise InvalidSpec(f"n_trials must be >= 1, got {n_trials}")
-    n_pairs = len(pairs)
-    theta1_by_pair = np.asarray([p[0].angle for p in pairs])
-    theta2_by_pair = np.asarray([p[1].angle for p in pairs])
+    columns = _run_blocks(spec, pairs, n_trials, seed, threads, {k: dt for k, (_h, dt) in _COLUMNS.items()})
+    return TrialLog(**columns, lambda_kind=spec.lambda_kind, n_pairs=len(pairs))
 
-    pair_id = np.empty(n_trials, dtype=np.int8)
-    lam = np.empty(n_trials, dtype=np.float64)
-    ip_1 = np.empty(n_trials, dtype=np.float64)
-    ip_2 = np.empty(n_trials, dtype=np.float64)
-    a = np.empty(n_trials, dtype=np.int8)
-    b = np.empty(n_trials, dtype=np.int8)
 
-    def fill(lo: int, hi: int) -> None:
-        idx = np.arange(lo, hi, dtype=np.uint64)
-        t = idx
-        if n_pairs == 4:
-            pid = rng.choice_of_4(seed, "die", idx)
-        else:
-            pid = rng.integers_below(seed, "die", idx, n_pairs)
-        th1 = theta1_by_pair[pid]
-        th2 = theta2_by_pair[pid]
-        lrep, lang = spec.source_arrays(seed, idx)
-        i1 = spec.instrument_arrays(seed, idx, t, th1, Station.S1, pid)
-        i2 = spec.instrument_arrays(seed, idx, t, th2, Station.S2, pid)
-        sl = slice(lo, hi)
-        pair_id[sl] = pid
-        lam[sl] = lrep
-        ip_1[sl] = i1
-        ip_2[sl] = i2
-        a[sl] = spec.outcome_arrays(Station.S1, th1, lang, i1)
-        b[sl] = spec.outcome_arrays(Station.S2, th2, lang, i2)
+def run_pair_products(
+    spec: ModelFamily, pairs: list[tuple[Setting, Setting]], n_trials: int, seed: int, threads: int | None = None
+) -> PairProducts:
+    """``run_pairs`` keeping only what a report reads: 2 bytes per trial."""
+    columns = _run_blocks(spec, pairs, n_trials, seed, threads, {"pair_id": np.int8, "products": np.int8})
+    return PairProducts(**columns, n_pairs=len(pairs))
 
-    # More workers than cores only adds OS threads: the results never depend
-    # on the thread count, so it is capped at the core count.
-    workers = min(resolve_threads(threads), os.cpu_count() or 1)
-    if workers == 1:
-        fill(0, n_trials)
-    else:
-        chunk = -(-n_trials // workers)  # ceil division
-        bounds = [(lo, min(lo + chunk, n_trials)) for lo in range(0, n_trials, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda br: fill(*br), bounds))
 
-    t_col = np.arange(n_trials, dtype=np.int64)
-    return TrialLog(
-        t=t_col,
-        pair_id=pair_id,
-        setting_1=theta1_by_pair[pair_id],
-        setting_2=theta2_by_pair[pair_id],
-        lam=lam,
-        ip_1=ip_1,
-        ip_2=ip_2,
-        a=a,
-        b=b,
-        lambda_kind=spec.lambda_kind,
-        n_pairs=n_pairs,
-    )
+def _experiment_pairs(quad: SettingQuad) -> list[tuple[Setting, Setting]]:
+    return [(s1, s2) for s1, s2, _sign in chsh_pairs(quad)]
 
 
 def run_experiment(
@@ -234,8 +259,14 @@ def run_experiment(
 
     ``spec`` may be a shipped ModelSpec or a custom model family.
     """
-    pairs = [(s1, s2) for s1, s2, _sign in chsh_pairs(quad)]
-    return run_pairs(spec, pairs, n_trials, seed, threads=threads)
+    return run_pairs(spec, _experiment_pairs(quad), n_trials, seed, threads=threads)
+
+
+def run_experiment_products(
+    spec: ModelFamily, quad: SettingQuad, n_trials: int, seed: int, threads: int | None = None
+) -> PairProducts:
+    """``run_experiment`` keeping only what a report reads: 2 bytes per trial."""
+    return run_pair_products(spec, _experiment_pairs(quad), n_trials, seed, threads=threads)
 
 
 # --- Statistics -------------------------------------------------------------
@@ -266,16 +297,16 @@ class BellStatistic:
     per_pair: tuple[CorrelationEstimate, ...]
 
 
-def estimate_correlations(log: TrialLog) -> list[CorrelationEstimate]:
+def estimate_correlations(result: TrialLog | PairProducts) -> list[CorrelationEstimate]:
     """Per-pair sample mean and standard error of the outcome product."""
-    products = (log.a.astype(np.float64)) * (log.b.astype(np.float64))
+    products = result.products
     estimates = []
-    for pid in range(log.n_pairs):
-        mask = log.pair_id == pid
+    for pid in range(result.n_pairs):
+        mask = result.pair_id == pid
         count = int(np.count_nonzero(mask))
         if count < 2:
             raise InsufficientData(pid, count)
-        p = products[mask]
+        p = products[mask].astype(np.float64)
         mean = float(p.mean())
         std_error = float(p.std(ddof=1) / math.sqrt(count))
         estimates.append(CorrelationEstimate(pair_id=pid, mean=mean, std_error=std_error, count=count))
@@ -322,8 +353,8 @@ def bell_statistic(
     pilot = check_anticorrelation(spec, [a, b, c], pilot_trials, pilot_seed)
     if pilot.violations > 0:
         raise AnticorrelationViolated(pilot.violations, pilot.trials)
-    log = run_pairs(spec, [(a, b), (a, c), (b, c)], n_trials, seed, threads=threads)
-    e_ab, e_ac, e_bc = estimate_correlations(log)
+    products = run_pair_products(spec, [(a, b), (a, c), (b, c)], n_trials, seed, threads=threads)
+    e_ab, e_ac, e_bc = estimate_correlations(products)
     lhs = abs(e_ab.mean - e_ac.mean)
     rhs = 1.0 + e_bc.mean
     std_error = math.sqrt(e_ab.std_error**2 + e_ac.std_error**2 + e_bc.std_error**2)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bell_lab.cli import (
@@ -248,6 +249,7 @@ def test_oracle_guard_exit_five(capsys):
         "enumerate-m-zero",
         "enumerate-m-negative",
         "enumerate-one-setting",
+        "tables-max-rows-negative",
     ],
 )
 def test_bad_threads_and_oracle_files_exit_two_without_traceback(tmp_path, case):
@@ -288,6 +290,7 @@ def test_bad_threads_and_oracle_files_exit_two_without_traceback(tmp_path, case)
         "enumerate-m-zero": (["oracle", "enumerate", "--m", "0"], None, None),
         "enumerate-m-negative": (["oracle", "enumerate", "--m", "-3"], None, None),
         "enumerate-one-setting": (["oracle", "enumerate", "--m", "2", "--settings1", "1"], None, None),
+        "tables-max-rows-negative": (["tables", "--config", cfg, "--max-rows", "-1"], None, None),
     }[case]
     env = {k: v for k, v in os.environ.items() if k != "BELL_LAB_THREADS"}
     env["PYTHONPATH"] = str(Path(__file__).parents[1] / "src")
@@ -481,6 +484,65 @@ def test_byte_identical_outputs_across_runs_and_threads(tmp_path):
             run.append((table_out / "table.json").read_bytes())
         blobs.append(run)
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+@pytest.mark.parametrize("family", ["factorizable_instrument", "time_tagged_anticorrelated"])
+def test_outputs_do_not_depend_on_the_block_schedule(tmp_path, monkeypatch, family):
+    """Blocks of 7 and 64 trials at 1 and 2 threads give the default run's bytes:
+    the trial log, the report estimates, the sweep rows and the convergence rows,
+    on the full-log and on the report-only path."""
+    from bell_lab import simulate
+
+    text = MINIMAL.replace("bell_deterministic", family).replace("n_trials = 1000", "n_trials = 300")
+    report_cfg = write_cfg(tmp_path, text)
+    log_cfg = write_cfg(tmp_path, text + "outputs.trial_log = t.csv\n", "log.cfg")
+
+    def outputs(tag: str, threads: int) -> dict[str, bytes]:
+        out = tmp_path / tag
+        common = ["--threads", str(threads), "--convergence"]
+        assert main(["simulate", "--config", log_cfg, "--out", str(out / "log"), *common,
+                     str(out / "log" / "convergence.csv")]) == 0
+        # The sweep takes the same report-only path with or without a log.
+        assert main(["simulate", "--config", report_cfg, "--out", str(out / "report"), *common,
+                     str(out / "report" / "convergence.csv"), "--sweep", str(out / "report" / "sweep.csv")]) == 0
+        files = {f"{path.parent.name}/{path.name}": path.read_bytes() for path in out.glob("*/*")}
+        assert len(files) == 6  # report and convergence files of each run, the log and the sweep
+        return files
+
+    default = outputs("default", 1)
+    for block in (7, 64):
+        monkeypatch.setattr(simulate, "_BLOCK_TRIALS", block)
+        for threads in (1, 2):
+            assert outputs(f"{block}-{threads}", threads) == default, (block, threads)
+
+
+def _bits(estimates) -> list[tuple]:
+    return [(e.pair_id, e.mean.hex(), e.std_error.hex(), e.count) for e in estimates]
+
+
+def test_report_paths_never_build_the_trial_log(tmp_path, monkeypatch):
+    from bell_lab import simulate
+    from bell_lab.core import SettingQuad
+
+    quad = SettingQuad.from_degrees(0, 45, 135, 90)
+    for family in FAMILIES.values():
+        log = simulate.run_experiment(family(), quad, 2_000, seed=3, threads=2)
+        products = simulate.run_experiment_products(family(), quad, 2_000, seed=3, threads=2)
+        assert np.array_equal(products.products, log.products) and products.products.dtype == np.int8
+        assert _bits(simulate.estimate_correlations(products)) == _bits(simulate.estimate_correlations(log))
+
+    def no_log(*args, **kwargs):
+        raise AssertionError("a report path built the nine-column trial log")
+
+    monkeypatch.setattr(simulate, "run_pairs", no_log)
+    text = MINIMAL.replace("bell_deterministic", "time_tagged_anticorrelated")
+    cfg = write_cfg(tmp_path, text)
+    assert main(["check", "--config", cfg, "--out", str(tmp_path / "check"), "--threads", "2"]) == 0
+    argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "sim"), "--threads", "2",
+            "--sweep", str(tmp_path / "sweep.csv"), "--convergence", str(tmp_path / "convergence.csv")]
+    assert main(argv) == 0
+    with pytest.raises(AssertionError, match="trial log"):
+        main(["simulate", "--config", write_cfg(tmp_path, text + "outputs.trial_log = t.csv\n", "log.cfg")])
 
 
 def test_golden_report_and_log(tmp_path):

@@ -58,8 +58,9 @@ def test_threads_env_var(monkeypatch):
 
 def test_thread_count_is_capped_at_core_count(monkeypatch):
     # A serial stand-in for the pool records what the runner asks for and
-    # starts no thread, so the uncapped request is never made for real.
-    requested, chunks = [], []
+    # starts no thread, so the uncapped request is never made for real. The
+    # block size is patched small so that there are more blocks than cores.
+    requested, blocks = [], []
 
     class SerialPool:
         def __init__(self, max_workers):
@@ -73,17 +74,18 @@ def test_thread_count_is_capped_at_core_count(monkeypatch):
 
         def map(self, fn, items):
             items = list(items)
-            chunks.append(len(items))
+            blocks.append(len(items))
             return map(fn, items)
 
     spec = factorizable_instrument(0.3)
     serial = run_experiment(spec, QUAD, 1_000, seed=5, threads=1)
     monkeypatch.setattr(simulate, "ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(simulate, "_BLOCK_TRIALS", 100)
     before = threading.active_count()
     capped = run_experiment(spec, QUAD, 1_000, seed=5, threads=10**5)
     assert threading.active_count() == before
-    assert requested == [3] and chunks == [3]
+    assert requested == [3] and blocks == [10]
     assert capped == serial
 
 
