@@ -24,15 +24,15 @@ from .errors import (
 from .models import (
     AnticorrelationReport,
     FAMILIES,
+    BellDeterministic,
     DiscreteSource,
+    FactorizableInstrument,
     ModelSpec,
+    SettingPairDependent,
     Station,
+    TimeTaggedAnticorrelated,
     UniformAngleSource,
-    bell_deterministic,
     check_anticorrelation,
-    factorizable_instrument,
-    setting_pair_dependent,
-    time_tagged_anticorrelated,
 )
 from .oracle import (
     EnumerationResult,
@@ -80,9 +80,9 @@ __all__ = [
     "BellLabError", "InvalidSpec", "InsufficientData", "AnticorrelationViolated",
     "ContinuousLambdaUnorderable", "UnknownSetting", "TooLarge", "ConfigError",
     # models
-    "FAMILIES", "ModelSpec", "DiscreteSource", "UniformAngleSource", "Station",
-    "AnticorrelationReport", "bell_deterministic", "factorizable_instrument",
-    "time_tagged_anticorrelated", "setting_pair_dependent", "check_anticorrelation",
+    "FAMILIES", "ModelSpec", "BellDeterministic", "FactorizableInstrument",
+    "TimeTaggedAnticorrelated", "SettingPairDependent", "DiscreteSource",
+    "UniformAngleSource", "Station", "AnticorrelationReport", "check_anticorrelation",
     # simulate
     "TrialLog", "PairProducts", "CorrelationEstimate", "ChshStatistic", "BellStatistic",
     "run_experiment", "run_pairs", "run_experiment_products", "run_pair_products",

@@ -376,7 +376,7 @@ def _write_sweep_csv(path: str, rows) -> None:
             fh.write(",".join(repr(v) for v in r) + "\n")
 
 
-def _write_convergence_csv(path: str, result: TrialLog | PairProducts, flags: dict) -> None:
+def _write_convergence_csv(path: str, result: TrialLog | PairProducts) -> None:
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     ns = []
     n = 16
@@ -388,7 +388,7 @@ def _write_convergence_csv(path: str, result: TrialLog | PairProducts, flags: di
         fh.write("n_trials,chsh_value,chsh_std_error\n")
         for n in ns:
             try:
-                stat = chsh_statistic(estimate_correlations(result.head(n)), flags)
+                stat = chsh_statistic(estimate_correlations(result.head(n)))
             except InsufficientData:
                 continue
             fh.write(f"{n},{stat.value!r},{stat.std_error!r}\n")
@@ -410,12 +410,12 @@ def cmd_simulate(args) -> int:
     run = run_experiment if log_path else run_experiment_products
     result = run(cfg.model, cfg.quad, cfg.n_trials, cfg.seed, threads=threads)
     estimates = estimate_correlations(result)
-    stat = chsh_statistic(estimates, cfg.model.flags)
+    stat = chsh_statistic(estimates)
 
     report = _report_header(cfg)
     report["schema"] = "bell-lab.report.v1"
     report["estimates"] = _estimates_json(cfg, estimates)
-    report["chsh"] = {"value": stat.value, "std_error": stat.std_error, "flags": stat.flags}
+    report["chsh"] = {"value": stat.value, "std_error": stat.std_error, "flags": cfg.model.flags}
 
     print(f"bell-lab simulate: {cfg.model.name}, n_trials={cfg.n_trials}, seed={cfg.seed}")
     for e in report["estimates"]:
@@ -424,7 +424,7 @@ def cmd_simulate(args) -> int:
             f"E = {e['mean']:+.6f} +/- {e['std_error']:.6f}  (n={e['count']})"
         )
     print(f"  four-term statistic = {stat.value:+.6f} +/- {stat.std_error:.6f}")
-    if stat.flags.get("setting_dependent_distribution"):
+    if cfg.model.setting_dependent_distribution:
         print("  flag: setting_dependent_distribution = true")
 
     report_path = _resolve_output(cfg, args.out, "report", "report.json")
@@ -439,7 +439,7 @@ def cmd_simulate(args) -> int:
         _write_sweep_csv(args.sweep, _sweep_rows(cfg, threads))
         print(f"  correlation sweep -> {args.sweep}")
     if args.convergence:
-        _write_convergence_csv(args.convergence, result, cfg.model.flags)
+        _write_convergence_csv(args.convergence, result)
         print(f"  convergence data -> {args.convergence}")
     return 0
 
@@ -479,8 +479,8 @@ def cmd_check(args) -> int:
         estimates = estimate_correlations(
             run_experiment_products(cfg.model, quad, cfg.n_trials, cfg.seed, threads=threads)
         )
-        stat = chsh_statistic(estimates, cfg.model.flags)
-        chsh_value, chsh_se, flags = stat.value, stat.std_error, stat.flags
+        stat = chsh_statistic(estimates)
+        chsh_value, chsh_se, flags = stat.value, stat.std_error, cfg.model.flags
         report["estimates"] = _estimates_json(cfg, estimates)
         bell = bell_statistic(cfg.model, quad.a, quad.b, quad.c, cfg.n_trials, cfg.seed, threads=threads)
         lhs, rhs, bell_se = bell.lhs, bell.rhs, bell.std_error
@@ -604,11 +604,11 @@ def _emit_certificate(args, record: dict) -> None:
 
 
 def _load_finite_model(path: str) -> FiniteModel:
-    """Read a finite-model JSON file; a missing or malformed file is a ConfigError naming it."""
+    """Read a finite-model JSON file; a missing, malformed or invalid file is a ConfigError naming it."""
     try:
         with open(path) as fh:
             return finite_model_from_json_obj(json.load(fh))
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, OverflowError, InvalidSpec) as exc:
         raise ConfigError(f"cannot load finite-model file {path!r} ({type(exc).__name__}: {exc})") from None
 
 

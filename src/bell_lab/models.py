@@ -2,11 +2,14 @@
 
 Each shipped family is one ``ModelSpec`` subclass holding its config ``name``,
 its parameters (dataclass fields after ``source``) and its two vectorized laws,
-instrument value and outcome. ``FAMILIES`` maps each name to its class:
-``BellDeterministic``, ``FactorizableInstrument``, ``TimeTaggedAnticorrelated``
-and ``SettingPairDependent``. Randomness enters only through ``source_arrays``
-and the instrument law. The runner, the equal-settings pilot and
-``bell_statistic`` accept any ``ModelFamily``, shipped or not.
+instrument value and outcome; the class is the family's one constructor.
+``FAMILIES`` maps each name to its class: ``BellDeterministic``,
+``FactorizableInstrument``, ``TimeTaggedAnticorrelated`` and
+``SettingPairDependent``. Randomness enters only through ``source_arrays`` and
+the instrument law. ``trial_arrays`` is the one trial kernel (tick t = index,
+source, two instruments, two outcomes): the runner's blocks and the
+equal-settings pilot both call it, so both accept any ``ModelFamily``, shipped
+or not.
 """
 
 from __future__ import annotations
@@ -194,22 +197,6 @@ _SHIPPED = (BellDeterministic, FactorizableInstrument, TimeTaggedAnticorrelated,
 FAMILIES: dict[str, type[ModelSpec]] = {family.name: family for family in _SHIPPED}
 
 
-def bell_deterministic(source: SourceDistribution | None = None) -> ModelSpec:
-    return BellDeterministic(source or UniformAngleSource())
-
-
-def factorizable_instrument(epsilon: float, source: SourceDistribution | None = None) -> ModelSpec:
-    return FactorizableInstrument(source or UniformAngleSource(), epsilon=epsilon)
-
-
-def time_tagged_anticorrelated(source: SourceDistribution | None = None) -> ModelSpec:
-    return TimeTaggedAnticorrelated(source or UniformAngleSource())
-
-
-def setting_pair_dependent(source: SourceDistribution | None = None) -> ModelSpec:
-    return SettingPairDependent(source or UniformAngleSource())
-
-
 # --- Model laws --------------------------------------------------------------
 #
 # The midpoint grid and the sign tie rule. The kernels below and the exact
@@ -235,8 +222,9 @@ def sign_law(station: Station, theta_local: np.ndarray, lam_angle: np.ndarray) -
 
 # --- Vectorized kernels ------------------------------------------------------
 #
-# The source law and thin dispatchers to each family's two laws. bench/layers.py
-# wraps them by name, so renaming one is a benchmark change.
+# The source law, thin dispatchers to each family's two laws, and the trial
+# kernel that calls them. bench/layers.py wraps the first three by name, so
+# renaming one is a benchmark change.
 
 
 def source_arrays(spec: ModelSpec, seed: int, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -286,6 +274,18 @@ def outcome_arrays(
     return spec.outcome_law(station, theta_local, lam_angle, ip)
 
 
+def trial_arrays(spec: ModelFamily, seed: int, indices, theta1, theta2, pair_id: np.ndarray | None) -> tuple:
+    """The one trial kernel, t = index: (lam_repr, ip1, ip2, a, b) from the family's
+    source, instrument and outcome laws. ``pair_id`` is None outside a paired experiment."""
+    t = indices
+    lam_repr, lam_angle = spec.source_arrays(seed, indices)
+    ip1 = spec.instrument_arrays(seed, indices, t, theta1, Station.S1, pair_id)
+    ip2 = spec.instrument_arrays(seed, indices, t, theta2, Station.S2, pair_id)
+    a = spec.outcome_arrays(Station.S1, theta1, lam_angle, ip1)
+    b = spec.outcome_arrays(Station.S2, theta2, lam_angle, ip2)
+    return lam_repr, ip1, ip2, a, b
+
+
 # --- Anticorrelation check ---------------------------------------------------
 
 
@@ -309,13 +309,8 @@ def check_anticorrelation(
     if isinstance(spec, ModelSpec) and spec.setting_dependent_distribution:
         raise InvalidSpec(f"{spec.name} has no equal-settings semantics; anticorrelation is not defined for it")
     indices = np.arange(n_trials, dtype=np.uint64)
-    t = indices
     theta = np.asarray([s.angle for s in settings])[np.arange(n_trials) % len(settings)]
-    _, lam_angle = spec.source_arrays(seed, indices)
-    ip1 = spec.instrument_arrays(seed, indices, t, theta, Station.S1, None)
-    ip2 = spec.instrument_arrays(seed, indices, t, theta, Station.S2, None)
-    a = spec.outcome_arrays(Station.S1, theta, lam_angle, ip1)
-    b = spec.outcome_arrays(Station.S2, theta, lam_angle, ip2)
+    *_, a, b = trial_arrays(spec, seed, indices, theta, theta, None)
     violations = int(np.count_nonzero(a != -b))
     return AnticorrelationReport(trials=n_trials, violations=violations)
 

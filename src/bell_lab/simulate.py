@@ -1,14 +1,16 @@
 """Seeded Monte Carlo experiment runner.
 
 One trial = one correlated pair: a tetrahedral-die choice among the four
-canonical setting pairs, a shared clock tick t equal to the trial index, a
-source draw, one instrument value per station, and two +/-1 outcomes.
+canonical setting pairs, then ``models.trial_arrays``, the one trial kernel:
+a shared clock tick t equal to the trial index, a source draw, one instrument
+value per station, and two +/-1 outcomes.
 
-The runner splits [0, n_trials) into fixed 65,536-trial blocks and hands
-them to min(threads, cores, blocks) worker threads. Every random quantity is a
-pure function of (seed, trial index, stream label), so the log for a given
-(spec, quad, n_trials, seed) is bit-identical no matter how many worker
-threads evaluate it or in which order blocks complete.
+With w = min(threads, cores), the runner splits [0, n_trials) into blocks of
+min(65,536, ceil(n_trials / w)) trials on min(w, blocks) worker threads.
+Every random quantity is a pure function of (seed, trial index, stream
+label), so the log for a given (spec, quad, n_trials, seed) is bit-identical
+no matter how many worker threads evaluate it or in which order blocks
+complete.
 
 Logs are stored column-wise (numpy arrays), one array per logged column:
 51 bytes per trial. A report reads only each trial's pair and outcome product,
@@ -27,7 +29,7 @@ import numpy as np
 from . import rng
 from .core import CHSH_SIGNS, Setting, SettingQuad, chsh_pairs
 from .errors import AnticorrelationViolated, InsufficientData, InvalidSpec
-from .models import ModelFamily, Station, check_anticorrelation
+from .models import ModelFamily, check_anticorrelation, trial_arrays
 
 _DEFAULT_PILOT_TRIALS = 1000
 
@@ -178,8 +180,8 @@ def _reject_rows(bad: np.ndarray, what: str) -> None:
 # --- Running experiments ----------------------------------------------------
 
 
-# Trials per block: the runner's unit of work. Every kernel temporary is one
-# block long whatever n_trials is, so it stays cache-sized.
+# Most trials per block, the runner's unit of work: every kernel temporary is
+# at most one block long whatever n_trials is, so it stays cache-sized.
 _BLOCK_TRIALS = 1 << 16
 
 
@@ -195,26 +197,24 @@ def _run_blocks(spec: ModelFamily, pairs, n_trials: int, seed: int, threads: int
 
     def fill(lo: int, hi: int) -> None:
         idx = np.arange(lo, hi, dtype=np.uint64)
-        t = idx
         if n_pairs == 4:
             pid = rng.choice_of_4(seed, "die", idx)
         else:
             pid = rng.integers_below(seed, "die", idx, n_pairs)
         th1 = theta1_by_pair[pid]
         th2 = theta2_by_pair[pid]
-        lrep, lang = spec.source_arrays(seed, idx)
-        i1 = spec.instrument_arrays(seed, idx, t, th1, Station.S1, pid)
-        i2 = spec.instrument_arrays(seed, idx, t, th2, Station.S2, pid)
-        a = spec.outcome_arrays(Station.S1, th1, lang, i1)
-        b = spec.outcome_arrays(Station.S2, th2, lang, i2)
-        block = dict(t=t, pair_id=pid, setting_1=th1, setting_2=th2, lam=lrep, ip_1=i1, ip_2=i2, a=a, b=b)
+        lrep, i1, i2, a, b = trial_arrays(spec, seed, idx, th1, th2, pid)
+        block = dict(t=idx, pair_id=pid, setting_1=th1, setting_2=th2, lam=lrep, ip_1=i1, ip_2=i2, a=a, b=b)
         for name, column in out.items():
             column[lo:hi] = block[name] if name != "products" else a * b
 
-    bounds = [(lo, min(lo + _BLOCK_TRIALS, n_trials)) for lo in range(0, n_trials, _BLOCK_TRIALS)]
     # More workers than cores only adds OS threads: the results never depend
-    # on the thread count, so it is capped at the core count.
-    workers = min(resolve_threads(threads), os.cpu_count() or 1, len(bounds))
+    # on the thread count, so it is capped at the core count. Blocks shrink to
+    # n / workers so that a short run, such as one --sweep point, uses every worker.
+    workers = min(resolve_threads(threads), os.cpu_count() or 1)
+    size = min(_BLOCK_TRIALS, -(-n_trials // workers))
+    bounds = [(lo, min(lo + size, n_trials)) for lo in range(0, n_trials, size)]
+    workers = min(workers, len(bounds))
     if workers == 1:
         for lo, hi in bounds:
             fill(lo, hi)
@@ -285,7 +285,6 @@ class ChshStatistic:
     value: float
     std_error: float
     per_pair: tuple[CorrelationEstimate, ...]
-    flags: dict
 
 
 @dataclass(frozen=True)
@@ -313,7 +312,7 @@ def estimate_correlations(result: TrialLog | PairProducts) -> list[CorrelationEs
     return estimates
 
 
-def chsh_statistic(estimates: list[CorrelationEstimate], flags: dict | None = None) -> ChshStatistic:
+def chsh_statistic(estimates: list[CorrelationEstimate]) -> ChshStatistic:
     """Signed four-term combination +E0 - E1 - E2 - E3 with propagated error.
 
     The per-pair estimates come from disjoint trial subsets, so independent
@@ -323,12 +322,7 @@ def chsh_statistic(estimates: list[CorrelationEstimate], flags: dict | None = No
         raise ValueError(f"need exactly 4 estimates in canonical order, got {len(estimates)}")
     value = math.fsum(sign * e.mean for sign, e in zip(CHSH_SIGNS, estimates))
     std_error = math.sqrt(math.fsum(e.std_error**2 for e in estimates))
-    return ChshStatistic(
-        value=value,
-        std_error=std_error,
-        per_pair=tuple(estimates),
-        flags=dict(flags or {}),
-    )
+    return ChshStatistic(value=value, std_error=std_error, per_pair=tuple(estimates))
 
 
 def bell_statistic(

@@ -14,14 +14,14 @@ import pytest
 from bell_lab.cli import main
 from bell_lab.core import Setting, SettingQuad, row_identity, row_sum
 from bell_lab.models import (
+    BellDeterministic,
     DiscreteSource,
+    FactorizableInstrument,
+    SettingPairDependent,
     Station,
-    bell_deterministic,
+    TimeTaggedAnticorrelated,
     check_anticorrelation,
     instrument_arrays,
-    setting_pair_dependent,
-    factorizable_instrument,
-    time_tagged_anticorrelated,
 )
 from bell_lab.oracle import (
     enumerate_deterministic_strategies,
@@ -93,7 +93,7 @@ def test_criterion_04_setting_dependent_escape(tmp_path):
 
 
 def test_criterion_05_classical_calibration():
-    spec = bell_deterministic()
+    spec = BellDeterministic()
     n = 1_000_000
     details = []
     for k, theta in enumerate((0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi)):
@@ -112,7 +112,7 @@ def test_criterion_05_classical_calibration():
 
 
 def test_criterion_06_time_tagged_anticorrelation():
-    spec = time_tagged_anticorrelated()
+    spec = TimeTaggedAnticorrelated()
     report = check_anticorrelation(spec, EIGHT_SETTINGS, 100_000, seed=606)
     assert report.trials == 100_000
     assert report.violations == 0
@@ -136,7 +136,7 @@ def test_criterion_07_quantum_reference_exceeds_local_bound():
 
 
 def test_criterion_08_reordering_table():
-    spec = bell_deterministic(DiscreteSource.uniform(16))
+    spec = BellDeterministic(DiscreteSource.uniform(16))
     n = 100_000
     log = run_experiment(spec, CANONICAL_QUAD, n, seed=808)
     table = build_reordered_table(log, KeyMode.LAMBDA_ONLY)
@@ -150,7 +150,7 @@ def test_criterion_08_reordering_table():
     assert set(values) <= {-2, 2}
 
     table_mean = sum(values) / len(values)
-    stat = chsh_statistic(estimate_correlations(log), spec.flags)
+    stat = chsh_statistic(estimate_correlations(log))
     assert abs(table_mean - stat.value) < 4 * stat.std_error
 
     balance = lln_balance_check(log)
@@ -163,11 +163,11 @@ def test_criterion_08_reordering_table():
 
 def test_criterion_09_time_tag_obstruction():
     specs = [
-        bell_deterministic(),
-        bell_deterministic(DiscreteSource.uniform(16)),
-        factorizable_instrument(0.5),
-        time_tagged_anticorrelated(),
-        setting_pair_dependent(),
+        BellDeterministic(),
+        BellDeterministic(DiscreteSource.uniform(16)),
+        FactorizableInstrument(epsilon=0.5),
+        TimeTaggedAnticorrelated(),
+        SettingPairDependent(),
     ]
     for spec in specs:
         for n in (1, 1_000, 100_000):

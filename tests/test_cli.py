@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -244,6 +245,11 @@ def test_oracle_guard_exit_five(capsys):
         "model-not-json",
         "model-wrong-schema",
         "per-pair-missing",
+        "model-weights-sum-0.9",
+        "model-a-table-shape",
+        "model-a-table-entry-2",
+        "model-a-table-entry-300",
+        "per-pair-invalid",
         "out-is-a-file",
         "quad-deg-nan",
         "enumerate-m-zero",
@@ -254,14 +260,24 @@ def test_oracle_guard_exit_five(capsys):
 )
 def test_bad_threads_and_oracle_files_exit_two_without_traceback(tmp_path, case):
     from bell_lab.core import SettingQuad
-    from bell_lab.models import bell_deterministic
     from bell_lab.oracle import discretize_model, finite_model_to_json_obj
 
     cfg = write_cfg(tmp_path, MINIMAL)
     quad = SettingQuad.from_degrees(0, 45, 135, 90)
     valid = tmp_path / "valid.json"
-    fm = discretize_model(bell_deterministic(), [quad.a, quad.b, quad.c, quad.d], grid=8)
+    fm = discretize_model(BellDeterministic(), [quad.a, quad.b, quad.c, quad.d], grid=8)
     valid.write_text(json.dumps(finite_model_to_json_obj(fm)))
+    invalid = {}  # a finite model that parses as JSON but is not a valid model
+    for name, edit in {
+        "weights": lambda obj: obj["lambda_weights"].__setitem__(0, obj["lambda_weights"][0] - 0.1),
+        "shape": lambda obj: obj["a_table"][0].pop(),
+        "entry-2": lambda obj: obj["a_table"][0][0].__setitem__(0, 2),
+        "entry-300": lambda obj: obj["a_table"][0][0].__setitem__(0, 300),
+    }.items():
+        obj = finite_model_to_json_obj(fm)
+        edit(obj)
+        invalid[name] = tmp_path / f"invalid-{name}.json"
+        invalid[name].write_text(json.dumps(obj))
     not_json = tmp_path / "not.json"
     not_json.write_text("{ not json")
     wrong_schema = tmp_path / "wrong.json"
@@ -284,6 +300,22 @@ def test_bad_threads_and_oracle_files_exit_two_without_traceback(tmp_path, case)
              str(valid), str(valid)],
             None,
             missing,
+        ),
+        "model-weights-sum-0.9": (
+            ["oracle", "exact", "--model", str(invalid["weights"]), *quad_args], None, invalid["weights"]
+        ),
+        "model-a-table-shape": (["oracle", "exact", "--model", str(invalid["shape"]), *quad_args], None, invalid["shape"]),
+        "model-a-table-entry-2": (
+            ["oracle", "exact", "--model", str(invalid["entry-2"]), *quad_args], None, invalid["entry-2"]
+        ),
+        "model-a-table-entry-300": (
+            ["oracle", "exact", "--model", str(invalid["entry-300"]), *quad_args], None, invalid["entry-300"]
+        ),
+        "per-pair-invalid": (
+            ["oracle", "exact", "--model", str(valid), *quad_args, "--per-pair", str(valid), str(valid),
+             str(invalid["entry-2"]), str(valid)],
+            None,
+            invalid["entry-2"],
         ),
         "out-is-a-file": (simulate + ["--out", str(a_file)], None, a_file),
         "quad-deg-nan": (["oracle", "quantum", "--quad-deg", "0", "45", "nan", "90"], None, None),
@@ -420,11 +452,10 @@ def test_oracle_quantum_certificate(capsys):
 
 def test_oracle_exact_with_model_file(tmp_path, capsys):
     from bell_lab.core import SettingQuad
-    from bell_lab.models import bell_deterministic
     from bell_lab.oracle import discretize_model, finite_model_to_json_obj
 
     quad = SettingQuad.from_degrees(0, 45, 135, 90)
-    fm = discretize_model(bell_deterministic(), [quad.a, quad.b, quad.c, quad.d], grid=360)
+    fm = discretize_model(BellDeterministic(), [quad.a, quad.b, quad.c, quad.d], grid=360)
     path = tmp_path / "fm.json"
     path.write_text(json.dumps(finite_model_to_json_obj(fm)))
     assert main(["oracle", "exact", "--model", str(path), "--quad-deg", "0", "45", "135", "90"]) == 0
@@ -434,12 +465,11 @@ def test_oracle_exact_with_model_file(tmp_path, capsys):
 
 def test_oracle_exact_matches_settings_modulo_full_turn(tmp_path, capsys):
     from bell_lab.core import SettingQuad
-    from bell_lab.models import DiscreteSource, bell_deterministic
     from bell_lab.oracle import discretize_model, finite_model_to_json_obj
 
     # radians(361) normalizes to a float a few ulps away from radians(1)
     quad = SettingQuad.from_degrees(1, 45, 135, 90)
-    fm = discretize_model(bell_deterministic(DiscreteSource.uniform(8)), [quad.a, quad.b, quad.c, quad.d])
+    fm = discretize_model(BellDeterministic(DiscreteSource.uniform(8)), [quad.a, quad.b, quad.c, quad.d])
     path = tmp_path / "fm.json"
     path.write_text(json.dumps(finite_model_to_json_obj(fm)))
     values = []
@@ -575,3 +605,18 @@ def test_experiment_config_quad_property():
     assert isinstance(cfg, ExperimentConfig)
     quad = cfg.quad
     assert quad.b.degrees == pytest.approx(45.0)
+
+
+# --- README ---------------------------------------------------------------------------
+
+
+def test_readme_python_blocks_run_and_its_config_parses(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```", readme, flags=re.M | re.S)
+    python = [code for lang, code in blocks if lang == "python"]
+    ini = [code for lang, code in blocks if lang == "ini"]
+    assert python and len(ini) == 1
+    for code in python:
+        exec(compile(code, "README.md", "exec"), {})
+    cfg = parse_config_text(ini[0])
+    assert isinstance(cfg.model, BellDeterministic) and cfg.model.source == DiscreteSource.uniform(16)

@@ -11,17 +11,15 @@ from bell_lab.models import (
     BellDeterministic,
     DiscreteSource,
     FactorizableInstrument,
+    SettingPairDependent,
     Station,
+    TimeTaggedAnticorrelated,
     UniformAngleSource,
-    bell_deterministic,
     check_anticorrelation,
-    factorizable_instrument,
     instrument_arrays,
     midpoint_angles,
     outcome_arrays,
-    setting_pair_dependent,
     source_arrays,
-    time_tagged_anticorrelated,
 )
 from bell_lab.simulate import bell_statistic, run_experiment
 
@@ -67,24 +65,24 @@ def test_model_spec_validation():
         BellDeterministic(UniformAngleSource(), epsilon=0.5)  # type: ignore[call-arg]
     with pytest.raises(InvalidSpec):
         FactorizableInstrument(UniformAngleSource(), epsilon=1.5)
-    spec = factorizable_instrument(0.25)
+    spec = FactorizableInstrument(epsilon=0.25)
     assert spec.epsilon == 0.25
     assert not spec.setting_dependent_distribution
-    assert setting_pair_dependent().setting_dependent_distribution
+    assert SettingPairDependent().setting_dependent_distribution
 
 
 # --- source sampling ---------------------------------------------------------
 
 
 def test_sample_source_point_mass():
-    spec = bell_deterministic(DiscreteSource((1.0,)))
+    spec = BellDeterministic(DiscreteSource((1.0,)))
     lam, angle = source_arrays(spec, 5, np.arange(20, dtype=np.uint64))
     assert lam.tolist() == [0.0] * 20
     assert angle.tolist() == [math.pi] * 20
 
 
 def test_sample_source_uniform_discrete_frequencies():
-    spec = bell_deterministic(DiscreteSource.uniform(4))
+    spec = BellDeterministic(DiscreteSource.uniform(4))
     n = 1_000_000
     lam, _ = source_arrays(spec, 123, np.arange(n, dtype=np.uint64))
     counts = np.bincount(lam.astype(int), minlength=4)
@@ -94,7 +92,7 @@ def test_sample_source_uniform_discrete_frequencies():
 
 
 def test_sample_source_deterministic_given_substream():
-    spec = bell_deterministic()
+    spec = BellDeterministic()
     a, a_angle = source_arrays(spec, 99, np.asarray([17], dtype=np.uint64))
     b, _ = source_arrays(spec, 99, np.asarray([17], dtype=np.uint64))
     batch, _ = source_arrays(spec, 99, np.arange(20, dtype=np.uint64))
@@ -104,7 +102,7 @@ def test_sample_source_deterministic_given_substream():
 
 
 def test_sample_source_weighted():
-    spec = bell_deterministic(DiscreteSource((0.9, 0.1)))
+    spec = BellDeterministic(DiscreteSource((0.9, 0.1)))
     n = 100_000
     lam, _ = source_arrays(spec, 3, np.arange(n, dtype=np.uint64))
     frac1 = float(np.mean(lam == 1))
@@ -116,7 +114,7 @@ def test_sample_source_weighted():
 
 
 def test_detector_examples_bell_deterministic():
-    spec = bell_deterministic()
+    spec = BellDeterministic()
     zero = np.zeros(3)
     a = outcome_arrays(spec, Station.S1, zero, np.array([0.0, math.pi, math.pi / 2]), zero)
     # the last case, relative angle pi/2, resolves to +1 (sign(0) := +1)
@@ -125,7 +123,7 @@ def test_detector_examples_bell_deterministic():
 
 
 def test_detector_b_negates_a_at_equal_settings():
-    spec = bell_deterministic()
+    spec = BellDeterministic()
     theta = np.full(50, 1.234)
     lam = np.arange(50) * 0.13
     ip = np.zeros(50)
@@ -135,7 +133,7 @@ def test_detector_b_negates_a_at_equal_settings():
 
 
 def test_discrete_lambda_feeds_midpoint_angle():
-    spec = bell_deterministic(DiscreteSource.uniform(4))
+    spec = BellDeterministic(DiscreteSource.uniform(4))
     index, angle = source_arrays(spec, 0, np.arange(64, dtype=np.uint64))
     assert np.array_equal(angle, midpoint_angles(index, 4))
     a = outcome_arrays(spec, Station.S1, np.zeros(64), angle, np.zeros(64))
@@ -151,22 +149,22 @@ def test_discrete_lambda_feeds_midpoint_angle():
 
 def test_bell_deterministic_instruments_constant_zero():
     trials = np.asarray([0, 5, 999], dtype=np.uint64)
-    ip = instrument_arrays(bell_deterministic(), 7, trials, trials, np.full(3, 0.3), Station.S1)
+    ip = instrument_arrays(BellDeterministic(), 7, trials, trials, np.full(3, 0.3), Station.S1)
     assert ip.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_instrument_values_canonical_range():
     idx = np.arange(1000, dtype=np.uint64)
     theta = np.full(1000, 0.7)
-    for spec in (factorizable_instrument(0.5), time_tagged_anticorrelated()):
+    for spec in (FactorizableInstrument(epsilon=0.5), TimeTaggedAnticorrelated()):
         for station in (Station.S1, Station.S2):
             ip = instrument_arrays(spec, 3, idx, idx, theta, station)
             assert ip.min() >= 0.0 and ip.max() < 1.0
 
 
 def test_zero_noise_reduces_to_deterministic_outcomes():
-    noisy = factorizable_instrument(0.0)
-    clean = bell_deterministic()
+    noisy = FactorizableInstrument(epsilon=0.0)
+    clean = BellDeterministic()
     log_a = run_experiment(noisy, QUAD, 10_000, seed=11)
     log_b = run_experiment(clean, QUAD, 10_000, seed=11)
     assert np.array_equal(log_a.a, log_b.a)
@@ -177,14 +175,14 @@ def test_factorization_witness_instrument_stream_ignores_remote_setting():
     # Permuting the remote station's settings must not change the local
     # instrument-value stream, bit for bit, at fixed substreams.
     quad_swapped = SettingQuad.from_degrees(0.0, 135.0, 45.0, 90.0)  # b <-> c
-    for spec in (bell_deterministic(), factorizable_instrument(0.35)):
+    for spec in (BellDeterministic(), FactorizableInstrument(epsilon=0.35)):
         log1 = run_experiment(spec, QUAD, 5_000, seed=21)
         log2 = run_experiment(spec, quad_swapped, 5_000, seed=21)
         assert np.array_equal(log1.ip_1, log2.ip_1)
 
 
 def test_time_tagged_instruments_shared_at_equal_inputs():
-    spec = time_tagged_anticorrelated()
+    spec = TimeTaggedAnticorrelated()
     t = np.arange(10, dtype=np.uint64)
     theta = np.full(10, 0.5)
     ip1 = instrument_arrays(spec, 4, t, t, theta, Station.S1)
@@ -193,7 +191,7 @@ def test_time_tagged_instruments_shared_at_equal_inputs():
 
 
 def test_time_tagged_instruments_vary_with_setting_and_time():
-    spec = time_tagged_anticorrelated()
+    spec = TimeTaggedAnticorrelated()
     idx = np.arange(200, dtype=np.uint64)
     theta = np.full(200, 0.5)
     flips_t = instrument_arrays(spec, 4, idx, idx, theta, Station.S1) < 0.5
@@ -204,7 +202,7 @@ def test_time_tagged_instruments_vary_with_setting_and_time():
 
 
 def test_setting_pair_dependent_requires_pair_context():
-    spec = setting_pair_dependent()
+    spec = SettingPairDependent()
     zero = np.zeros(1, dtype=np.uint64)
     with pytest.raises(InvalidSpec):
         instrument_arrays(spec, 1, zero, zero, np.zeros(1), Station.S1)
@@ -216,13 +214,13 @@ def test_setting_pair_dependent_requires_pair_context():
 
 
 def test_anticorrelation_bell_deterministic_exact():
-    report = check_anticorrelation(bell_deterministic(), EIGHT_SETTINGS, 10_000, seed=2)
+    report = check_anticorrelation(BellDeterministic(), EIGHT_SETTINGS, 10_000, seed=2)
     assert report.violations == 0
     assert report.trials == 10_000
 
 
 def test_anticorrelation_time_tagged_exact():
-    report = check_anticorrelation(time_tagged_anticorrelated(), EIGHT_SETTINGS, 100_000, seed=3)
+    report = check_anticorrelation(TimeTaggedAnticorrelated(), EIGHT_SETTINGS, 100_000, seed=3)
     assert report.violations == 0
 
 
@@ -231,7 +229,7 @@ def test_anticorrelation_noise_rate_matches_binomial_oracle():
     # one station replaced -> coin wrong half the time; both replaced -> half).
     eps = 0.5
     n = 100_000
-    report = check_anticorrelation(factorizable_instrument(eps), EIGHT_SETTINGS, n, seed=4)
+    report = check_anticorrelation(FactorizableInstrument(epsilon=eps), EIGHT_SETTINGS, n, seed=4)
     rate = eps - eps**2 / 2
     sd = math.sqrt(n * rate * (1 - rate))
     assert report.violations > 0
@@ -240,9 +238,9 @@ def test_anticorrelation_noise_rate_matches_binomial_oracle():
 
 def test_check_anticorrelation_validates_inputs():
     with pytest.raises(InvalidSpec):
-        check_anticorrelation(bell_deterministic(), EIGHT_SETTINGS, 0, seed=1)
+        check_anticorrelation(BellDeterministic(), EIGHT_SETTINGS, 0, seed=1)
     with pytest.raises(InvalidSpec):
-        check_anticorrelation(bell_deterministic(), [], 10, seed=1)
+        check_anticorrelation(BellDeterministic(), [], 10, seed=1)
 
 
 # --- one trial through the kernels agrees with the vectorized runner -------------
@@ -251,11 +249,11 @@ def test_check_anticorrelation_validates_inputs():
 @pytest.mark.parametrize(
     "spec",
     [
-        bell_deterministic(),
-        bell_deterministic(DiscreteSource.uniform(8)),
-        factorizable_instrument(0.4),
-        time_tagged_anticorrelated(),
-        setting_pair_dependent(),
+        BellDeterministic(),
+        BellDeterministic(DiscreteSource.uniform(8)),
+        FactorizableInstrument(epsilon=0.4),
+        TimeTaggedAnticorrelated(),
+        SettingPairDependent(),
     ],
     ids=lambda s: s.name + ("_discrete" if s.lambda_kind == "discrete" else ""),
 )

@@ -8,7 +8,7 @@ import pytest
 
 from bell_lab.core import Setting, SettingQuad, chsh_pairs
 from bell_lab.errors import InvalidSpec, TooLarge, UnknownSetting
-from bell_lab.models import DiscreteSource, bell_deterministic, factorizable_instrument, time_tagged_anticorrelated
+from bell_lab.models import BellDeterministic, DiscreteSource, FactorizableInstrument, TimeTaggedAnticorrelated
 from bell_lab.oracle import (
     FiniteModel,
     discretize_model,
@@ -84,8 +84,8 @@ def test_exact_correlation_factorizes_instrument_noise():
     # coin replacement with prob eps shrinks the deterministic correlation
     # by (1-eps)^2: the cross terms have mean zero.
     eps = 0.4
-    spec = factorizable_instrument(eps, DiscreteSource.uniform(8))
-    clean = bell_deterministic(DiscreteSource.uniform(8))
+    spec = FactorizableInstrument(DiscreteSource.uniform(8), epsilon=eps)
+    clean = BellDeterministic(DiscreteSource.uniform(8))
     fm_noisy = discretize_model(spec, [QUAD.a, QUAD.b])
     fm_clean = discretize_model(clean, [QUAD.a, QUAD.b])
     pair = (QUAD.a, QUAD.b)
@@ -116,7 +116,7 @@ def test_exact_chsh_override_arity():
 
 
 def test_exact_chsh_grid_saturates():
-    fm = discretize_model(bell_deterministic(), [QUAD.a, QUAD.b, QUAD.c, QUAD.d], grid=360)
+    fm = discretize_model(BellDeterministic(), [QUAD.a, QUAD.b, QUAD.c, QUAD.d], grid=360)
     value = exact_chsh(fm, QUAD)
     assert abs(value - 2.0) <= 2 * math.pi / 360
     assert value == 2.0  # midpoint grid avoids every sign boundary at this quad
@@ -124,8 +124,8 @@ def test_exact_chsh_grid_saturates():
 
 def test_oracle_matches_monte_carlo_for_factorizable_models():
     specs = [
-        bell_deterministic(DiscreteSource.uniform(12)),
-        factorizable_instrument(0.3, DiscreteSource.uniform(8)),
+        BellDeterministic(DiscreteSource.uniform(12)),
+        FactorizableInstrument(DiscreteSource.uniform(8), epsilon=0.3),
     ]
     for spec in specs:
         fm = discretize_model(spec, [QUAD.a, QUAD.b, QUAD.c, QUAD.d])
@@ -137,7 +137,7 @@ def test_oracle_matches_monte_carlo_for_factorizable_models():
 
 def test_discretize_rejects_non_factorizable_kinds():
     with pytest.raises(InvalidSpec):
-        discretize_model(time_tagged_anticorrelated(), [QUAD.a])
+        discretize_model(TimeTaggedAnticorrelated(), [QUAD.a])
 
 
 # --- strategy enumeration -----------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from bell_lab import simulate
 from bell_lab.core import Setting, SettingQuad, chsh_pairs
 from bell_lab.errors import AnticorrelationViolated, InsufficientData, InvalidSpec
-from bell_lab.models import DiscreteSource, UniformAngleSource, bell_deterministic, factorizable_instrument
+from bell_lab.models import BellDeterministic, DiscreteSource, FactorizableInstrument, UniformAngleSource
 from bell_lab.simulate import (
     TrialLog,
     bell_statistic,
@@ -27,20 +27,20 @@ QUAD = SettingQuad.from_degrees(0.0, 45.0, 135.0, 90.0)
 
 
 def test_single_trial_log():
-    log = run_experiment(bell_deterministic(), QUAD, 1, seed=1)
+    log = run_experiment(BellDeterministic(), QUAD, 1, seed=1)
     assert len(log) == 1
     assert np.array_equal(log.t, [0])
     assert log.a[0] in (-1, 1) and log.b[0] in (-1, 1)
 
 
 def test_same_arguments_identical_logs():
-    a = run_experiment(bell_deterministic(), QUAD, 5_000, seed=7)
-    b = run_experiment(bell_deterministic(), QUAD, 5_000, seed=7)
+    a = run_experiment(BellDeterministic(), QUAD, 5_000, seed=7)
+    b = run_experiment(BellDeterministic(), QUAD, 5_000, seed=7)
     assert a == b
 
 
 def test_parallelism_invariance():
-    spec = factorizable_instrument(0.3)
+    spec = FactorizableInstrument(epsilon=0.3)
     one = run_experiment(spec, QUAD, 30_000, seed=9, threads=1)
     four = run_experiment(spec, QUAD, 30_000, seed=9, threads=4)
     assert one == four
@@ -56,10 +56,10 @@ def test_threads_env_var(monkeypatch):
         resolve_threads(0)
 
 
-def test_thread_count_is_capped_at_core_count(monkeypatch):
-    # A serial stand-in for the pool records what the runner asks for and
-    # starts no thread, so the uncapped request is never made for real. The
-    # block size is patched small so that there are more blocks than cores.
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """A serial stand-in for the runner's pool: it records the worker count and
+    the number of blocks of each pooled run, and starts no thread."""
     requested, blocks = [], []
 
     class SerialPool:
@@ -77,9 +77,16 @@ def test_thread_count_is_capped_at_core_count(monkeypatch):
             blocks.append(len(items))
             return map(fn, items)
 
-    spec = factorizable_instrument(0.3)
-    serial = run_experiment(spec, QUAD, 1_000, seed=5, threads=1)
     monkeypatch.setattr(simulate, "ThreadPoolExecutor", SerialPool)
+    return requested, blocks
+
+
+def test_thread_count_is_capped_at_core_count(monkeypatch, serial_pool):
+    # The stand-in pool never makes the uncapped request for real. The block
+    # size is patched small so that there are more blocks than cores.
+    requested, blocks = serial_pool
+    spec = FactorizableInstrument(epsilon=0.3)
+    serial = run_experiment(spec, QUAD, 1_000, seed=5, threads=1)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
     monkeypatch.setattr(simulate, "_BLOCK_TRIALS", 100)
     before = threading.active_count()
@@ -89,8 +96,20 @@ def test_thread_count_is_capped_at_core_count(monkeypatch):
     assert capped == serial
 
 
+def test_run_shorter_than_a_block_per_worker_is_split_over_the_workers(monkeypatch, serial_pool):
+    # 50,000 trials (one --sweep point) fit in one full block; at two threads
+    # on two cores they are cut into one block per worker.
+    requested, blocks = serial_pool
+    spec = FactorizableInstrument(epsilon=0.3)
+    serial = run_experiment(spec, QUAD, 50_000, seed=5, threads=1)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+    split = run_experiment(spec, QUAD, 50_000, seed=5, threads=2)
+    assert requested == [2] and blocks == [2]
+    assert split == serial
+
+
 def test_pair_choice_uniformity():
-    log = run_experiment(bell_deterministic(), QUAD, 1_000_000, seed=13)
+    log = run_experiment(BellDeterministic(), QUAD, 1_000_000, seed=13)
     counts = np.bincount(log.pair_id, minlength=4)
     n = len(log)
     sd = math.sqrt(n * 0.25 * 0.75)
@@ -99,7 +118,7 @@ def test_pair_choice_uniformity():
 
 
 def test_trial_records_match_pair_settings():
-    log = run_experiment(bell_deterministic(), QUAD, 200, seed=5)
+    log = run_experiment(BellDeterministic(), QUAD, 200, seed=5)
     pairs = chsh_pairs(QUAD)
     assert np.array_equal(log.setting_1, [pairs[p][0].angle for p in log.pair_id])
     assert np.array_equal(log.setting_2, [pairs[p][1].angle for p in log.pair_id])
@@ -108,14 +127,14 @@ def test_trial_records_match_pair_settings():
 
 def test_n_trials_validation():
     with pytest.raises(InvalidSpec):
-        run_experiment(bell_deterministic(), QUAD, 0, seed=1)
+        run_experiment(BellDeterministic(), QUAD, 0, seed=1)
 
 
 # --- estimates ---------------------------------------------------------------
 
 
 def test_equal_settings_estimate_is_exactly_minus_one():
-    log = run_pairs(bell_deterministic(), [(Setting(0.7), Setting(0.7))], 5_000, seed=3)
+    log = run_pairs(BellDeterministic(), [(Setting(0.7), Setting(0.7))], 5_000, seed=3)
     (est,) = estimate_correlations(log)
     assert est.mean == -1.0
     assert est.std_error == 0.0
@@ -124,7 +143,7 @@ def test_equal_settings_estimate_is_exactly_minus_one():
 
 def test_calibration_estimate_within_band():
     theta = math.pi / 4
-    log = run_pairs(bell_deterministic(), [(Setting(0.0), Setting(theta))], 200_000, seed=17)
+    log = run_pairs(BellDeterministic(), [(Setting(0.0), Setting(theta))], 200_000, seed=17)
     (est,) = estimate_correlations(log)
     expected = -1.0 + 2.0 * theta / math.pi
     assert abs(est.mean - expected) < 4 * est.std_error
@@ -166,27 +185,20 @@ def test_chsh_statistic_algebra():
         chsh_statistic([est(0, 0.0)])
 
 
-def test_chsh_statistic_carries_flags():
-    ests = [CorrelationEstimate(i, 0.0, 0.0, 10) for i in range(4)]
-    stat = chsh_statistic(ests, {"setting_dependent_distribution": True})
-    assert stat.flags == {"setting_dependent_distribution": True}
-    assert chsh_statistic(ests).flags == {}
-
-
 def test_chsh_on_canonical_quad_within_band():
-    spec = bell_deterministic()
+    spec = BellDeterministic()
     log = run_experiment(spec, QUAD, 200_000, seed=23)
     estimates = estimate_correlations(log)
     # closed forms at relative angles (135, 45, 45, 45) degrees
     for est, expected in zip(estimates, (0.5, -0.5, -0.5, -0.5)):
         assert abs(est.mean - expected) < 4 * est.std_error, est
-    stat = chsh_statistic(estimates, spec.flags)
+    stat = chsh_statistic(estimates)
     assert abs(stat.value - 2.0) < 4 * stat.std_error
 
 
 @pytest.mark.parametrize(
     "spec",
-    [bell_deterministic(), factorizable_instrument(0.3), bell_deterministic(DiscreteSource.uniform(16))],
+    [BellDeterministic(), FactorizableInstrument(epsilon=0.3), BellDeterministic(DiscreteSource.uniform(16))],
     ids=["sign-model", "noisy", "discrete"],
 )
 @pytest.mark.parametrize("quad_deg", [(0, 45, 135, 90), (0, 45, 10, 90)], ids=["saturating", "mixed"])
@@ -194,7 +206,7 @@ def test_statistical_bound_for_factorizable_models(spec, quad_deg):
     # statistical form of the local bound: value <= 2 + 4 sigma at N = 1e6
     quad = SettingQuad.from_degrees(*quad_deg)
     log = run_experiment(spec, quad, 1_000_000, seed=101)
-    stat = chsh_statistic(estimate_correlations(log), spec.flags)
+    stat = chsh_statistic(estimate_correlations(log))
     assert stat.value <= 2.0 + 4 * stat.std_error
 
 
@@ -203,7 +215,7 @@ def test_statistical_bound_for_factorizable_models(spec, quad_deg):
 
 def test_bell_statistic_collapses_at_equal_settings():
     s = Setting(0.4)
-    stat = bell_statistic(bell_deterministic(), s, s, s, 1_000, seed=5)
+    stat = bell_statistic(BellDeterministic(), s, s, s, 1_000, seed=5)
     assert stat.lhs == 0.0
     assert stat.rhs == 0.0
     assert stat.margin == 0.0
@@ -212,7 +224,7 @@ def test_bell_statistic_collapses_at_equal_settings():
 def test_bell_statistic_holds_for_deterministic_model():
     # angles (0, pi/3, 2pi/3): the closed forms make lhs = rhs = 2/3, margin 0
     stat = bell_statistic(
-        bell_deterministic(), Setting(0.0), Setting(math.pi / 3), Setting(2 * math.pi / 3), 200_000, seed=29
+        BellDeterministic(), Setting(0.0), Setting(math.pi / 3), Setting(2 * math.pi / 3), 200_000, seed=29
     )
     assert stat.margin >= -4 * stat.std_error
     assert stat.lhs == pytest.approx(2 / 3, abs=4 * stat.std_error)
@@ -222,16 +234,16 @@ def test_bell_statistic_holds_for_deterministic_model():
 def test_bell_statistic_refuses_without_anticorrelation():
     with pytest.raises(AnticorrelationViolated):
         bell_statistic(
-            factorizable_instrument(0.5), Setting(0.0), Setting(1.0), Setting(2.0), 1_000, seed=31
+            FactorizableInstrument(epsilon=0.5), Setting(0.0), Setting(1.0), Setting(2.0), 1_000, seed=31
         )
 
 
 # --- serialization ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("source", [None, DiscreteSource.uniform(16)], ids=["angle", "discrete"])
+@pytest.mark.parametrize("source", [UniformAngleSource(), DiscreteSource.uniform(16)], ids=["angle", "discrete"])
 def test_csv_round_trip_bit_identical(tmp_path, source):
-    spec = bell_deterministic(source)
+    spec = BellDeterministic(source)
     # two full blocks of the writer and a partial third
     log = run_experiment(spec, QUAD, 2 * simulate._CSV_BLOCK_ROWS + 3, seed=37)
     path = tmp_path / "log.csv"
@@ -246,7 +258,7 @@ def test_csv_round_trip_bit_identical(tmp_path, source):
 
 
 def test_csv_header_frozen(tmp_path):
-    log = run_experiment(bell_deterministic(), QUAD, 2, seed=1)
+    log = run_experiment(BellDeterministic(), QUAD, 2, seed=1)
     path = tmp_path / "log.csv"
     log.to_csv(path)
     header = path.read_text().splitlines()[0]
@@ -255,7 +267,7 @@ def test_csv_header_frozen(tmp_path):
 
 def test_csv_reload_keeps_four_pairs_when_one_is_never_drawn(tmp_path):
     # pair 3 is never drawn in these eight trials (pair counts 2, 3, 3, 0)
-    log = run_experiment(bell_deterministic(DiscreteSource.uniform(4)), QUAD, 8, seed=16)
+    log = run_experiment(BellDeterministic(DiscreteSource.uniform(4)), QUAD, 8, seed=16)
     assert np.bincount(log.pair_id, minlength=4).tolist() == [2, 3, 3, 0]
     path = tmp_path / "log.csv"
     log.to_csv(path)
@@ -309,7 +321,7 @@ def _cell(header, text):
 )
 def test_csv_reader_rejects_malformed_rows(tmp_path, line, edit, source):
     path = tmp_path / "log.csv"
-    run_experiment(bell_deterministic(source), QUAD, 5, seed=1).to_csv(path)
+    run_experiment(BellDeterministic(source or ANGLE), QUAD, 5, seed=1).to_csv(path)
     lines = path.read_text().splitlines()
     lines[line - 1] = ",".join(edit(lines[line - 1].split(",")))
     path.write_text("\n".join(lines) + "\n")

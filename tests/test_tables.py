@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from bell_lab.core import CHSH_SIGNS, SettingQuad
 from bell_lab.errors import ContinuousLambdaUnorderable
 from bell_lab.models import (
+    BellDeterministic,
     DiscreteSource,
-    bell_deterministic,
-    factorizable_instrument,
-    setting_pair_dependent,
-    time_tagged_anticorrelated,
+    FactorizableInstrument,
+    SettingPairDependent,
+    TimeTaggedAnticorrelated,
 )
 from bell_lab.simulate import TrialLog, chsh_statistic, estimate_correlations, run_experiment
 from bell_lab.tables import (
@@ -65,7 +65,7 @@ def test_four_matching_trials_make_one_row():
 
 
 def test_partition_property():
-    spec = bell_deterministic(DiscreteSource.uniform(8))
+    spec = BellDeterministic(DiscreteSource.uniform(8))
     for n in (1, 97, 20_000):
         log = run_experiment(spec, QUAD, n, seed=43)
         table = build_reordered_table(log, KeyMode.LAMBDA_ONLY)
@@ -121,7 +121,7 @@ def _first_fit_rows(pair_ids, lams, signed):
 def test_rows_match_first_fit_oracle_on_a_run():
     # A run long enough that every (lambda, pair) group holds trials of both
     # signs, so any reordering inside a group shows up in the cells.
-    spec = factorizable_instrument(0.5, DiscreteSource.uniform(4))
+    spec = FactorizableInstrument(DiscreteSource.uniform(4), epsilon=0.5)
     log = run_experiment(spec, MIXED_QUAD, 3_000, seed=41)
     table = build_reordered_table(log, KeyMode.LAMBDA_ONLY)
     pair_ids = log.pair_id.tolist()
@@ -133,7 +133,7 @@ def test_rows_match_first_fit_oracle_on_a_run():
 def test_leftover_count_matches_counting_oracle():
     # Independent oracle: the greedy matcher consumes min-over-pairs rows per
     # lambda, so leftovers = sum_lam (n_lam - 4 * min_k count(lam, k)).
-    spec = bell_deterministic(DiscreteSource.uniform(8))
+    spec = BellDeterministic(DiscreteSource.uniform(8))
     log = run_experiment(spec, QUAD, 20_000, seed=47)
     table = build_reordered_table(log, KeyMode.LAMBDA_ONLY)
     lam = log.lam.astype(int)
@@ -145,7 +145,7 @@ def test_leftover_count_matches_counting_oracle():
 
 
 def test_row_sums_pm2_for_deterministic_model():
-    spec = bell_deterministic(DiscreteSource.uniform(8))
+    spec = BellDeterministic(DiscreteSource.uniform(8))
     log = run_experiment(spec, MIXED_QUAD, 20_000, seed=53)
     table = build_reordered_table(log, KeyMode.LAMBDA_ONLY)
     values = {s.value for s in row_sums(table) if isinstance(s, Sum)}
@@ -154,19 +154,19 @@ def test_row_sums_pm2_for_deterministic_model():
 
 
 def test_table_mean_tracks_statistic():
-    spec = bell_deterministic(DiscreteSource.uniform(8))
+    spec = BellDeterministic(DiscreteSource.uniform(8))
     log = run_experiment(spec, MIXED_QUAD, 40_000, seed=59)
     table = build_reordered_table(log, KeyMode.LAMBDA_ONLY)
     sums = [s.value for s in row_sums(table) if isinstance(s, Sum)]
     table_mean = sum(sums) / len(sums)
     assert -2.0 <= table_mean <= 2.0
-    stat = chsh_statistic(estimate_correlations(log), spec.flags)
+    stat = chsh_statistic(estimate_correlations(log))
     assert abs(table_mean - stat.value) < 4 * stat.std_error
 
 
 def test_setting_pair_dependent_rows_reach_four():
     # the escape: reordered rows of the diagnostic model sum to +4
-    spec = setting_pair_dependent(DiscreteSource.uniform(2))
+    spec = SettingPairDependent(DiscreteSource.uniform(2))
     log = run_experiment(spec, QUAD, 4_000, seed=61)
     table = build_reordered_table(log, KeyMode.LAMBDA_ONLY)
     assert table.complete_rows > 0
@@ -176,11 +176,11 @@ def test_setting_pair_dependent_rows_reach_four():
 
 def test_lambda_time_obstruction():
     specs = [
-        bell_deterministic(),
-        bell_deterministic(DiscreteSource.uniform(4)),
-        factorizable_instrument(0.5),
-        time_tagged_anticorrelated(),
-        setting_pair_dependent(),
+        BellDeterministic(),
+        BellDeterministic(DiscreteSource.uniform(4)),
+        FactorizableInstrument(epsilon=0.5),
+        TimeTaggedAnticorrelated(),
+        SettingPairDependent(),
     ]
     for spec in specs:
         for n in (1, 1_000):
@@ -195,7 +195,7 @@ def test_lambda_time_obstruction():
 
 
 def test_lambda_time_keys_are_unique():
-    log = run_experiment(bell_deterministic(DiscreteSource.uniform(2)), QUAD, 500, seed=71)
+    log = run_experiment(BellDeterministic(DiscreteSource.uniform(2)), QUAD, 500, seed=71)
     table = build_reordered_table(log, KeyMode.LAMBDA_TIME)
     assert table.t is not None
     assert table.lam.dtype == np.int64 and table.t.dtype == np.int64
@@ -204,7 +204,7 @@ def test_lambda_time_keys_are_unique():
 
 
 def test_continuous_lambda_refused():
-    log = run_experiment(bell_deterministic(), QUAD, 100, seed=73)
+    log = run_experiment(BellDeterministic(), QUAD, 100, seed=73)
     with pytest.raises(ContinuousLambdaUnorderable):
         build_reordered_table(log, KeyMode.LAMBDA_ONLY)
     with pytest.raises(ContinuousLambdaUnorderable):
@@ -225,7 +225,7 @@ def test_undefined_cannot_become_a_number():
 
 
 def test_lln_balance_check():
-    spec = bell_deterministic(DiscreteSource.uniform(4))
+    spec = BellDeterministic(DiscreteSource.uniform(4))
     log = run_experiment(spec, QUAD, 400_000, seed=79)
     report = lln_balance_check(log)
     assert set(report.per_key_pair_counts) == {0, 1, 2, 3}
@@ -235,7 +235,7 @@ def test_lln_balance_check():
 
 
 def test_lln_single_lambda_reduces_to_pair_counts():
-    spec = bell_deterministic(DiscreteSource((1.0,)))
+    spec = BellDeterministic(DiscreteSource((1.0,)))
     log = run_experiment(spec, QUAD, 10_000, seed=83)
     report = lln_balance_check(log)
     assert list(report.per_key_pair_counts) == [0]
@@ -253,7 +253,7 @@ def test_lln_flags_adversarial_log():
 
 
 def test_json_round_trip():
-    spec = bell_deterministic(DiscreteSource.uniform(4))
+    spec = BellDeterministic(DiscreteSource.uniform(4))
     log = run_experiment(spec, QUAD, 200, seed=89)
     for mode in (KeyMode.LAMBDA_ONLY, KeyMode.LAMBDA_TIME):
         table = build_reordered_table(log, mode)
@@ -271,7 +271,7 @@ def test_json_round_trip():
 
 
 def test_json_cell_tags_explicit():
-    log = run_experiment(bell_deterministic(DiscreteSource.uniform(2)), QUAD, 40, seed=97)
+    log = run_experiment(BellDeterministic(DiscreteSource.uniform(2)), QUAD, 40, seed=97)
     obj = table_to_json_obj(build_reordered_table(log, KeyMode.LAMBDA_TIME))
     cells = np.asarray(obj["cells"])
     assert cells.shape == (40, 4)
@@ -281,7 +281,7 @@ def test_json_cell_tags_explicit():
 
 
 def test_render_table_views():
-    spec = bell_deterministic(DiscreteSource.uniform(2))
+    spec = BellDeterministic(DiscreteSource.uniform(2))
     log = run_experiment(spec, QUAD, 400, seed=101)
     t12 = render_table(build_reordered_table(log, KeyMode.LAMBDA_ONLY), max_rows=6)
     assert "lam=" in t12
