@@ -9,7 +9,7 @@ Exit codes are fixed and scriptable:
 
 * 0 — success (a bound VIOLATION verdict is a result, not an error)
 * 2 — invalid config, thread count, oracle or table argument or input file,
-  or an output path that cannot be written
+  an output path that cannot be written, or a run too large for memory
 * 3 — model error or failed premise (e.g. anticorrelation pilot)
 * 4 — table precondition (lambda-keyed reordering of a continuous source)
 * 5 — enumeration size guard
@@ -62,6 +62,7 @@ from .simulate import (
     run_experiment,
     run_experiment_products,
     run_pair_products,
+    three_setting_statistic,
 )
 from .tables import (
     KeyMode,
@@ -462,30 +463,23 @@ def cmd_check(args) -> int:
 
     if args.quantum_reference:
         # Exact singlet reference: no sampling, zero standard error.
-        chsh_value = singlet_chsh(quad)
-        chsh_se = 0.0
-        estimates = [
-            CorrelationEstimate(i, singlet_correlation(s1, s2), 0.0, 0)
-            for i, (s1, s2, _sign) in enumerate(chsh_pairs(quad))
-        ]
-        report["estimates"] = _estimates_json(cfg, estimates)
-        e_ab = singlet_correlation(quad.a, quad.b)
-        e_ac = singlet_correlation(quad.a, quad.c)
-        e_bc = singlet_correlation(quad.b, quad.c)
-        lhs, rhs, bell_se = abs(e_ab - e_ac), 1.0 + e_bc, 0.0
+        def exact(pairs):
+            return [CorrelationEstimate(i, singlet_correlation(s1, s2), 0.0, 0) for i, (s1, s2) in enumerate(pairs)]
+
+        estimates = exact((s1, s2) for s1, s2, _sign in chsh_pairs(quad))
+        bell = three_setting_statistic(*exact([(quad.a, quad.b), (quad.a, quad.c), (quad.b, quad.c)]))
         flags = {"setting_dependent_distribution": False}
     else:
         # The products are not kept: the three-setting run below allocates its own.
         estimates = estimate_correlations(
             run_experiment_products(cfg.model, quad, cfg.n_trials, cfg.seed, threads=threads)
         )
-        stat = chsh_statistic(estimates)
-        chsh_value, chsh_se, flags = stat.value, stat.std_error, cfg.model.flags
-        report["estimates"] = _estimates_json(cfg, estimates)
         bell = bell_statistic(cfg.model, quad.a, quad.b, quad.c, cfg.n_trials, cfg.seed, threads=threads)
-        lhs, rhs, bell_se = bell.lhs, bell.rhs, bell.std_error
-
-    margin = rhs - lhs
+        flags = cfg.model.flags
+    report["estimates"] = _estimates_json(cfg, estimates)
+    stat = chsh_statistic(estimates)
+    lhs, rhs, margin, bell_se = bell.lhs, bell.rhs, bell.margin, bell.std_error
+    chsh_value, chsh_se = stat.value, stat.std_error
     bell_ok = margin >= -SIGMA_BAND * bell_se
     chsh_excess = abs(chsh_value) - CHSH_LOCAL_BOUND
     chsh_ok = chsh_excess <= SIGMA_BAND * chsh_se
@@ -747,6 +741,10 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:  # unreadable inputs are ConfigErrors: this is an output write
         print(f"output error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # e.g. n_trials or model.source.size too large to allocate
+        detail = str(exc) or "allocation failed"
+        print(f"memory error: not enough memory for this run ({detail})", file=sys.stderr)
         return 2
     except AnticorrelationViolated as exc:
         print(

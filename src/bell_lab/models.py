@@ -2,14 +2,15 @@
 
 Each shipped family is one ``ModelSpec`` subclass holding its config ``name``,
 its parameters (dataclass fields after ``source``) and its two vectorized laws,
-instrument value and outcome; the class is the family's one constructor.
-``FAMILIES`` maps each name to its class: ``BellDeterministic``,
-``FactorizableInstrument``, ``TimeTaggedAnticorrelated`` and
-``SettingPairDependent``. Randomness enters only through ``source_arrays`` and
-the instrument law. ``trial_arrays`` is the one trial kernel (tick t = index,
+the ``ModelFamily`` methods ``instrument_arrays`` and ``outcome_arrays``;
+``ModelSpec.source_arrays`` is the source law they share. The class is the
+family's one constructor. ``FAMILIES`` maps each name to its class:
+``BellDeterministic``, ``FactorizableInstrument``, ``TimeTaggedAnticorrelated``
+and ``SettingPairDependent``. Randomness enters only through the source and
+instrument laws. ``trial_arrays`` is the one trial kernel (tick t = index,
 source, two instruments, two outcomes): the runner's blocks and the
-equal-settings pilot both call it, so both accept any ``ModelFamily``, shipped
-or not.
+equal-settings pilot both call it, and it reaches every family, shipped or
+not, through the module-level dispatchers of the same three names.
 """
 
 from __future__ import annotations
@@ -80,7 +81,8 @@ SourceDistribution = DiscreteSource | UniformAngleSource
 @dataclass(frozen=True)
 class ModelSpec:
     """A shipped model family: a subclass sets ``name``, declares its parameters as
-    dataclass fields after ``source`` and implements ``instrument_law`` and ``outcome_law``."""
+    dataclass fields after ``source`` and implements ``instrument_arrays`` and
+    ``outcome_arrays``. ``source_arrays`` is the source law of every shipped family."""
 
     name: ClassVar[str]  # the config file's model.kind
     setting_dependent_distribution: ClassVar[bool] = False  # the flagged non-factorizable diagnostic
@@ -104,17 +106,22 @@ class ModelSpec:
     def flags(self) -> dict[str, bool]:
         return {"setting_dependent_distribution": self.setting_dependent_distribution}
 
-    # The ModelFamily methods (typed on the protocol). Each calls the
-    # module-level kernel of the same name, looked up at call time.
-
     def source_arrays(self, seed, indices):
-        return source_arrays(self, seed, indices)
+        """Sample the source value for each trial index.
 
-    def instrument_arrays(self, seed, indices, t, theta_local, station, pair_id=None):
-        return instrument_arrays(self, seed, indices, t, theta_local, station, pair_id=pair_id)
-
-    def outcome_arrays(self, station, theta_local, lam_angle, ip):
-        return outcome_arrays(self, station, theta_local, lam_angle, ip)
+        Returns (lam_repr, lam_angle): the logged representation (discrete index
+        as a float, or the angle itself) and the angle fed to the detectors.
+        """
+        u = rng.uniforms(seed, "source", indices)
+        if isinstance(self.source, DiscreteSource):
+            cumulative = np.cumsum(self.source.weights)
+            idx = np.minimum(
+                np.searchsorted(cumulative, u, side="right"),
+                len(cumulative) - 1,
+            )
+            return idx.astype(np.float64), midpoint_angles(idx, self.source.size)
+        angle = u * TAU
+        return angle, angle
 
 
 @dataclass(frozen=True)
@@ -123,10 +130,10 @@ class BellDeterministic(ModelSpec):
 
     name = "bell_deterministic"
 
-    def instrument_law(self, seed, indices, t, theta_local, station, pair_id):
-        return np.zeros(np.broadcast(np.asarray(indices), np.asarray(t)).shape, dtype=np.float64)
+    def instrument_arrays(self, seed, t, theta_local, station, pair_id=None):
+        return np.zeros(np.shape(t))
 
-    def outcome_law(self, station, theta_local, lam_angle, ip):
+    def outcome_arrays(self, station, theta_local, lam_angle, ip):
         return sign_law(station, theta_local, lam_angle)
 
 
@@ -144,10 +151,10 @@ class FactorizableInstrument(ModelSpec):
         if not (math.isfinite(self.epsilon) and 0.0 <= self.epsilon <= 1.0):
             raise InvalidSpec(f"epsilon must be in [0, 1], got {self.epsilon!r}")
 
-    def instrument_law(self, seed, indices, t, theta_local, station, pair_id):
-        return rng.uniforms(seed, f"ip.{station.value}", indices)
+    def instrument_arrays(self, seed, t, theta_local, station, pair_id=None):
+        return rng.uniforms(seed, f"ip.{station.value}", t)
 
-    def outcome_law(self, station, theta_local, lam_angle, ip):
+    def outcome_arrays(self, station, theta_local, lam_angle, ip):
         ip = np.asarray(ip)
         coin = np.where(ip < self.epsilon / 2.0, 1, -1).astype(np.int8)
         return np.where(ip < self.epsilon, coin, sign_law(station, theta_local, lam_angle))
@@ -161,10 +168,10 @@ class TimeTaggedAnticorrelated(ModelSpec):
 
     name = "time_tagged_anticorrelated"
 
-    def instrument_law(self, seed, indices, t, theta_local, station, pair_id):
+    def instrument_arrays(self, seed, t, theta_local, station, pair_id=None):
         return rng.uniforms(seed, "ttac.flip", np.asarray(t), draw=quantize_angle(theta_local))
 
-    def outcome_law(self, station, theta_local, lam_angle, ip):
+    def outcome_arrays(self, station, theta_local, lam_angle, ip):
         flip = np.where(np.asarray(ip) < 0.5, 1, -1).astype(np.int8)
         return flip * sign_law(station, theta_local, lam_angle)
 
@@ -178,7 +185,7 @@ class SettingPairDependent(ModelSpec):
     name = "setting_pair_dependent"
     setting_dependent_distribution = True
 
-    def instrument_law(self, seed, indices, t, theta_local, station, pair_id):
+    def instrument_arrays(self, seed, t, theta_local, station, pair_id=None):
         if pair_id is None:
             raise InvalidSpec(
                 "setting_pair_dependent instruments need the trial's setting pair; "
@@ -186,7 +193,7 @@ class SettingPairDependent(ModelSpec):
             )
         return np.asarray(pair_id, dtype=np.float64) / 4.0
 
-    def outcome_law(self, station, theta_local, lam_angle, ip):
+    def outcome_arrays(self, station, theta_local, lam_angle, ip):
         ip = np.asarray(ip)
         if station is Station.S1:
             return np.ones(ip.shape, dtype=np.int8)
@@ -199,7 +206,7 @@ FAMILIES: dict[str, type[ModelSpec]] = {family.name: family for family in _SHIPP
 
 # --- Model laws --------------------------------------------------------------
 #
-# The midpoint grid and the sign tie rule. The kernels below and the exact
+# The midpoint grid and the sign tie rule. The laws above and the exact
 # oracle's discretization both call them, so simulation and exact integration
 # see identical detector inputs.
 
@@ -222,27 +229,10 @@ def sign_law(station: Station, theta_local: np.ndarray, lam_angle: np.ndarray) -
 
 # --- Vectorized kernels ------------------------------------------------------
 #
-# The source law, thin dispatchers to each family's two laws, and the trial
-# kernel that calls them. bench/layers.py wraps the first three by name, so
-# renaming one is a benchmark change.
-
-
-def source_arrays(spec: ModelSpec, seed: int, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sample the source value for each trial index.
-
-    Returns (lam_repr, lam_angle): the logged representation (discrete index
-    as a float, or the angle itself) and the angle fed to the detectors.
-    """
-    u = rng.uniforms(seed, "source", indices)
-    if isinstance(spec.source, DiscreteSource):
-        cumulative = np.cumsum(spec.source.weights)
-        idx = np.minimum(
-            np.searchsorted(cumulative, u, side="right"),
-            len(cumulative) - 1,
-        )
-        return idx.astype(np.float64), midpoint_angles(idx, spec.source.size)
-    angle = u * TAU
-    return angle, angle
+# One dispatcher per law, each calling the family's method of the same name,
+# and the trial kernel that calls them: every family, shipped or custom,
+# reaches its laws through these. bench/layers.py wraps the three dispatchers
+# by name, so renaming one is a benchmark change.
 
 
 def quantize_angle(theta: np.ndarray) -> np.ndarray:
@@ -250,39 +240,43 @@ def quantize_angle(theta: np.ndarray) -> np.ndarray:
     return np.round(np.asarray(theta, dtype=np.float64) / _ANGLE_QUANTUM).astype(np.uint64)
 
 
+def source_arrays(spec: ModelFamily, seed: int, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lam_repr, lam_angle), one pair per trial index: the family's source law."""
+    return spec.source_arrays(seed, indices)
+
+
 def instrument_arrays(
-    spec: ModelSpec,
+    spec: ModelFamily,
     seed: int,
-    indices: np.ndarray,
     t: np.ndarray,
     theta_local: np.ndarray,
     station: Station,
     pair_id: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Instrument parameter values in [0, 1), one per trial: the family's instrument law."""
-    return spec.instrument_law(seed, indices, t, theta_local, station, pair_id)
+    """Instrument parameter values in [0, 1), one per tick: the family's instrument law."""
+    return spec.instrument_arrays(seed, t, theta_local, station, pair_id)
 
 
 def outcome_arrays(
-    spec: ModelSpec,
+    spec: ModelFamily,
     station: Station,
     theta_local: np.ndarray,
     lam_angle: np.ndarray,
     ip: np.ndarray,
 ) -> np.ndarray:
     """Detector outputs (+1/-1 int8), one per trial: the family's outcome law."""
-    return spec.outcome_law(station, theta_local, lam_angle, ip)
+    return spec.outcome_arrays(station, theta_local, lam_angle, ip)
 
 
 def trial_arrays(spec: ModelFamily, seed: int, indices, theta1, theta2, pair_id: np.ndarray | None) -> tuple:
     """The one trial kernel, t = index: (lam_repr, ip1, ip2, a, b) from the family's
     source, instrument and outcome laws. ``pair_id`` is None outside a paired experiment."""
     t = indices
-    lam_repr, lam_angle = spec.source_arrays(seed, indices)
-    ip1 = spec.instrument_arrays(seed, indices, t, theta1, Station.S1, pair_id)
-    ip2 = spec.instrument_arrays(seed, indices, t, theta2, Station.S2, pair_id)
-    a = spec.outcome_arrays(Station.S1, theta1, lam_angle, ip1)
-    b = spec.outcome_arrays(Station.S2, theta2, lam_angle, ip2)
+    lam_repr, lam_angle = source_arrays(spec, seed, indices)
+    ip1 = instrument_arrays(spec, seed, t, theta1, Station.S1, pair_id)
+    ip2 = instrument_arrays(spec, seed, t, theta2, Station.S2, pair_id)
+    a = outcome_arrays(spec, Station.S1, theta1, lam_angle, ip1)
+    b = outcome_arrays(spec, Station.S2, theta2, lam_angle, ip2)
     return lam_repr, ip1, ip2, a, b
 
 
@@ -321,7 +315,7 @@ def check_anticorrelation(
 class ModelFamily(Protocol):
     """What the experiment runner needs from a model family.
 
-    ``ModelSpec`` implements it for the shipped families; any other object
+    The shipped ``ModelSpec`` subclasses implement it; any other object
     with these members runs through the same code path.
     """
 
@@ -330,13 +324,7 @@ class ModelFamily(Protocol):
     def source_arrays(self, seed: int, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]: ...
 
     def instrument_arrays(
-        self,
-        seed: int,
-        indices: np.ndarray,
-        t: np.ndarray,
-        theta_local: np.ndarray,
-        station: Station,
-        pair_id: np.ndarray | None,
+        self, seed: int, t: np.ndarray, theta_local: np.ndarray, station: Station, pair_id: np.ndarray | None = None
     ) -> np.ndarray: ...
 
     def outcome_arrays(

@@ -31,7 +31,8 @@ from .core import CHSH_SIGNS, Setting, SettingQuad, chsh_pairs
 from .errors import AnticorrelationViolated, InsufficientData, InvalidSpec
 from .models import ModelFamily, check_anticorrelation, trial_arrays
 
-_DEFAULT_PILOT_TRIALS = 1000
+# Length of the equal-settings pilot that bell_statistic runs first.
+_PILOT_TRIALS = 1000
 
 
 def resolve_threads(threads: int | None = None) -> int:
@@ -325,6 +326,17 @@ def chsh_statistic(estimates: list[CorrelationEstimate]) -> ChshStatistic:
     return ChshStatistic(value=value, std_error=std_error, per_pair=tuple(estimates))
 
 
+def three_setting_statistic(
+    e_ab: CorrelationEstimate, e_ac: CorrelationEstimate, e_bc: CorrelationEstimate
+) -> BellStatistic:
+    """lhs = |E(a,b) - E(a,c)|, rhs = 1 + E(b,c) and margin = rhs - lhs, with
+    propagated error: the three-setting inequality at three pair estimates."""
+    lhs = abs(e_ab.mean - e_ac.mean)
+    rhs = 1.0 + e_bc.mean
+    std_error = math.sqrt(e_ab.std_error**2 + e_ac.std_error**2 + e_bc.std_error**2)
+    return BellStatistic(lhs=lhs, rhs=rhs, margin=rhs - lhs, std_error=std_error, per_pair=(e_ab, e_ac, e_bc))
+
+
 def bell_statistic(
     spec: ModelFamily,
     a: Setting,
@@ -333,7 +345,6 @@ def bell_statistic(
     n_trials: int,
     seed: int,
     threads: int | None = None,
-    pilot_trials: int = _DEFAULT_PILOT_TRIALS,
 ) -> BellStatistic:
     """Three-setting inequality estimate |E(a,b) - E(a,c)| <= 1 - E(A_b A_c).
 
@@ -344,18 +355,8 @@ def bell_statistic(
     a shipped ModelSpec or a custom model family.
     """
     pilot_seed = int(rng.hash_words(seed, "pilot", 0))
-    pilot = check_anticorrelation(spec, [a, b, c], pilot_trials, pilot_seed)
+    pilot = check_anticorrelation(spec, [a, b, c], _PILOT_TRIALS, pilot_seed)
     if pilot.violations > 0:
         raise AnticorrelationViolated(pilot.violations, pilot.trials)
     products = run_pair_products(spec, [(a, b), (a, c), (b, c)], n_trials, seed, threads=threads)
-    e_ab, e_ac, e_bc = estimate_correlations(products)
-    lhs = abs(e_ab.mean - e_ac.mean)
-    rhs = 1.0 + e_bc.mean
-    std_error = math.sqrt(e_ab.std_error**2 + e_ac.std_error**2 + e_bc.std_error**2)
-    return BellStatistic(
-        lhs=lhs,
-        rhs=rhs,
-        margin=rhs - lhs,
-        std_error=std_error,
-        per_pair=(e_ab, e_ac, e_bc),
-    )
+    return three_setting_statistic(*estimate_correlations(products))

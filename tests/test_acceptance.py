@@ -120,7 +120,7 @@ def test_criterion_06_time_tagged_anticorrelation():
     idx = np.arange(1000, dtype=np.uint64)
     distinct_flips = set()
     for s in EIGHT_SETTINGS:
-        ips = instrument_arrays(spec, 606, idx, idx, np.full(1000, s.angle), Station.S1)
+        ips = instrument_arrays(spec, 606, idx, np.full(1000, s.angle), Station.S1)
         distinct_flips.update(np.unique(ips < 0.5).tolist())
     assert len(distinct_flips) == 2
     print("ACCEPTANCE 06 PASS - time-tagged model: 0 violations in 1e5 equal-setting trials; flip stream non-constant")

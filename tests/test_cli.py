@@ -256,6 +256,10 @@ def test_oracle_guard_exit_five(capsys):
         "enumerate-m-negative",
         "enumerate-one-setting",
         "tables-max-rows-negative",
+        "simulate-trials-1e15",
+        "check-trials-1e15",
+        "tables-trials-1e15",
+        "source-size-1e15",
     ],
 )
 def test_bad_threads_and_oracle_files_exit_two_without_traceback(tmp_path, case):
@@ -286,6 +290,12 @@ def test_bad_threads_and_oracle_files_exit_two_without_traceback(tmp_path, case)
     a_file = tmp_path / "a-file"
     a_file.write_text("")
     quad_args = ["--quad-deg", "0", "45", "135", "90"]
+    # 10**15 trials or source values exceed the address space: the allocation fails at once.
+    huge = write_cfg(tmp_path, MINIMAL.replace("n_trials = 1000", f"n_trials = {10**15}"), "huge.cfg")
+    huge_source = write_cfg(
+        tmp_path, MINIMAL + f"model.source.kind = discrete\nmodel.source.size = {10**15}\n", "huge-source.cfg"
+    )
+    memory = "memory error: not enough memory for this run"
 
     simulate = ["simulate", "--config", cfg]
     argv, env_threads, named = {
@@ -323,6 +333,10 @@ def test_bad_threads_and_oracle_files_exit_two_without_traceback(tmp_path, case)
         "enumerate-m-negative": (["oracle", "enumerate", "--m", "-3"], None, None),
         "enumerate-one-setting": (["oracle", "enumerate", "--m", "2", "--settings1", "1"], None, None),
         "tables-max-rows-negative": (["tables", "--config", cfg, "--max-rows", "-1"], None, None),
+        "simulate-trials-1e15": (["simulate", "--config", huge], None, memory),
+        "check-trials-1e15": (["check", "--config", huge], None, memory),
+        "tables-trials-1e15": (["tables", "--config", huge], None, memory),
+        "source-size-1e15": (["simulate", "--config", huge_source], None, memory),
     }[case]
     env = {k: v for k, v in os.environ.items() if k != "BELL_LAB_THREADS"}
     env["PYTHONPATH"] = str(Path(__file__).parents[1] / "src")

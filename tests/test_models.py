@@ -149,7 +149,7 @@ def test_discrete_lambda_feeds_midpoint_angle():
 
 def test_bell_deterministic_instruments_constant_zero():
     trials = np.asarray([0, 5, 999], dtype=np.uint64)
-    ip = instrument_arrays(BellDeterministic(), 7, trials, trials, np.full(3, 0.3), Station.S1)
+    ip = instrument_arrays(BellDeterministic(), 7, trials, np.full(3, 0.3), Station.S1)
     assert ip.tolist() == [0.0, 0.0, 0.0]
 
 
@@ -158,7 +158,7 @@ def test_instrument_values_canonical_range():
     theta = np.full(1000, 0.7)
     for spec in (FactorizableInstrument(epsilon=0.5), TimeTaggedAnticorrelated()):
         for station in (Station.S1, Station.S2):
-            ip = instrument_arrays(spec, 3, idx, idx, theta, station)
+            ip = instrument_arrays(spec, 3, idx, theta, station)
             assert ip.min() >= 0.0 and ip.max() < 1.0
 
 
@@ -185,8 +185,8 @@ def test_time_tagged_instruments_shared_at_equal_inputs():
     spec = TimeTaggedAnticorrelated()
     t = np.arange(10, dtype=np.uint64)
     theta = np.full(10, 0.5)
-    ip1 = instrument_arrays(spec, 4, t, t, theta, Station.S1)
-    ip2 = instrument_arrays(spec, 4, t, t, theta, Station.S2)
+    ip1 = instrument_arrays(spec, 4, t, theta, Station.S1)
+    ip2 = instrument_arrays(spec, 4, t, theta, Station.S2)
     assert np.array_equal(ip1, ip2)
 
 
@@ -194,10 +194,10 @@ def test_time_tagged_instruments_vary_with_setting_and_time():
     spec = TimeTaggedAnticorrelated()
     idx = np.arange(200, dtype=np.uint64)
     theta = np.full(200, 0.5)
-    flips_t = instrument_arrays(spec, 4, idx, idx, theta, Station.S1) < 0.5
+    flips_t = instrument_arrays(spec, 4, idx, theta, Station.S1) < 0.5
     assert len(np.unique(flips_t)) == 2  # varies with t
     theta2 = np.full(200, 1.5)
-    flips_s = instrument_arrays(spec, 4, idx, idx, theta2, Station.S1) < 0.5
+    flips_s = instrument_arrays(spec, 4, idx, theta2, Station.S1) < 0.5
     assert not np.array_equal(flips_t, flips_s)  # varies with setting
 
 
@@ -205,7 +205,7 @@ def test_setting_pair_dependent_requires_pair_context():
     spec = SettingPairDependent()
     zero = np.zeros(1, dtype=np.uint64)
     with pytest.raises(InvalidSpec):
-        instrument_arrays(spec, 1, zero, zero, np.zeros(1), Station.S1)
+        instrument_arrays(spec, 1, zero, np.zeros(1), Station.S1)
     with pytest.raises(InvalidSpec):
         check_anticorrelation(spec, [Setting(0.0)], 10, seed=1)
 
@@ -269,8 +269,8 @@ def test_scalar_api_reconstructs_logged_trials(spec):
         theta_1, theta_2 = log.setting_1[i : i + 1], log.setting_2[i : i + 1]
         lam, lam_angle = source_arrays(spec, seed, trial)
         assert lam[0] == log.lam[i]
-        ip1 = instrument_arrays(spec, seed, trial, t, theta_1, Station.S1, pair_id=pair_id)
-        ip2 = instrument_arrays(spec, seed, trial, t, theta_2, Station.S2, pair_id=pair_id)
+        ip1 = instrument_arrays(spec, seed, t, theta_1, Station.S1, pair_id=pair_id)
+        ip2 = instrument_arrays(spec, seed, t, theta_2, Station.S2, pair_id=pair_id)
         assert ip1[0] == log.ip_1[i]
         assert ip2[0] == log.ip_2[i]
         assert outcome_arrays(spec, Station.S1, theta_1, lam_angle, ip1)[0] == log.a[i]
@@ -291,10 +291,10 @@ class _CoinFamily:
         angle = rng.uniforms(seed, "source", indices) * (2 * math.pi)
         return angle, angle
 
-    def instrument_arrays(self, seed, indices, t, theta_local, station, pair_id=None):
+    def instrument_arrays(self, seed, t, theta_local, station, pair_id=None):
         from bell_lab import rng
 
-        return rng.uniforms(seed, f"coin.{station.value}", indices)
+        return rng.uniforms(seed, f"coin.{station.value}", t)
 
     def outcome_arrays(self, station, theta_local, lam_angle, ip):
         return np.where(np.asarray(ip) < 0.5, 1, -1).astype(np.int8)
@@ -317,3 +317,26 @@ def test_custom_family_runs_the_equal_settings_pilot():
     # independent coins give A != -B at equal settings on about half the pilot trials
     with pytest.raises(AnticorrelationViolated):
         bell_statistic(_CoinFamily(), *EIGHT_SETTINGS[:3], 1_000, seed=8)
+
+
+def test_custom_family_goes_through_the_module_dispatchers(monkeypatch):
+    # The runner and the pilot reach every family's laws through the three
+    # module-level dispatchers, so a custom family is traced like a shipped one.
+    from bell_lab import models
+
+    calls = {}
+
+    def counting(name, kernel):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return kernel(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("source_arrays", "instrument_arrays", "outcome_arrays"):
+        monkeypatch.setattr(models, name, counting(name, getattr(models, name)))
+    run_experiment(_CoinFamily(), QUAD, 100, seed=8, threads=1)
+    assert calls == {"source_arrays": 1, "instrument_arrays": 2, "outcome_arrays": 2}
+    calls.clear()
+    check_anticorrelation(_CoinFamily(), EIGHT_SETTINGS, 100, seed=8)
+    assert calls == {"source_arrays": 1, "instrument_arrays": 2, "outcome_arrays": 2}
