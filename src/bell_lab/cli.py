@@ -58,6 +58,7 @@ from .simulate import (
     bell_statistic,
     chsh_statistic,
     estimate_correlations,
+    prefix_correlations,
     resolve_threads,
     run_experiment,
     run_experiment_products,
@@ -387,11 +388,8 @@ def _write_convergence_csv(path: str, result: TrialLog | PairProducts) -> None:
     ns.append(len(result))
     with open(path, "w", newline="") as fh:
         fh.write("n_trials,chsh_value,chsh_std_error\n")
-        for n in ns:
-            try:
-                stat = chsh_statistic(estimate_correlations(result.head(n)))
-            except InsufficientData:
-                continue
+        for n, estimates in prefix_correlations(result, ns):
+            stat = chsh_statistic(estimates)
             fh.write(f"{n},{stat.value!r},{stat.std_error!r}\n")
 
 

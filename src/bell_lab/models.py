@@ -55,15 +55,20 @@ class DiscreteSource:
     """Finite source space with explicit weights over m values."""
 
     weights: tuple[float, ...]
+    # The cumulative weights, the sampler's lookup table: computed once per source.
+    cumulative: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_weights(self.weights, "source weights")
+        cumulative = np.cumsum(self.weights)
+        cumulative.flags.writeable = False
+        object.__setattr__(self, "cumulative", cumulative)
 
     @classmethod
     def uniform(cls, size: int) -> "DiscreteSource":
         if size < 1:
             raise InvalidSpec(f"discrete source size must be >= 1, got {size}")
-        return cls(tuple([1.0 / size] * size))
+        return cls((1.0 / size,) * size)
 
     @property
     def size(self) -> int:
@@ -114,11 +119,7 @@ class ModelSpec:
         """
         u = rng.uniforms(seed, "source", indices)
         if isinstance(self.source, DiscreteSource):
-            cumulative = np.cumsum(self.source.weights)
-            idx = np.minimum(
-                np.searchsorted(cumulative, u, side="right"),
-                len(cumulative) - 1,
-            )
+            idx = np.minimum(np.searchsorted(self.source.cumulative, u, side="right"), self.source.size - 1)
             return idx.astype(np.float64), midpoint_angles(idx, self.source.size)
         angle = u * TAU
         return angle, angle
@@ -156,8 +157,7 @@ class FactorizableInstrument(ModelSpec):
 
     def outcome_arrays(self, station, theta_local, lam_angle, ip):
         ip = np.asarray(ip)
-        coin = np.where(ip < self.epsilon / 2.0, 1, -1).astype(np.int8)
-        return np.where(ip < self.epsilon, coin, sign_law(station, theta_local, lam_angle))
+        return np.where(ip < self.epsilon, pm1(ip < self.epsilon / 2.0), sign_law(station, theta_local, lam_angle))
 
 
 @dataclass(frozen=True)
@@ -172,8 +172,7 @@ class TimeTaggedAnticorrelated(ModelSpec):
         return rng.uniforms(seed, "ttac.flip", np.asarray(t), draw=quantize_angle(theta_local))
 
     def outcome_arrays(self, station, theta_local, lam_angle, ip):
-        flip = np.where(np.asarray(ip) < 0.5, 1, -1).astype(np.int8)
-        return flip * sign_law(station, theta_local, lam_angle)
+        return pm1(np.asarray(ip) < 0.5) * sign_law(station, theta_local, lam_angle)
 
 
 @dataclass(frozen=True)
@@ -197,7 +196,7 @@ class SettingPairDependent(ModelSpec):
         ip = np.asarray(ip)
         if station is Station.S1:
             return np.ones(ip.shape, dtype=np.int8)
-        return np.where(ip < 0.25, 1, -1).astype(np.int8)
+        return pm1(ip < 0.25)
 
 
 _SHIPPED = (BellDeterministic, FactorizableInstrument, TimeTaggedAnticorrelated, SettingPairDependent)
@@ -206,9 +205,9 @@ FAMILIES: dict[str, type[ModelSpec]] = {family.name: family for family in _SHIPP
 
 # --- Model laws --------------------------------------------------------------
 #
-# The midpoint grid and the sign tie rule. The laws above and the exact
-# oracle's discretization both call them, so simulation and exact integration
-# see identical detector inputs.
+# The midpoint grid, the +/-1 outcome of a boolean and the sign tie rule. The
+# laws above and the exact oracle's discretization both call them, so
+# simulation and exact integration see identical detector inputs.
 
 
 def midpoint_angles(index: np.ndarray, size: int) -> np.ndarray:
@@ -216,9 +215,15 @@ def midpoint_angles(index: np.ndarray, size: int) -> np.ndarray:
     return TAU * (index + 0.5) / size
 
 
+def pm1(mask: np.ndarray) -> np.ndarray:
+    """+1 where ``mask`` is true and -1 where it is false, as int8."""
+    s = np.asarray(mask, dtype=np.bool_).view(np.int8)
+    return s + s - 1
+
+
 def pm1_signs(x: np.ndarray) -> np.ndarray:
     """Elementwise sign as +1/-1 int8, with the tie rule sign(0) := +1."""
-    return np.where(x >= 0.0, 1, -1).astype(np.int8)
+    return pm1(x >= 0.0)
 
 
 def sign_law(station: Station, theta_local: np.ndarray, lam_angle: np.ndarray) -> np.ndarray:

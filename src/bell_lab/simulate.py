@@ -15,6 +15,13 @@ complete.
 Logs are stored column-wise (numpy arrays), one array per logged column:
 51 bytes per trial. A report reads only each trial's pair and outcome product,
 so the report paths keep ``PairProducts``, 2 bytes per trial.
+
+Statistics split a run by pair once (``by_pair``), one block at a time, into
+each pair's products in trial order. A pair's mean is the exact integer sum of
+its products over its count, and its standard error takes numpy's own
+``std(ddof=1)`` steps on the same float64 values, so every estimate is bit-equal
+to numpy's ``mean`` and ``std``. The convergence prefixes read the same split:
+pair k's part of the first n trials is the first c_k(n) entries of its sequence.
 """
 
 from __future__ import annotations
@@ -22,7 +29,8 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -88,14 +96,15 @@ class TrialLog:
             np.array_equal(getattr(self, name), getattr(other, name)) for name in _COLUMNS
         )
 
-    def head(self, n: int) -> "TrialLog":
-        """The first ``n`` trials, as views of this log's columns."""
-        return replace(self, **{name: getattr(self, name)[:n] for name in _COLUMNS})
-
     @property
     def products(self) -> np.ndarray:
         """The outcome product A*B of each trial (int8)."""
         return self.a * self.b
+
+    @cached_property
+    def by_pair(self) -> tuple[np.ndarray, ...]:
+        """Each pair's outcome products in trial order: the log split by pair, once."""
+        return _split_by_pair(self.pair_id, self.products, self.n_pairs)
 
     # -- serialization --------------------------------------------------
 
@@ -109,7 +118,7 @@ class TrialLog:
             # a block of rows at a time bounds the text held in memory.
             for lo in range(0, len(self), _CSV_BLOCK_ROWS):
                 hi = min(lo + _CSV_BLOCK_ROWS, len(self))
-                cells = [map(str, range(lo, hi))] + [map(str, col[lo:hi].tolist()) for col in columns]
+                cells = [map(str, range(lo, hi))] + [_cell_texts(col[lo:hi]) for col in columns]
                 fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
     @classmethod
@@ -169,8 +178,23 @@ class PairProducts:
     def __len__(self) -> int:
         return len(self.pair_id)
 
-    def head(self, n: int) -> "PairProducts":
-        return replace(self, pair_id=self.pair_id[:n], products=self.products[:n])
+    @cached_property
+    def by_pair(self) -> tuple[np.ndarray, ...]:
+        """Each pair's outcome products in trial order: the run split by pair, once."""
+        return _split_by_pair(self.pair_id, self.products, self.n_pairs)
+
+
+def _cell_texts(values: np.ndarray):
+    """The CSV text of each value. When at most half of them are distinct, each
+    distinct value is formatted once and indexed; values are told apart by bit
+    pattern, so -0.0 and 0.0 keep their own text."""
+    bits = values.view(f"u{values.itemsize}")
+    ordered = np.sort(bits)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    if 2 * len(distinct) > len(bits):
+        return map(str, values.tolist())
+    texts = np.array([str(v) for v in distinct.view(values.dtype).tolist()], dtype=object)
+    return texts[np.searchsorted(distinct, bits)].tolist()
 
 
 def _reject_rows(bad: np.ndarray, what: str) -> None:
@@ -297,20 +321,78 @@ class BellStatistic:
     per_pair: tuple[CorrelationEstimate, ...]
 
 
+def _pair_counts(pair_id: np.ndarray, n_pairs: int) -> np.ndarray:
+    """Trials of each pair in ``pair_id`` (int64), counted one block at a time."""
+    counts = np.zeros(n_pairs, dtype=np.int64)
+    for lo in range(0, len(pair_id), _BLOCK_TRIALS):
+        block = pair_id[lo : lo + _BLOCK_TRIALS]
+        counts += [np.count_nonzero(block == pid) for pid in range(n_pairs)]
+    return counts
+
+
+def _split_by_pair(pair_id: np.ndarray, products: np.ndarray, n_pairs: int) -> tuple[np.ndarray, ...]:
+    """Each pair's products in trial order (int8, read-only). Works one block at a
+    time, a stable argsort of the block's pair_id and its pair counts, so no
+    index array is ever as long as the run."""
+    by_pair = [np.empty(count, dtype=np.int8) for count in _pair_counts(pair_id, n_pairs)]
+    filled = [0] * n_pairs
+    for lo in range(0, len(pair_id), _BLOCK_TRIALS):
+        block = pair_id[lo : lo + _BLOCK_TRIALS]
+        grouped = products[lo : lo + _BLOCK_TRIALS][np.argsort(block, kind="stable")]
+        start = 0
+        for pid, count in enumerate(_pair_counts(block, n_pairs).tolist()):
+            by_pair[pid][filled[pid] : filled[pid] + count] = grouped[start : start + count]
+            filled[pid] += count
+            start += count
+    for seq in by_pair:
+        seq.flags.writeable = False
+    return tuple(by_pair)
+
+
+def _estimate(pid: int, products: np.ndarray) -> CorrelationEstimate:
+    """Mean and standard error of one pair's +/-1 products, bit-equal to numpy's
+    ``p.mean()`` and ``p.std(ddof=1) / sqrt(n)`` of ``p = products.astype(float64)``.
+
+    A float64 sum of +/-1 values is an exact integer, so the mean is the exact
+    integer sum over the count. The rest are numpy's own steps for the
+    variance, in its order: subtract the mean, square, one pairwise sum.
+    """
+    count = len(products)
+    if count < 2:
+        raise InsufficientData(pid, count)
+    mean = int(np.add.reduce(products, dtype=np.int64)) / count
+    x = products.astype(np.float64)
+    x -= mean
+    np.square(x, out=x)
+    std_error = math.sqrt(np.add.reduce(x) / (count - 1)) / math.sqrt(count)
+    return CorrelationEstimate(pair_id=pid, mean=mean, std_error=std_error, count=count)
+
+
 def estimate_correlations(result: TrialLog | PairProducts) -> list[CorrelationEstimate]:
-    """Per-pair sample mean and standard error of the outcome product."""
-    products = result.products
-    estimates = []
-    for pid in range(result.n_pairs):
-        mask = result.pair_id == pid
-        count = int(np.count_nonzero(mask))
-        if count < 2:
-            raise InsufficientData(pid, count)
-        p = products[mask].astype(np.float64)
-        mean = float(p.mean())
-        std_error = float(p.std(ddof=1) / math.sqrt(count))
-        estimates.append(CorrelationEstimate(pair_id=pid, mean=mean, std_error=std_error, count=count))
-    return estimates
+    """Per-pair sample mean and standard error of the outcome product, from
+    the run's one split by pair."""
+    return [_estimate(pid, products) for pid, products in enumerate(result.by_pair)]
+
+
+def prefix_correlations(
+    result: TrialLog | PairProducts, lengths: list[int]
+) -> list[tuple[int, list[CorrelationEstimate]]]:
+    """``estimate_correlations`` of the first n trials, for each n of the increasing
+    ``lengths``, from the same split: pair k's part of a prefix is the first
+    c_k(n) entries of its sequence. A prefix with fewer than 2 trials of some
+    pair is left out."""
+    rows = []
+    counts = np.zeros(result.n_pairs, dtype=np.int64)
+    lo = 0
+    for n in lengths:
+        counts += _pair_counts(result.pair_id[lo:n], result.n_pairs)
+        lo = n
+        try:
+            estimates = [_estimate(pid, seq[:c]) for pid, (seq, c) in enumerate(zip(result.by_pair, counts.tolist()))]
+        except InsufficientData:
+            continue
+        rows.append((n, estimates))
+    return rows
 
 
 def chsh_statistic(estimates: list[CorrelationEstimate]) -> ChshStatistic:

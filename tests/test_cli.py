@@ -506,6 +506,29 @@ def test_plot_data_emission(tmp_path, capsys):
     assert conv_lines[-1].startswith("4000,")
 
 
+def test_convergence_rows_are_numpy_statistics_of_prefix_slices(tmp_path):
+    from bell_lab.core import SettingQuad
+    from bell_lab.simulate import CorrelationEstimate, chsh_statistic, run_experiment_products
+
+    text = MINIMAL.replace("bell_deterministic", "factorizable_instrument\nmodel.epsilon = 0.5")
+    conv = tmp_path / "conv.csv"
+    cfg = write_cfg(tmp_path, text)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path), "--convergence", str(conv)]) == 0
+    quad = SettingQuad.from_degrees(0, 45, 135, 90)
+    result = run_experiment_products(FAMILIES["factorizable_instrument"](epsilon=0.5), quad, 1000, seed=7)
+    rows = ["n_trials,chsh_value,chsh_std_error"]
+    for n in (16, 32, 64, 128, 256, 512, 1000):
+        per_pair = [result.products[:n][result.pair_id[:n] == pid].astype(np.float64) for pid in range(4)]
+        if min(map(len, per_pair)) < 2:
+            continue
+        stat = chsh_statistic(
+            [CorrelationEstimate(pid, float(p.mean()), float(p.std(ddof=1) / math.sqrt(len(p))), len(p))
+             for pid, p in enumerate(per_pair)]
+        )
+        rows.append(f"{n},{stat.value!r},{stat.std_error!r}")
+    assert conv.read_text().splitlines() == rows
+
+
 # --- reproducibility and golden formats ---------------------------------------------
 
 

@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bell_lab import simulate
 from bell_lab.core import Setting, SettingQuad, chsh_pairs
@@ -170,6 +172,55 @@ def test_insufficient_data():
     assert exc.value.pair_id == 1
 
 
+def _numpy_estimate(pid: int, products: np.ndarray) -> CorrelationEstimate:
+    """The reference: numpy's mean and std(ddof=1) of the products as float64."""
+    p = products.astype(np.float64)
+    return CorrelationEstimate(pid, float(p.mean()), float(p.std(ddof=1) / math.sqrt(len(p))), len(p))
+
+
+def _hex(estimates) -> list[tuple]:
+    return [(e.pair_id, e.mean.hex(), e.std_error.hex(), e.count) for e in estimates]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    length=st.sampled_from([*range(2, 10), 127, 128, 129, 2**16 - 1, 2**16 + 1]),
+    plus_fraction=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_estimate_is_numpy_mean_and_std_bit_for_bit(length, plus_fraction, seed):
+    # plus_fraction 0 and 1 give arrays whose entries are all equal
+    draw = np.random.default_rng(seed).random(length)
+    products = np.where(draw < plus_fraction, 1, -1).astype(np.int8)
+    result = simulate.PairProducts(pair_id=np.zeros(length, dtype=np.int8), products=products, n_pairs=1)
+    assert _hex(estimate_correlations(result)) == _hex([_numpy_estimate(0, products)])
+
+
+@pytest.mark.parametrize("block", [7, 64, simulate._BLOCK_TRIALS])
+def test_split_by_pair_keeps_each_pairs_trial_order(monkeypatch, block):
+    monkeypatch.setattr(simulate, "_BLOCK_TRIALS", block)
+    log = run_experiment(FactorizableInstrument(epsilon=0.5), QUAD, 1_001, seed=43)
+    for seq, pid in zip(log.by_pair, range(4)):
+        assert np.array_equal(seq, log.products[log.pair_id == pid])
+    reference = [_numpy_estimate(pid, log.products[log.pair_id == pid]) for pid in range(4)]
+    assert _hex(estimate_correlations(log)) == _hex(reference)
+
+
+def test_prefix_correlations_are_numpy_estimates_of_prefix_slices(monkeypatch):
+    monkeypatch.setattr(simulate, "_BLOCK_TRIALS", 64)
+    result = simulate.run_experiment_products(FactorizableInstrument(epsilon=0.5), QUAD, 1_000, seed=47)
+    lengths = [4, 8, 16, 100, 128, 999, 1_000]
+    expected = []
+    for n in lengths:
+        pair_id, products = result.pair_id[:n], result.products[:n]
+        if min(np.count_nonzero(pair_id == pid) for pid in range(4)) < 2:
+            continue
+        expected.append((n, _hex(_numpy_estimate(pid, products[pair_id == pid]) for pid in range(4))))
+    got = [(n, _hex(estimates)) for n, estimates in simulate.prefix_correlations(result, lengths)]
+    assert got == expected
+    assert got[0][0] > lengths[0]  # the shortest prefix lacks a pair, so it is left out
+
+
 def test_chsh_statistic_algebra():
     def est(pid, mean):
         return CorrelationEstimate(pair_id=pid, mean=mean, std_error=0.1, count=100)
@@ -244,17 +295,26 @@ def test_bell_statistic_refuses_without_anticorrelation():
 @pytest.mark.parametrize("source", [UniformAngleSource(), DiscreteSource.uniform(16)], ids=["angle", "discrete"])
 def test_csv_round_trip_bit_identical(tmp_path, source):
     spec = BellDeterministic(source)
-    # two full blocks of the writer and a partial third
-    log = run_experiment(spec, QUAD, 2 * simulate._CSV_BLOCK_ROWS + 3, seed=37)
-    path = tmp_path / "log.csv"
-    log.to_csv(path)
-    again = TrialLog.from_csv(path)
-    assert again == log
-    assert again.lambda_kind == log.lambda_kind
-    # and the bytes themselves are stable under re-serialization
-    path2 = tmp_path / "log2.csv"
-    again.to_csv(path2)
-    assert path.read_bytes() == path2.read_bytes()
+    # Setting a = -0.0 and d = 0.0 put equal values with different bits in one
+    # column: each must keep its own text.
+    for quad in (QUAD, SettingQuad.from_degrees(-0.0, 45.0, 135.0, 0.0)):
+        # two full blocks of the writer and a partial third
+        log = run_experiment(spec, quad, 2 * simulate._CSV_BLOCK_ROWS + 3, seed=37)
+        path = tmp_path / "log.csv"
+        log.to_csv(path)
+        again = TrialLog.from_csv(path)
+        assert again == log
+        assert again.lambda_kind == log.lambda_kind
+        for name, (_header, dtype) in simulate._COLUMNS.items():
+            bits = f"u{dtype.itemsize}"
+            assert np.array_equal(getattr(again, name).view(bits), getattr(log, name).view(bits)), name
+        # and the bytes themselves are stable under re-serialization
+        path2 = tmp_path / "log2.csv"
+        again.to_csv(path2)
+        assert path.read_bytes() == path2.read_bytes()
+    assert set(np.signbit(log.setting_1).tolist()) == {True, False}
+    cells = [line.split(",")[simulate.CSV_COLUMNS.index("setting_1")] for line in path.read_text().splitlines()[1:]]
+    assert cells == [str(v) for v in log.setting_1.tolist()]
 
 
 def test_csv_header_frozen(tmp_path):
