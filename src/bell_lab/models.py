@@ -205,7 +205,7 @@ FAMILIES: dict[str, type[ModelSpec]] = {family.name: family for family in _SHIPP
 
 # --- Model laws --------------------------------------------------------------
 #
-# The midpoint grid, the +/-1 outcome of a boolean and the sign tie rule. The
+# The midpoint grid, the +/-1 outcome of a boolean and the sign law. The
 # laws above and the exact oracle's discretization both call them, so
 # simulation and exact integration see identical detector inputs.
 
@@ -221,15 +221,14 @@ def pm1(mask: np.ndarray) -> np.ndarray:
     return s + s - 1
 
 
-def pm1_signs(x: np.ndarray) -> np.ndarray:
-    """Elementwise sign as +1/-1 int8, with the tie rule sign(0) := +1."""
-    return pm1(x >= 0.0)
-
-
 def sign_law(station: Station, theta_local: np.ndarray, lam_angle: np.ndarray) -> np.ndarray:
-    """The deterministic outcome sign(cos(setting - lambda)), negated at station 2."""
-    base = pm1_signs(np.cos(np.asarray(theta_local) - np.asarray(lam_angle)))
-    return -base if station is Station.S2 else base
+    """The deterministic outcome sign(cos(setting - lambda)), +1 where the cosine is
+    >= 0, negated at station 2; both angles lie in [0, 2*pi). The doubles nearest
+    pi/2 and 3*pi/2 lie below them, so two comparisons give the exact sign of the
+    cosine of the rounded difference, whatever the platform's cos."""
+    x = np.abs(np.asarray(theta_local) - np.asarray(lam_angle))
+    nonneg = (x <= 1.5707963267948966) | (x > 4.71238898038469)
+    return pm1(nonneg if station is Station.S1 else ~nonneg)
 
 
 # --- Vectorized kernels ------------------------------------------------------

@@ -22,11 +22,12 @@ from .models import (
     DiscreteSource,
     FactorizableInstrument,
     ModelSpec,
+    Station,
     UniformAngleSource,
     check_weights,
     midpoint_angles,
-    pm1_signs,
     quantize_angle,
+    sign_law,
 )
 
 # 2^((n1+n2)*m) deterministic strategy pairs must fit under this.
@@ -233,20 +234,14 @@ def discretize_model(spec: ModelSpec, settings: list[Setting], grid: int = 360) 
     eps = spec.epsilon if isinstance(spec, FactorizableInstrument) else 0.0
     if eps == 0.0:
         ip_w = tuple((1.0,) for _ in range(m))
-        n_ip = 1
+        forced = []
     else:
         # instrument space: {deterministic, forced +1, forced -1}
         ip_w = tuple((1.0 - eps, eps / 2.0, eps / 2.0) for _ in range(m))
-        n_ip = 3
+        forced = [np.ones(m, np.int8), -np.ones(m, np.int8)]
 
-    a_table: dict[Setting, np.ndarray] = {}
-    b_table: dict[Setting, np.ndarray] = {}
-    for s in settings:
-        sign = pm1_signs(np.cos(s.angle - angles))
-        a_cols = [sign] if n_ip == 1 else [sign, np.ones(m, np.int8), -np.ones(m, np.int8)]
-        b_cols = [-sign] if n_ip == 1 else [-sign, np.ones(m, np.int8), -np.ones(m, np.int8)]
-        a_table[s] = np.stack(a_cols, axis=1)
-        b_table[s] = np.stack(b_cols, axis=1)
+    a_table = {s: np.stack([sign_law(Station.S1, s.angle, angles), *forced], axis=1) for s in settings}
+    b_table = {s: np.stack([sign_law(Station.S2, s.angle, angles), *forced], axis=1) for s in settings}
     return FiniteModel(
         lambda_weights=weights,
         ip1_weights=ip_w,

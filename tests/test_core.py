@@ -18,7 +18,7 @@ from bell_lab.core import (
     row_identity,
     row_sum,
 )
-from bell_lab.models import midpoint_angles, pm1_signs
+from bell_lab.models import midpoint_angles
 
 PM1 = (-1, 1)
 
@@ -113,12 +113,6 @@ def test_setting_equality_after_normalization():
     assert Setting(0.5) == Setting(0.5 + TAU)
     assert Setting(0.5) == Setting(0.5 - TAU)
     assert Setting.from_degrees(90.0).angle == pytest.approx(math.pi / 2, abs=0)
-
-
-def test_sign_tie_rule():
-    signs = pm1_signs(np.array([0.0, -0.0, 1e-300, -1e-300]))
-    assert signs.dtype == np.int8
-    assert signs.tolist() == [1, 1, 1, -1]
 
 
 def test_require_outcome():

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from bell_lab import models, oracle
 from bell_lab.core import TAU, Setting, SettingQuad
 from bell_lab.errors import AnticorrelationViolated, InvalidSpec
 from bell_lab.models import (
@@ -19,6 +22,7 @@ from bell_lab.models import (
     instrument_arrays,
     midpoint_angles,
     outcome_arrays,
+    sign_law,
     source_arrays,
 )
 from bell_lab.simulate import bell_statistic, run_experiment
@@ -117,7 +121,7 @@ def test_detector_examples_bell_deterministic():
     spec = BellDeterministic()
     zero = np.zeros(3)
     a = outcome_arrays(spec, Station.S1, zero, np.array([0.0, math.pi, math.pi / 2]), zero)
-    # the last case, relative angle pi/2, resolves to +1 (sign(0) := +1)
+    # the last case, x = -fl(pi/2), has the positive cosine 6.1e-17
     assert a.tolist() == [1, -1, 1]
     assert outcome_arrays(spec, Station.S2, zero[:1], zero[:1], zero[:1]).tolist() == [-1]
 
@@ -142,6 +146,84 @@ def test_discrete_lambda_feeds_midpoint_angle():
     assert np.all(a[index == 0] == 1)
     # index 2 -> angle 5pi/4: cos < 0
     assert np.all(a[index == 2] == -1)
+
+
+# --- the sign law ----------------------------------------------------------------
+
+
+def cos_sign_law(station, theta_local, lam_angle):
+    """Reference law: the sign of np.cos(theta - lambda), +1 when it is >= 0, negated at station 2."""
+    sign = np.where(np.cos(np.asarray(theta_local) - np.asarray(lam_angle)) >= 0.0, 1, -1).astype(np.int8)
+    return sign if station is Station.S1 else -sign
+
+
+def assert_sign_law_matches_cos(theta, lam):
+    for station in Station:
+        signs = sign_law(station, theta, lam)
+        assert signs.dtype == np.int8
+        assert np.array_equal(signs, cos_sign_law(station, theta, lam)), station
+
+
+def test_sign_law_at_zero_and_tiny_differences():
+    # x = theta - lambda = +0, -0, 1e-300, -1e-300: cos(x) = 1, so +1 at station 1
+    theta = np.array([0.0, -0.0, 1e-300, 0.0])
+    lam = np.array([0.0, 0.0, 0.0, 1e-300])
+    assert sign_law(Station.S1, theta, lam).tolist() == [1, 1, 1, 1]
+    assert_sign_law_matches_cos(theta, lam)
+
+
+@pytest.mark.parametrize("crossing", [math.pi / 2, 3 * math.pi / 2])
+def test_sign_law_matches_cos_within_50_ulps_of_each_crossing(crossing):
+    # x + j * ulp(x) stays in x's binade for |j| <= 50, so every x is exact
+    x = crossing + np.arange(-50, 51) * np.spacing(crossing)
+    zero = np.zeros_like(x)
+    assert_sign_law_matches_cos(x, zero)  # theta - lambda = +x
+    assert_sign_law_matches_cos(zero, x)  # theta - lambda = -x
+
+
+@given(st.lists(st.tuples(st.floats(0.0, TAU, exclude_max=True), st.floats(0.0, TAU, exclude_max=True)), min_size=1))
+def test_sign_law_matches_cos_on_drawn_angles(pairs):
+    theta, lam = np.array(pairs).T
+    assert_sign_law_matches_cos(theta, lam)
+
+
+@pytest.mark.parametrize("size", [16, 360])
+def test_sign_law_matches_cos_on_the_midpoint_grid(size):
+    lam = midpoint_angles(np.arange(size), size)
+    for degrees in (0.0, 90.0, 180.0, 270.0):
+        assert_sign_law_matches_cos(np.full(size, Setting.from_degrees(degrees).angle), lam)
+
+
+SHIPPED_SPECS = [
+    spec
+    for source in (UniformAngleSource(), DiscreteSource.uniform(16))
+    for spec in (
+        BellDeterministic(source),
+        FactorizableInstrument(source, epsilon=0.25),
+        TimeTaggedAnticorrelated(source),
+        SettingPairDependent(source),
+    )
+]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("spec", SHIPPED_SPECS, ids=lambda s: f"{s.name}-{s.lambda_kind}")
+def test_runs_equal_the_cos_reference_runs(spec, threads, monkeypatch):
+    log = run_experiment(spec, QUAD, 20_000, seed=17, threads=threads)
+    monkeypatch.setattr(models, "sign_law", cos_sign_law)
+    assert run_experiment(spec, QUAD, 20_000, seed=17, threads=threads) == log
+
+
+@pytest.mark.parametrize("spec", SHIPPED_SPECS[:2] + SHIPPED_SPECS[4:6], ids=lambda s: f"{s.name}-{s.lambda_kind}")
+def test_discretized_tables_equal_the_cos_reference_tables(spec, monkeypatch):
+    settings = [Setting.from_degrees(d) for d in range(360)]
+    fm = oracle.discretize_model(spec, settings)
+    monkeypatch.setattr(oracle, "sign_law", cos_sign_law)
+    reference = oracle.discretize_model(spec, settings)
+    for table, reference_table in ((fm.a_table, reference.a_table), (fm.b_table, reference.b_table)):
+        assert table.keys() == reference_table.keys()
+        for s in settings:
+            assert table[s].dtype == reference_table[s].dtype and np.array_equal(table[s], reference_table[s])
 
 
 # --- instrument parameters -----------------------------------------------------
