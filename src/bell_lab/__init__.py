@@ -1,7 +1,7 @@
 """bell-lab: simulation and verification laboratory for two-station
 correlation experiments under local hidden-variable models."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .core import (
     CHSH_SIGNS,
@@ -49,15 +49,14 @@ from .simulate import (
     BellStatistic,
     ChshStatistic,
     CorrelationEstimate,
-    PairProducts,
     TrialLog,
     bell_statistic,
     chsh_statistic,
     estimate_correlations,
+    experiment_pairs,
     run_experiment,
-    run_experiment_products,
-    run_pair_products,
     run_pairs,
+    run_sums,
 )
 from .tables import (
     BalanceReport,
@@ -84,8 +83,8 @@ __all__ = [
     "TimeTaggedAnticorrelated", "SettingPairDependent", "DiscreteSource",
     "UniformAngleSource", "Station", "AnticorrelationReport", "check_anticorrelation",
     # simulate
-    "TrialLog", "PairProducts", "CorrelationEstimate", "ChshStatistic", "BellStatistic",
-    "run_experiment", "run_pairs", "run_experiment_products", "run_pair_products",
+    "TrialLog", "CorrelationEstimate", "ChshStatistic", "BellStatistic",
+    "run_experiment", "run_pairs", "run_sums", "experiment_pairs",
     "estimate_correlations", "chsh_statistic", "bell_statistic",
     # tables
     "KeyMode", "OutcomeTable", "Sum", "Undefined", "BalanceReport", "build_reordered_table",

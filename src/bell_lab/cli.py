@@ -48,21 +48,19 @@ from .oracle import (
     enumerate_deterministic_strategies,
     exact_chsh,
     finite_model_from_json_obj,
+    finite_model_to_json_obj,
     singlet_chsh,
     singlet_correlation,
 )
 from .simulate import (
     CorrelationEstimate,
-    PairProducts,
-    TrialLog,
     bell_statistic,
     chsh_statistic,
     estimate_correlations,
-    prefix_correlations,
+    experiment_pairs,
     resolve_threads,
     run_experiment,
-    run_experiment_products,
-    run_pair_products,
+    run_sums,
     three_setting_statistic,
 )
 from .tables import (
@@ -77,6 +75,12 @@ from .tables import (
 
 CHSH_LOCAL_BOUND = 2.0
 SIGMA_BAND = 4.0
+
+# Largest n_trials a config may ask for: about 20 hours of a no-log simulate at
+# the 1.4e7 trials/s that two threads reach on a 2-vCPU host. A run holds no
+# array as long as itself unless it writes a trial log or a table, so without
+# this bound a mistyped exponent would run for years instead of failing.
+MAX_TRIALS = 10**12
 
 _PARAM_KEYS = {f"model.{name}" for family in FAMILIES.values() for name in family.parameters()}
 _CONFIG_KEYS = frozenset(
@@ -237,8 +241,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
     n_raw = _require(entries, "n_trials")
     n_trials = _as_int("n_trials", n_raw)
-    if n_trials < 1:
-        raise ConfigError(f"n_trials must be >= 1, got {n_trials}", key="n_trials", line=n_raw[1])
+    if not 1 <= n_trials <= MAX_TRIALS:
+        message = f"n_trials must be between 1 and {MAX_TRIALS:,}, got {n_trials}"
+        raise ConfigError(message, key="n_trials", line=n_raw[1])
 
     seed_raw = _require(entries, "seed")
     seed = _as_int("seed", seed_raw)
@@ -364,7 +369,7 @@ def _sweep_rows(cfg: ExperimentConfig, threads: int) -> list[tuple[float, float,
         theta = math.radians(angle_deg)
         pair = (Setting(0.0), Setting(theta))
         sweep_seed = int(rng.hash_words(cfg.seed, "sweep", k))
-        est = estimate_correlations(run_pair_products(cfg.model, [pair], n, sweep_seed, threads=threads))[0]
+        est = estimate_correlations(run_sums(cfg.model, [pair], n, sweep_seed, threads=threads)[-1])[0]
         classical = -1.0 + 2.0 * theta / math.pi
         rows.append((float(angle_deg), est.mean, est.std_error, classical, -math.cos(theta)))
     return rows
@@ -378,18 +383,21 @@ def _write_sweep_csv(path: str, rows) -> None:
             fh.write(",".join(repr(v) for v in r) + "\n")
 
 
-def _write_convergence_csv(path: str, result: TrialLog | PairProducts) -> None:
+def _convergence_checkpoints(n_trials: int) -> list[int]:
+    """The convergence prefixes: 16, 32, 64, ... below n_trials, then n_trials."""
+    return [16 << k for k in range((n_trials - 1).bit_length() - 4)] + [n_trials]
+
+
+def _write_convergence_csv(path: str, checkpoints: list[int], sums) -> None:
+    """One row per prefix; a prefix with fewer than 2 trials of some pair is left out."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    ns = []
-    n = 16
-    while n < len(result):
-        ns.append(n)
-        n *= 2
-    ns.append(len(result))
     with open(path, "w", newline="") as fh:
         fh.write("n_trials,chsh_value,chsh_std_error\n")
-        for n, estimates in prefix_correlations(result, ns):
-            stat = chsh_statistic(estimates)
+        for n, prefix in zip(checkpoints, sums):
+            try:
+                stat = chsh_statistic(estimate_correlations(prefix))
+            except InsufficientData:
+                continue
             fh.write(f"{n},{stat.value!r},{stat.std_error!r}\n")
 
 
@@ -405,10 +413,14 @@ def cmd_simulate(args) -> int:
     cfg = parse_config_file(args.config)
     threads = _threads(args)
     log_path = _resolve_output(cfg, args.out, "trial_log", None)
-    # Only the trial log needs every column; the reports read pair_id and A*B.
-    run = run_experiment if log_path else run_experiment_products
-    result = run(cfg.model, cfg.quad, cfg.n_trials, cfg.seed, threads=threads)
-    estimates = estimate_correlations(result)
+    checkpoints = _convergence_checkpoints(cfg.n_trials) if args.convergence else [cfg.n_trials]
+    # Only the trial log needs every column; the reports read each pair's sums.
+    if log_path:
+        log = run_experiment(cfg.model, cfg.quad, cfg.n_trials, cfg.seed, threads=threads)
+        sums = log.pair_sums(checkpoints)
+    else:
+        sums = run_sums(cfg.model, experiment_pairs(cfg.quad), cfg.n_trials, cfg.seed, threads, checkpoints)
+    estimates = estimate_correlations(sums[-1])
     stat = chsh_statistic(estimates)
 
     report = _report_header(cfg)
@@ -432,13 +444,13 @@ def cmd_simulate(args) -> int:
         print(f"  report -> {report_path}")
     if log_path:
         os.makedirs(os.path.dirname(os.path.abspath(log_path)), exist_ok=True)
-        result.to_csv(log_path)
+        log.to_csv(log_path)
         print(f"  trial log -> {log_path}")
     if args.sweep:
         _write_sweep_csv(args.sweep, _sweep_rows(cfg, threads))
         print(f"  correlation sweep -> {args.sweep}")
     if args.convergence:
-        _write_convergence_csv(args.convergence, result)
+        _write_convergence_csv(args.convergence, checkpoints, sums)
         print(f"  convergence data -> {args.convergence}")
     return 0
 
@@ -468,9 +480,8 @@ def cmd_check(args) -> int:
         bell = three_setting_statistic(*exact([(quad.a, quad.b), (quad.a, quad.c), (quad.b, quad.c)]))
         flags = {"setting_dependent_distribution": False}
     else:
-        # The products are not kept: the three-setting run below allocates its own.
         estimates = estimate_correlations(
-            run_experiment_products(cfg.model, quad, cfg.n_trials, cfg.seed, threads=threads)
+            run_sums(cfg.model, experiment_pairs(quad), cfg.n_trials, cfg.seed, threads=threads)[-1]
         )
         bell = bell_statistic(cfg.model, quad.a, quad.b, quad.c, cfg.n_trials, cfg.seed, threads=threads)
         flags = cfg.model.flags
@@ -654,7 +665,13 @@ def cmd_oracle(args) -> int:
     value = exact_chsh(fm, quad, per_pair_distributions=overrides)
     record = {
         "operation": "exact",
-        "inputs_digest": _digest_inputs({"model": args.model, "per_pair": args.per_pair, "quad_deg": quad_deg}),
+        "inputs_digest": _digest_inputs(
+            {
+                "model": finite_model_to_json_obj(fm),
+                "per_pair": [finite_model_to_json_obj(m) for m in overrides] if overrides else None,
+                "quad_deg": quad_deg,
+            }
+        ),
         "value": value,
         "certificate": {"m": fm.m, "per_pair_overrides": bool(overrides)},
     }

@@ -43,7 +43,8 @@ def check_weights(weights, what: str) -> None:
     """Raise InvalidSpec unless ``weights`` is a non-empty probability vector."""
     if len(weights) == 0:
         raise InvalidSpec(f"{what} must be non-empty")
-    if any((not math.isfinite(w)) or w < 0.0 for w in weights):
+    values = np.asarray(weights, dtype=np.float64)
+    if not (np.isfinite(values) & (values >= 0.0)).all():
         raise InvalidSpec(f"{what} must be finite and >= 0, got {tuple(weights)}")
     total = math.fsum(weights)
     if abs(total - 1.0) > WEIGHT_TOLERANCE:

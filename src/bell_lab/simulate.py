@@ -13,15 +13,17 @@ no matter how many worker threads evaluate it or in which order blocks
 complete.
 
 Logs are stored column-wise (numpy arrays), one array per logged column:
-51 bytes per trial. A report reads only each trial's pair and outcome product,
-so the report paths keep ``PairProducts``, 2 bytes per trial.
+51 bytes per trial. A report reads only each pair's trial count n and the sum
+s of its outcome products A*B. ``run_sums`` reduces each block to those int64
+sums as it goes, so a report holds no array as long as the run, and
+``TrialLog.pair_sums`` takes the same sums from a log's columns. Checkpoints
+(the convergence prefixes) are given up front: a block adds its partial sums
+at each checkpoint it contains.
 
-Statistics split a run by pair once (``by_pair``), one block at a time, into
-each pair's products in trial order. A pair's mean is the exact integer sum of
-its products over its count, and its standard error takes numpy's own
-``std(ddof=1)`` steps on the same float64 values, so every estimate is bit-equal
-to numpy's ``mean`` and ``std``. The convergence prefixes read the same split:
-pair k's part of the first n trials is the first c_k(n) entries of its sequence.
+A pair's mean is s / n and its standard error sqrt((n^2 - s^2) / (n^2 (n - 1))).
+Each is one correctly rounded operation on exact integers (a true division of
+Python ints, then ``math.sqrt``), so every estimate is the same on every
+platform and numpy version.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 
 import numpy as np
 
@@ -96,15 +97,15 @@ class TrialLog:
             np.array_equal(getattr(self, name), getattr(other, name)) for name in _COLUMNS
         )
 
-    @property
-    def products(self) -> np.ndarray:
-        """The outcome product A*B of each trial (int8)."""
-        return self.a * self.b
-
-    @cached_property
-    def by_pair(self) -> tuple[np.ndarray, ...]:
-        """Each pair's outcome products in trial order: the log split by pair, once."""
-        return _split_by_pair(self.pair_id, self.products, self.n_pairs)
+    def pair_sums(self, checkpoints=None) -> np.ndarray:
+        """``run_sums`` of this log, from its columns: each pair's (count, sum of A*B)
+        over the first c trials for each c of ``checkpoints`` (default: the whole log)."""
+        checkpoints = [len(self)] if checkpoints is None else checkpoints
+        total = np.zeros((len(checkpoints), self.n_pairs, 2), dtype=np.int64)
+        for lo in range(0, len(self), _BLOCK_TRIALS):
+            hi = lo + _BLOCK_TRIALS
+            total += _pair_sums(self.pair_id[lo:hi], self.a[lo:hi] == self.b[lo:hi], self.n_pairs, lo, checkpoints)
+        return total
 
     # -- serialization --------------------------------------------------
 
@@ -167,23 +168,6 @@ _CSV_DTYPE = np.dtype([("index", np.int64), *_COLUMNS.values()])
 _CSV_BLOCK_ROWS = 1 << 14
 
 
-@dataclass(eq=False)
-class PairProducts:
-    """What a report reads of a run: each trial's pair index and outcome product A*B (int8)."""
-
-    pair_id: np.ndarray
-    products: np.ndarray
-    n_pairs: int
-
-    def __len__(self) -> int:
-        return len(self.pair_id)
-
-    @cached_property
-    def by_pair(self) -> tuple[np.ndarray, ...]:
-        """Each pair's outcome products in trial order: the run split by pair, once."""
-        return _split_by_pair(self.pair_id, self.products, self.n_pairs)
-
-
 def _cell_texts(values: np.ndarray):
     """The CSV text of each value. When at most half of them are distinct, each
     distinct value is formatted once and indexed; values are told apart by bit
@@ -209,44 +193,60 @@ def _reject_rows(bad: np.ndarray, what: str) -> None:
 # at most one block long whatever n_trials is, so it stays cache-sized.
 _BLOCK_TRIALS = 1 << 16
 
+# Most blocks handed to the worker pool at once. The pool keeps a future per
+# block it is given, about 2 KB each, so without a window a run's memory would
+# grow with its length (30 GB at 10**12 trials).
+_WINDOW_BLOCKS = 1024
 
-def _run_blocks(spec: ModelFamily, pairs, n_trials: int, seed: int, threads: int | None, columns: dict) -> dict:
-    """The runner: fill ``columns`` (name -> dtype; a ``TrialLog`` column or ``products``, A*B)
-    block by block on min(threads, cores, blocks) workers. A one-worker run starts no thread."""
+
+def _run_blocks(spec: ModelFamily, pairs, n_trials: int, seed: int, threads: int | None, reduce):
+    """The runner: evaluate [0, n_trials) block by block on min(threads, cores, blocks)
+    workers and return the sum over blocks of ``reduce(lo, block)``, where ``block``
+    maps each ``TrialLog`` column name to the values of trials lo, lo + 1, ... A
+    one-worker run starts no thread."""
     if n_trials < 1:
         raise InvalidSpec(f"n_trials must be >= 1, got {n_trials}")
     n_pairs = len(pairs)
-    theta1_by_pair = np.asarray([p[0].angle for p in pairs])
-    theta2_by_pair = np.asarray([p[1].angle for p in pairs])
-    out = {name: np.empty(n_trials, dtype=dtype) for name, dtype in columns.items()}
+    theta1_of_pair = np.asarray([p[0].angle for p in pairs])
+    theta2_of_pair = np.asarray([p[1].angle for p in pairs])
 
-    def fill(lo: int, hi: int) -> None:
-        idx = np.arange(lo, hi, dtype=np.uint64)
+    def run(lo: int):
+        idx = np.arange(lo, min(lo + size, n_trials), dtype=np.uint64)
         if n_pairs == 4:
             pid = rng.choice_of_4(seed, "die", idx)
         else:
             pid = rng.integers_below(seed, "die", idx, n_pairs)
-        th1 = theta1_by_pair[pid]
-        th2 = theta2_by_pair[pid]
+        th1 = theta1_of_pair[pid]
+        th2 = theta2_of_pair[pid]
         lrep, i1, i2, a, b = trial_arrays(spec, seed, idx, th1, th2, pid)
-        block = dict(t=idx, pair_id=pid, setting_1=th1, setting_2=th2, lam=lrep, ip_1=i1, ip_2=i2, a=a, b=b)
-        for name, column in out.items():
-            column[lo:hi] = block[name] if name != "products" else a * b
+        return reduce(lo, dict(t=idx, pair_id=pid, setting_1=th1, setting_2=th2, lam=lrep, ip_1=i1, ip_2=i2, a=a, b=b))
 
     # More workers than cores only adds OS threads: the results never depend
     # on the thread count, so it is capped at the core count. Blocks shrink to
     # n / workers so that a short run, such as one --sweep point, uses every worker.
     workers = min(resolve_threads(threads), os.cpu_count() or 1)
     size = min(_BLOCK_TRIALS, -(-n_trials // workers))
-    bounds = [(lo, min(lo + size, n_trials)) for lo in range(0, n_trials, size)]
-    workers = min(workers, len(bounds))
+    starts = range(0, n_trials, size)
+    workers = min(workers, len(starts))
     if workers == 1:
-        for lo, hi in bounds:
-            fill(lo, hi)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda br: fill(*br), bounds))
-    return out
+        return sum(map(run, starts))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        windows = (starts[i : i + _WINDOW_BLOCKS] for i in range(0, len(starts), _WINDOW_BLOCKS))
+        return sum(sum(pool.map(run, window)) for window in windows)
+
+
+def _pair_sums(pair_id: np.ndarray, agree: np.ndarray, n_pairs: int, lo: int, checkpoints) -> np.ndarray:
+    """Each pair's (count, sum of A*B) over the trials lo, lo + 1, ... that ``pair_id``
+    and ``agree`` (A == B) describe, counting for each c of ``checkpoints`` only the
+    trials before c: int64 of shape (len(checkpoints), n_pairs, 2)."""
+    key = 2 * pair_id.astype(np.intp) + agree
+
+    def tally(keys: np.ndarray) -> np.ndarray:
+        minus, plus = np.bincount(keys, minlength=2 * n_pairs).reshape(n_pairs, 2).T
+        return np.stack((minus + plus, plus - minus), axis=1)
+
+    whole = tally(key)
+    return np.stack([whole if c >= lo + len(key) else tally(key[: max(c - lo, 0)]) for c in checkpoints])
 
 
 def run_pairs(
@@ -261,19 +261,39 @@ def run_pairs(
     ``spec`` is a ModelSpec or any other object satisfying the ModelFamily
     protocol; both run through the same calls.
     """
-    columns = _run_blocks(spec, pairs, n_trials, seed, threads, {k: dt for k, (_h, dt) in _COLUMNS.items()})
+    # The runner itself rejects n_trials < 1.
+    columns = {name: np.empty(max(n_trials, 0), dtype=dtype) for name, (_header, dtype) in _COLUMNS.items()}
+
+    def fill(lo: int, block: dict) -> int:
+        for name, column in columns.items():
+            column[lo : lo + len(block["t"])] = block[name]
+        return 0  # a log keeps its trials, so there is nothing to add up
+
+    _run_blocks(spec, pairs, n_trials, seed, threads, fill)
     return TrialLog(**columns, lambda_kind=spec.lambda_kind, n_pairs=len(pairs))
 
 
-def run_pair_products(
-    spec: ModelFamily, pairs: list[tuple[Setting, Setting]], n_trials: int, seed: int, threads: int | None = None
-) -> PairProducts:
-    """``run_pairs`` keeping only what a report reads: 2 bytes per trial."""
-    columns = _run_blocks(spec, pairs, n_trials, seed, threads, {"pair_id": np.int8, "products": np.int8})
-    return PairProducts(**columns, n_pairs=len(pairs))
+def run_sums(
+    spec: ModelFamily,
+    pairs: list[tuple[Setting, Setting]],
+    n_trials: int,
+    seed: int,
+    threads: int | None = None,
+    checkpoints=None,
+) -> np.ndarray:
+    """What a report reads of ``run_pairs``: each pair's (count, sum of A*B) over the
+    first c trials for each increasing c of ``checkpoints`` (default: n_trials), as
+    int64 of shape (len(checkpoints), len(pairs), 2). No array is as long as the run."""
+    checkpoints = [n_trials] if checkpoints is None else checkpoints
+
+    def tally(lo: int, block: dict) -> np.ndarray:
+        return _pair_sums(block["pair_id"], block["a"] == block["b"], len(pairs), lo, checkpoints)
+
+    return _run_blocks(spec, pairs, n_trials, seed, threads, tally)
 
 
-def _experiment_pairs(quad: SettingQuad) -> list[tuple[Setting, Setting]]:
+def experiment_pairs(quad: SettingQuad) -> list[tuple[Setting, Setting]]:
+    """The four canonical setting pairs of ``quad``, in pair_id order."""
     return [(s1, s2) for s1, s2, _sign in chsh_pairs(quad)]
 
 
@@ -284,14 +304,7 @@ def run_experiment(
 
     ``spec`` may be a shipped ModelSpec or a custom model family.
     """
-    return run_pairs(spec, _experiment_pairs(quad), n_trials, seed, threads=threads)
-
-
-def run_experiment_products(
-    spec: ModelFamily, quad: SettingQuad, n_trials: int, seed: int, threads: int | None = None
-) -> PairProducts:
-    """``run_experiment`` keeping only what a report reads: 2 bytes per trial."""
-    return run_pair_products(spec, _experiment_pairs(quad), n_trials, seed, threads=threads)
+    return run_pairs(spec, experiment_pairs(quad), n_trials, seed, threads=threads)
 
 
 # --- Statistics -------------------------------------------------------------
@@ -321,78 +334,21 @@ class BellStatistic:
     per_pair: tuple[CorrelationEstimate, ...]
 
 
-def _pair_counts(pair_id: np.ndarray, n_pairs: int) -> np.ndarray:
-    """Trials of each pair in ``pair_id`` (int64), counted one block at a time."""
-    counts = np.zeros(n_pairs, dtype=np.int64)
-    for lo in range(0, len(pair_id), _BLOCK_TRIALS):
-        block = pair_id[lo : lo + _BLOCK_TRIALS]
-        counts += [np.count_nonzero(block == pid) for pid in range(n_pairs)]
-    return counts
-
-
-def _split_by_pair(pair_id: np.ndarray, products: np.ndarray, n_pairs: int) -> tuple[np.ndarray, ...]:
-    """Each pair's products in trial order (int8, read-only). Works one block at a
-    time, a stable argsort of the block's pair_id and its pair counts, so no
-    index array is ever as long as the run."""
-    by_pair = [np.empty(count, dtype=np.int8) for count in _pair_counts(pair_id, n_pairs)]
-    filled = [0] * n_pairs
-    for lo in range(0, len(pair_id), _BLOCK_TRIALS):
-        block = pair_id[lo : lo + _BLOCK_TRIALS]
-        grouped = products[lo : lo + _BLOCK_TRIALS][np.argsort(block, kind="stable")]
-        start = 0
-        for pid, count in enumerate(_pair_counts(block, n_pairs).tolist()):
-            by_pair[pid][filled[pid] : filled[pid] + count] = grouped[start : start + count]
-            filled[pid] += count
-            start += count
-    for seq in by_pair:
-        seq.flags.writeable = False
-    return tuple(by_pair)
-
-
-def _estimate(pid: int, products: np.ndarray) -> CorrelationEstimate:
-    """Mean and standard error of one pair's +/-1 products, bit-equal to numpy's
-    ``p.mean()`` and ``p.std(ddof=1) / sqrt(n)`` of ``p = products.astype(float64)``.
-
-    A float64 sum of +/-1 values is an exact integer, so the mean is the exact
-    integer sum over the count. The rest are numpy's own steps for the
-    variance, in its order: subtract the mean, square, one pairwise sum.
-    """
-    count = len(products)
+def _estimate(pid: int, count: int, total: int) -> CorrelationEstimate:
+    """Mean and standard error of a pair's ``count`` +/-1 products with sum ``total``:
+    s / n and sqrt((n^2 - s^2) / (n^2 (n - 1))). Each quotient is one true division of
+    Python ints and the root one ``math.sqrt``, so each step is correctly rounded."""
     if count < 2:
         raise InsufficientData(pid, count)
-    mean = int(np.add.reduce(products, dtype=np.int64)) / count
-    x = products.astype(np.float64)
-    x -= mean
-    np.square(x, out=x)
-    std_error = math.sqrt(np.add.reduce(x) / (count - 1)) / math.sqrt(count)
-    return CorrelationEstimate(pair_id=pid, mean=mean, std_error=std_error, count=count)
+    std_error = math.sqrt((count * count - total * total) / (count * count * (count - 1)))
+    return CorrelationEstimate(pair_id=pid, mean=total / count, std_error=std_error, count=count)
 
 
-def estimate_correlations(result: TrialLog | PairProducts) -> list[CorrelationEstimate]:
-    """Per-pair sample mean and standard error of the outcome product, from
-    the run's one split by pair."""
-    return [_estimate(pid, products) for pid, products in enumerate(result.by_pair)]
-
-
-def prefix_correlations(
-    result: TrialLog | PairProducts, lengths: list[int]
-) -> list[tuple[int, list[CorrelationEstimate]]]:
-    """``estimate_correlations`` of the first n trials, for each n of the increasing
-    ``lengths``, from the same split: pair k's part of a prefix is the first
-    c_k(n) entries of its sequence. A prefix with fewer than 2 trials of some
-    pair is left out."""
-    rows = []
-    counts = np.zeros(result.n_pairs, dtype=np.int64)
-    lo = 0
-    for n in lengths:
-        counts += _pair_counts(result.pair_id[lo:n], result.n_pairs)
-        lo = n
-        try:
-            estimates = [_estimate(pid, seq[:c]) for pid, (seq, c) in enumerate(zip(result.by_pair, counts.tolist()))]
-        except InsufficientData:
-            continue
-        rows.append((n, estimates))
-    return rows
+def estimate_correlations(result: TrialLog | np.ndarray) -> list[CorrelationEstimate]:
+    """Per-pair sample mean and standard error of the outcome product, from a trial
+    log or from one checkpoint's per-pair (count, sum of A*B) rows of ``run_sums``."""
+    sums = result.pair_sums()[-1] if isinstance(result, TrialLog) else result
+    return [_estimate(pid, count, total) for pid, (count, total) in enumerate(sums.tolist())]
 
 
 def chsh_statistic(estimates: list[CorrelationEstimate]) -> ChshStatistic:
@@ -440,5 +396,5 @@ def bell_statistic(
     pilot = check_anticorrelation(spec, [a, b, c], _PILOT_TRIALS, pilot_seed)
     if pilot.violations > 0:
         raise AnticorrelationViolated(pilot.violations, pilot.trials)
-    products = run_pair_products(spec, [(a, b), (a, c), (b, c)], n_trials, seed, threads=threads)
-    return three_setting_statistic(*estimate_correlations(products))
+    sums = run_sums(spec, [(a, b), (a, c), (b, c)], n_trials, seed, threads=threads)
+    return three_setting_statistic(*estimate_correlations(sums[-1]))

@@ -290,12 +290,16 @@ def test_bad_threads_and_oracle_files_exit_two_without_traceback(tmp_path, case)
     a_file = tmp_path / "a-file"
     a_file.write_text("")
     quad_args = ["--quad-deg", "0", "45", "135", "90"]
-    # 10**15 trials or source values exceed the address space: the allocation fails at once.
+    # 10**15 trials exceed the config's bound on the run length; 10**15 source
+    # values exceed the address space, so their allocation fails at once.
     huge = write_cfg(tmp_path, MINIMAL.replace("n_trials = 1000", f"n_trials = {10**15}"), "huge.cfg")
     huge_source = write_cfg(
         tmp_path, MINIMAL + f"model.source.kind = discrete\nmodel.source.size = {10**15}\n", "huge-source.cfg"
     )
     memory = "memory error: not enough memory for this run"
+    too_long = (
+        "config error: n_trials must be between 1 and 1,000,000,000,000, got 1000000000000000 (key 'n_trials', line 7)"
+    )
 
     simulate = ["simulate", "--config", cfg]
     argv, env_threads, named = {
@@ -333,9 +337,9 @@ def test_bad_threads_and_oracle_files_exit_two_without_traceback(tmp_path, case)
         "enumerate-m-negative": (["oracle", "enumerate", "--m", "-3"], None, None),
         "enumerate-one-setting": (["oracle", "enumerate", "--m", "2", "--settings1", "1"], None, None),
         "tables-max-rows-negative": (["tables", "--config", cfg, "--max-rows", "-1"], None, None),
-        "simulate-trials-1e15": (["simulate", "--config", huge], None, memory),
-        "check-trials-1e15": (["check", "--config", huge], None, memory),
-        "tables-trials-1e15": (["tables", "--config", huge], None, memory),
+        "simulate-trials-1e15": (["simulate", "--config", huge], None, too_long),
+        "check-trials-1e15": (["check", "--config", huge], None, too_long),
+        "tables-trials-1e15": (["tables", "--config", huge], None, too_long),
         "source-size-1e15": (["simulate", "--config", huge_source], None, memory),
     }[case]
     env = {k: v for k, v in os.environ.items() if k != "BELL_LAB_THREADS"}
@@ -477,6 +481,36 @@ def test_oracle_exact_with_model_file(tmp_path, capsys):
     assert record["value"] == 2.0
 
 
+def test_oracle_exact_digest_identifies_the_loaded_models(tmp_path, capsys):
+    from bell_lab.core import SettingQuad
+    from bell_lab.oracle import discretize_model, finite_model_to_json_obj
+
+    quad = SettingQuad.from_degrees(0, 45, 135, 90)
+    fm = discretize_model(BellDeterministic(DiscreteSource.uniform(8)), [quad.a, quad.b, quad.c, quad.d])
+    text = json.dumps(finite_model_to_json_obj(fm))
+    paths = []
+    for sub in ("one", "two"):
+        (tmp_path / sub).mkdir()
+        paths.append(tmp_path / sub / "fm.json")
+        paths[-1].write_text(text)
+
+    def digest(model, *per_pair) -> str:
+        argv = ["oracle", "exact", "--model", str(model), "--quad-deg", "0", "45", "135", "90"]
+        assert main(argv + (["--per-pair", *map(str, per_pair)] if per_pair else [])) == 0
+        return json.loads(capsys.readouterr().out)["inputs_digest"]
+
+    # The same model in two directories, as the model or as an override, gives one digest.
+    assert digest(paths[0]) == digest(paths[1])
+    assert digest(paths[0], *[paths[0]] * 4) == digest(paths[1], paths[0], paths[1], paths[0], paths[1])
+    assert digest(paths[0], *[paths[0]] * 4) != digest(paths[0])
+    # A file edited in place gives a new digest.
+    before = digest(paths[0])
+    obj = json.loads(text)
+    obj["a_table"][0][0][0] = -obj["a_table"][0][0][0]
+    paths[0].write_text(json.dumps(obj))
+    assert digest(paths[0]) != before
+
+
 def test_oracle_exact_matches_settings_modulo_full_turn(tmp_path, capsys):
     from bell_lab.core import SettingQuad
     from bell_lab.oracle import discretize_model, finite_model_to_json_obj
@@ -507,23 +541,26 @@ def test_plot_data_emission(tmp_path, capsys):
 
 
 def test_convergence_rows_are_numpy_statistics_of_prefix_slices(tmp_path):
+    # Each row is the closed-form statistic of that prefix slice of the run.
     from bell_lab.core import SettingQuad
-    from bell_lab.simulate import CorrelationEstimate, chsh_statistic, run_experiment_products
+    from bell_lab.simulate import CorrelationEstimate, chsh_statistic, run_experiment
 
     text = MINIMAL.replace("bell_deterministic", "factorizable_instrument\nmodel.epsilon = 0.5")
     conv = tmp_path / "conv.csv"
     cfg = write_cfg(tmp_path, text)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path), "--convergence", str(conv)]) == 0
     quad = SettingQuad.from_degrees(0, 45, 135, 90)
-    result = run_experiment_products(FAMILIES["factorizable_instrument"](epsilon=0.5), quad, 1000, seed=7)
+    log = run_experiment(FAMILIES["factorizable_instrument"](epsilon=0.5), quad, 1000, seed=7)
     rows = ["n_trials,chsh_value,chsh_std_error"]
     for n in (16, 32, 64, 128, 256, 512, 1000):
-        per_pair = [result.products[:n][result.pair_id[:n] == pid].astype(np.float64) for pid in range(4)]
+        products = log.a[:n] * log.b[:n]
+        per_pair = [products[log.pair_id[:n] == pid] for pid in range(4)]
         if min(map(len, per_pair)) < 2:
             continue
+        sums = [(len(p), int(p.sum(dtype=np.int64))) for p in per_pair]
         stat = chsh_statistic(
-            [CorrelationEstimate(pid, float(p.mean()), float(p.std(ddof=1) / math.sqrt(len(p))), len(p))
-             for pid, p in enumerate(per_pair)]
+            [CorrelationEstimate(pid, s / c, math.sqrt((c * c - s * s) / (c * c * (c - 1))), c)
+             for pid, (c, s) in enumerate(sums)]
         )
         rows.append(f"{n},{stat.value!r},{stat.std_error!r}")
     assert conv.read_text().splitlines() == rows
@@ -594,9 +631,9 @@ def test_report_paths_never_build_the_trial_log(tmp_path, monkeypatch):
     quad = SettingQuad.from_degrees(0, 45, 135, 90)
     for family in FAMILIES.values():
         log = simulate.run_experiment(family(), quad, 2_000, seed=3, threads=2)
-        products = simulate.run_experiment_products(family(), quad, 2_000, seed=3, threads=2)
-        assert np.array_equal(products.products, log.products) and products.products.dtype == np.int8
-        assert _bits(simulate.estimate_correlations(products)) == _bits(simulate.estimate_correlations(log))
+        sums = simulate.run_sums(family(), simulate.experiment_pairs(quad), 2_000, seed=3, threads=2)
+        assert np.array_equal(sums, log.pair_sums()) and sums.dtype == np.int64
+        assert _bits(simulate.estimate_correlations(sums[-1])) == _bits(simulate.estimate_correlations(log))
 
     def no_log(*args, **kwargs):
         raise AssertionError("a report path built the nine-column trial log")

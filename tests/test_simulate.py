@@ -4,6 +4,7 @@ import math
 import threading
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -110,6 +111,22 @@ def test_run_shorter_than_a_block_per_worker_is_split_over_the_workers(monkeypat
     assert split == serial
 
 
+def test_long_runs_reach_the_pool_a_window_of_blocks_at_a_time(monkeypatch, serial_pool):
+    # The pool keeps a future per block it is given, so a long run hands it
+    # windows of _WINDOW_BLOCKS blocks; the outputs do not change.
+    requested, blocks = serial_pool
+    spec = FactorizableInstrument(epsilon=0.3)
+    pairs = simulate.experiment_pairs(QUAD)
+    serial_log = run_experiment(spec, QUAD, 1_000, seed=5, threads=1)
+    serial_sums = simulate.run_sums(spec, pairs, 1_000, 5, 1, [16, 500, 1_000])
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(simulate, "_BLOCK_TRIALS", 100)
+    monkeypatch.setattr(simulate, "_WINDOW_BLOCKS", 3)
+    assert run_experiment(spec, QUAD, 1_000, seed=5, threads=2) == serial_log
+    assert np.array_equal(simulate.run_sums(spec, pairs, 1_000, 5, 2, [16, 500, 1_000]), serial_sums)
+    assert requested == [2, 2] and blocks == [3, 3, 3, 1] * 2
+
+
 def test_pair_choice_uniformity():
     log = run_experiment(BellDeterministic(), QUAD, 1_000_000, seed=13)
     counts = np.bincount(log.pair_id, minlength=4)
@@ -172,14 +189,25 @@ def test_insufficient_data():
     assert exc.value.pair_id == 1
 
 
-def _numpy_estimate(pid: int, products: np.ndarray) -> CorrelationEstimate:
-    """The reference: numpy's mean and std(ddof=1) of the products as float64."""
-    p = products.astype(np.float64)
-    return CorrelationEstimate(pid, float(p.mean()), float(p.std(ddof=1) / math.sqrt(len(p))), len(p))
+def _closed_form(pid: int, products: np.ndarray) -> CorrelationEstimate:
+    """The reference: s / n and sqrt((n^2 - s^2) / (n^2 (n - 1))) of the +/-1 products,
+    with n and s counted by numpy."""
+    n, s = len(products), int(np.sum(products, dtype=np.int64))
+    return CorrelationEstimate(pid, s / n, math.sqrt((n * n - s * s) / (n * n * (n - 1))), n)
 
 
 def _hex(estimates) -> list[tuple]:
     return [(e.pair_id, e.mean.hex(), e.std_error.hex(), e.count) for e in estimates]
+
+
+def _one_pair_log(products: np.ndarray) -> TrialLog:
+    """A hand-built one-pair log whose trials have these outcome products A*B."""
+    n = len(products)
+    zeros = np.zeros(n)
+    return TrialLog(
+        t=np.arange(n), pair_id=np.zeros(n, dtype=np.int8), setting_1=zeros, setting_2=zeros, lam=zeros,
+        ip_1=zeros, ip_2=zeros, a=products, b=np.ones(n, dtype=np.int8), lambda_kind="discrete", n_pairs=1,
+    )
 
 
 @settings(max_examples=80, deadline=None)
@@ -189,34 +217,83 @@ def _hex(estimates) -> list[tuple]:
     seed=st.integers(0, 2**32 - 1),
 )
 def test_estimate_is_numpy_mean_and_std_bit_for_bit(length, plus_fraction, seed):
-    # plus_fraction 0 and 1 give arrays whose entries are all equal
+    # The mean is numpy's mean bit for bit; the standard error is the closed
+    # form's, which is within a few ulps of numpy's std(ddof=1) / sqrt(n).
+    # plus_fraction 0 and 1 give arrays whose entries are all equal.
     draw = np.random.default_rng(seed).random(length)
     products = np.where(draw < plus_fraction, 1, -1).astype(np.int8)
-    result = simulate.PairProducts(pair_id=np.zeros(length, dtype=np.int8), products=products, n_pairs=1)
-    assert _hex(estimate_correlations(result)) == _hex([_numpy_estimate(0, products)])
+    (got,) = estimate_correlations(_one_pair_log(products))
+    assert _hex([got]) == _hex([_closed_form(0, products)])
+    p = products.astype(np.float64)
+    assert got.mean.hex() == float(p.mean()).hex()
+    assert got.std_error == pytest.approx(float(p.std(ddof=1) / math.sqrt(length)), rel=1e-13, abs=0.0)
+
+
+def _is_nearest(x: float, exact: Fraction) -> bool:
+    """No double next to x is closer to ``exact`` than x is."""
+    err = abs(Fraction(x) - exact)
+    return all(abs(Fraction(math.nextafter(x, toward)) - exact) >= err for toward in (-math.inf, math.inf))
+
+
+def _is_nearest_root(r: float, v: Fraction) -> bool:
+    """No double next to r >= 0 is closer to sqrt(v) than r is: sqrt(v) lies
+    between the midpoints of r and its neighbours, compared by squaring."""
+    below = (Fraction(r) + Fraction(math.nextafter(r, -math.inf))) / 2
+    above = (Fraction(r) + Fraction(math.nextafter(r, math.inf))) / 2
+    return r >= 0.0 and (below <= 0 or below * below <= v) and v <= above * above
+
+
+@settings(max_examples=300, deadline=None)
+@given(count=st.integers(2, 10**12), data=st.data())
+def test_closed_form_steps_are_correctly_rounded(count, data):
+    # s = (number of +1) - (number of -1) has the parity of n.
+    total = 2 * data.draw(st.integers(0, count), label="plus") - count
+    (est,) = estimate_correlations(np.array([[count, total]], dtype=np.int64))
+    assert est.count == count
+    assert _is_nearest(est.mean, Fraction(total, count))
+    quotient = Fraction(count * count - total * total, count * count * (count - 1))
+    rounded = float(quotient)
+    assert _is_nearest(rounded, quotient)
+    assert _is_nearest_root(est.std_error, Fraction(rounded))
+    assert est.std_error == math.sqrt(rounded)
 
 
 @pytest.mark.parametrize("block", [7, 64, simulate._BLOCK_TRIALS])
-def test_split_by_pair_keeps_each_pairs_trial_order(monkeypatch, block):
+def test_pair_sums_of_a_run_are_its_prefix_sums(monkeypatch, block):
+    # Small blocks put several checkpoints inside one block and others on block edges.
     monkeypatch.setattr(simulate, "_BLOCK_TRIALS", block)
-    log = run_experiment(FactorizableInstrument(epsilon=0.5), QUAD, 1_001, seed=43)
-    for seq, pid in zip(log.by_pair, range(4)):
-        assert np.array_equal(seq, log.products[log.pair_id == pid])
-    reference = [_numpy_estimate(pid, log.products[log.pair_id == pid]) for pid in range(4)]
-    assert _hex(estimate_correlations(log)) == _hex(reference)
+    log = run_experiment(FactorizableInstrument(epsilon=0.5), QUAD, 1_000, seed=47)
+    products = log.a * log.b
+    lengths = [4, 8, 16, 64, 100, 128, 999, 1_000]
+    expected = [
+        [[np.count_nonzero(log.pair_id[:n] == pid), int(products[:n][log.pair_id[:n] == pid].sum())]
+         for pid in range(4)]
+        for n in lengths
+    ]
+    for threads in (1, 2):
+        sums = simulate.run_sums(FactorizableInstrument(epsilon=0.5), simulate.experiment_pairs(QUAD), 1_000, 47,
+                                 threads, lengths)
+        assert sums.dtype == np.int64 and sums.tolist() == expected
+    assert log.pair_sums(lengths).tolist() == expected
 
 
 def test_prefix_correlations_are_numpy_estimates_of_prefix_slices(monkeypatch):
+    # The estimates at each checkpoint are the closed form on that prefix slice;
+    # a prefix with fewer than 2 trials of some pair has none.
     monkeypatch.setattr(simulate, "_BLOCK_TRIALS", 64)
-    result = simulate.run_experiment_products(FactorizableInstrument(epsilon=0.5), QUAD, 1_000, seed=47)
+    log = run_experiment(FactorizableInstrument(epsilon=0.5), QUAD, 1_000, seed=47)
     lengths = [4, 8, 16, 100, 128, 999, 1_000]
-    expected = []
-    for n in lengths:
-        pair_id, products = result.pair_id[:n], result.products[:n]
-        if min(np.count_nonzero(pair_id == pid) for pid in range(4)) < 2:
+    sums = simulate.run_sums(FactorizableInstrument(epsilon=0.5), simulate.experiment_pairs(QUAD), 1_000, 47, 2,
+                             lengths)
+    expected, got = [], []
+    for n, prefix in zip(lengths, sums):
+        pair_id, products = log.pair_id[:n], log.a[:n] * log.b[:n]
+        if min(np.count_nonzero(pair_id == pid) for pid in range(4)) >= 2:
+            expected.append((n, _hex(_closed_form(pid, products[pair_id == pid]) for pid in range(4))))
+        try:
+            got.append((n, _hex(estimate_correlations(prefix))))
+        except InsufficientData:
             continue
-        expected.append((n, _hex(_numpy_estimate(pid, products[pair_id == pid]) for pid in range(4))))
-    got = [(n, _hex(estimates)) for n, estimates in simulate.prefix_correlations(result, lengths)]
     assert got == expected
     assert got[0][0] > lengths[0]  # the shortest prefix lacks a pair, so it is left out
 
