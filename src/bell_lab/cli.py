@@ -628,8 +628,8 @@ def cmd_oracle(args) -> int:
             ),
             "value": result.max_abs_chsh,
             "certificate": {
-                "total_strategies": result.total_strategies,
-                "per_lambda_max": list(result.per_lambda_max),
+                "vertices_scanned": result.vertices_scanned,
+                "facets": [{"signs": list(signs), "max": top} for signs, top in result.facets],
                 "argmax_a": result.a_table.tolist(),
                 "argmax_b": result.b_table.tolist(),
             },
@@ -724,7 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_orc = sub.add_parser("oracle", help="exact finite-space computations")
     orc_sub = p_orc.add_subparsers(dest="oracle_op", required=True)
 
-    p_enum = orc_sub.add_parser("enumerate", help="exhaustive deterministic-strategy maximum")
+    p_enum = orc_sub.add_parser("enumerate", help="local bound from the 16 local-polytope vertices and 8 facets")
     p_enum.add_argument("--m", type=int, required=True, help="lambda space size")
     p_enum.add_argument("--settings1", type=int, default=2)
     p_enum.add_argument("--settings2", type=int, default=2)

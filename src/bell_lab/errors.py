@@ -52,7 +52,7 @@ class UnknownSetting(BellLabError):
 
 
 class TooLarge(BellLabError):
-    """An enumeration request exceeds the exhaustive-search guard."""
+    """An enumeration request asks for argmax tables with more cells than the guard allows."""
 
 
 class ConfigError(BellLabError):

@@ -44,8 +44,13 @@ def check_weights(weights, what: str) -> None:
     if len(weights) == 0:
         raise InvalidSpec(f"{what} must be non-empty")
     values = np.asarray(weights, dtype=np.float64)
-    if not (np.isfinite(values) & (values >= 0.0)).all():
-        raise InvalidSpec(f"{what} must be finite and >= 0, got {tuple(weights)}")
+    bad = np.flatnonzero(~(np.isfinite(values) & (values >= 0.0)))
+    if bad.size:
+        first = int(bad[0])
+        raise InvalidSpec(
+            f"{what} must be finite and >= 0: {bad.size} of {values.size} are not,"
+            f" the first at index {first} ({float(values[first])!r})"
+        )
     total = math.fsum(weights)
     if abs(total - 1.0) > WEIGHT_TOLERANCE:
         raise InvalidSpec(f"{what} must sum to 1 within {WEIGHT_TOLERANCE}, got {total!r}")

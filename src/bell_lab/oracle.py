@@ -10,12 +10,13 @@ certificates in the test suite are honest.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Setting, SettingQuad, chsh_pairs
+from .core import CHSH_SIGNS, Setting, SettingQuad, chsh_pairs
 from .errors import InvalidSpec, TooLarge, UnknownSetting
 from .models import (
     BellDeterministic,
@@ -30,7 +31,8 @@ from .models import (
     sign_law,
 )
 
-# 2^((n1+n2)*m) deterministic strategy pairs must fit under this.
+# The enumeration certificate's argmax tables hold (n1 + n2) * m cells, one
+# +/-1 entry (one bit) each; a request for more cells than this is refused.
 ENUMERATION_GUARD_BITS = 32
 
 
@@ -125,7 +127,16 @@ def exact_chsh(
     return math.fsum(terms)
 
 
-# --- Deterministic strategy enumeration --------------------------------------
+# --- The local polytope ---------------------------------------------------------
+
+# The local polytope of the two-setting scenario (Fine, PRL 48, 291, 1982):
+# its vertices are the 16 deterministic assignments (A_a, A_d, B_b, B_c) of
+# +/-1, its facets the 8 sign vectors with an odd number of -1s, each bounding
+# the signed sum of the four products by 2. CHSH_SIGNS is one of them.
+_VERTICES = np.array(list(itertools.product((-1, 1), repeat=4)), dtype=np.int64)
+# Each vertex's products in chsh_pairs order: (a,c), (a,b), (d,b), (d,c).
+_VERTEX_PRODUCTS = _VERTICES[:, [0, 0, 1, 1]] * _VERTICES[:, [3, 2, 2, 3]]
+_FACET_SIGNS = tuple(s for s in itertools.product((1, -1), repeat=4) if s.count(-1) % 2)
 
 
 @dataclass(frozen=True)
@@ -133,69 +144,44 @@ class EnumerationResult:
     max_abs_chsh: float
     a_table: np.ndarray  # shape (n_settings_1, m), entries +/-1
     b_table: np.ndarray  # shape (n_settings_2, m)
-    total_strategies: int
-    per_lambda_max: tuple[int, ...]
-
-
-def _pm1_assignments(n: int):
-    for bits in range(1 << n):
-        yield tuple(1 if (bits >> k) & 1 else -1 for k in range(n))
+    vertices_scanned: int
+    facets: tuple[tuple[tuple[int, ...], int], ...]  # (sign vector, its maximum over the vertices)
 
 
 def enumerate_deterministic_strategies(
     n_settings_1: int, n_settings_2: int, m: int
 ) -> EnumerationResult:
-    """Exhaustive maximum of |Delta| over deterministic strategies.
+    """Maximum of |Delta| over deterministic strategies, from the local polytope.
 
-    Strategies are all A: settings x lambda -> +/-1 and B likewise, with a
-    uniform setting-independent lambda. The four-term statistic reads the
-    first two settings on each side (a, d and b, c), so only those 2 x 2
-    assignments are scanned; every further setting is set to -1, the first
-    assignment a full scan in the same order would reach.
-
-    Reduction: with a shared lambda distribution the statistic is a weighted
-    average of independent per-lambda rows, so the maximum is the weighted
-    average of per-lambda row maxima — m independent small scans instead of
-    one scan over 2^((n1+n2)*m) strategy pairs. The guard still bounds the
-    nominal strategy count, and the reduction is property-tested against the
-    direct scan at small sizes.
+    A deterministic strategy with a shared lambda averages, over lambda, the
+    four products of one vertex (A_a, A_d, B_b, B_c); the statistic reads only
+    the first two settings per side. So every facet's maximum over all
+    strategies, for any m, is its maximum over the 16 vertices, and the value
+    is the largest |canonical facet| at a vertex: 2. The argmax tables repeat
+    the first vertex that maximizes the canonical facet in every lambda
+    column and set every further setting to -1.
     """
     if n_settings_1 < 2 or n_settings_2 < 2:
         raise ValueError("the four-term statistic needs at least two settings per side")
     if m < 1:
         raise ValueError(f"lambda space size must be >= 1, got {m}")
-    bits = (n_settings_1 + n_settings_2) * m
-    if bits > ENUMERATION_GUARD_BITS:
+    cells = (n_settings_1 + n_settings_2) * m
+    if cells > ENUMERATION_GUARD_BITS:
         raise TooLarge(
-            f"2^{bits} strategy pairs exceeds the 2^{ENUMERATION_GUARD_BITS} enumeration guard"
+            f"the argmax tables would hold {cells} cells, above the {ENUMERATION_GUARD_BITS}-cell guard"
         )
 
-    best_row = None
-    best_val = None
-    for a in _pm1_assignments(2):
-        for b in _pm1_assignments(2):
-            # columns (a,c), (a,b), (d,b), (d,c) with side-2 order [b, c]
-            val = a[0] * b[1] - a[0] * b[0] - a[1] * b[0] - a[1] * b[1]
-            if best_val is None or val > best_val:
-                best_val = val
-                best_row = (a, b)
-    assert best_row is not None and best_val is not None
-
-    # Every lambda's subproblem is the same scan; spelling the loop keeps the
-    # per-lambda structure of the reduction visible in the result.
-    per_lambda_max = tuple(best_val for _ in range(m))
-    a_best = best_row[0] + (-1,) * (n_settings_1 - 2)
-    b_best = best_row[1] + (-1,) * (n_settings_2 - 2)
-    a_tab = np.tile(np.asarray(a_best, dtype=np.int8).reshape(-1, 1), (1, m))
-    b_tab = np.tile(np.asarray(b_best, dtype=np.int8).reshape(-1, 1), (1, m))
-    # Integer total over lambda divided by m: exact in floating point.
-    value = float(sum(per_lambda_max)) / m
+    values = _VERTEX_PRODUCTS @ np.array(_FACET_SIGNS).T  # (16, 8): each facet at each vertex
+    canonical = values[:, _FACET_SIGNS.index(CHSH_SIGNS)]
+    a_a, a_d, b_b, b_c = _VERTICES[int(np.argmax(canonical))].tolist()
+    a_best = (a_a, a_d) + (-1,) * (n_settings_1 - 2)
+    b_best = (b_b, b_c) + (-1,) * (n_settings_2 - 2)
     return EnumerationResult(
-        max_abs_chsh=value,
-        a_table=a_tab,
-        b_table=b_tab,
-        total_strategies=1 << bits,
-        per_lambda_max=per_lambda_max,
+        max_abs_chsh=float(np.abs(canonical).max()),
+        a_table=np.tile(np.asarray(a_best, dtype=np.int8).reshape(-1, 1), (1, m)),
+        b_table=np.tile(np.asarray(b_best, dtype=np.int8).reshape(-1, 1), (1, m)),
+        vertices_scanned=len(_VERTICES),
+        facets=tuple(zip(_FACET_SIGNS, values.max(axis=0).tolist())),
     )
 
 

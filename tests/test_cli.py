@@ -213,6 +213,17 @@ def test_config_error_exit_two(tmp_path, capsys):
     assert "n_trials" in err
 
 
+def test_one_bad_weight_of_many_gives_a_short_error(tmp_path, capsys):
+    weights = ["0.0001"] * 10**4
+    weights[4321] = "-0.0001"
+    source = "model.source.kind = discrete\nmodel.source.weights = " + " ".join(weights) + "\n"
+    cfg = write_cfg(tmp_path, MINIMAL + source)
+    assert main(["simulate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert len(err) < 300 and len(err.strip().splitlines()) == 1, err
+    assert "index 4321" in err and "model.source.weights" in err
+
+
 def test_missing_config_file_exit_two(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 2
 
@@ -436,7 +447,8 @@ def test_oracle_enumerate_certificate(capsys):
     assert record["operation"] == "enumerate"
     assert record["value"] == 2.0
     assert record["inputs_digest"].startswith("sha256:")
-    assert record["certificate"]["total_strategies"] == 2**16
+    assert record["certificate"]["vertices_scanned"] == 16
+    assert [facet["max"] for facet in record["certificate"]["facets"]] == [2] * 8
 
 
 def test_oracle_out_goes_after_the_operation(tmp_path, capsys):

@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from bell_lab.core import Setting, SettingQuad, chsh_pairs
+from bell_lab.core import CHSH_SIGNS, Setting, SettingQuad, chsh_pairs
 from bell_lab.errors import InvalidSpec, TooLarge, UnknownSetting
 from bell_lab.models import BellDeterministic, DiscreteSource, FactorizableInstrument, TimeTaggedAnticorrelated
 from bell_lab.oracle import (
@@ -143,9 +145,9 @@ def test_discretize_rejects_non_factorizable_kinds():
 # --- strategy enumeration -----------------------------------------------------------
 
 
-def brute_force_max_chsh(m: int) -> float:
-    """Direct scan over all deterministic strategies, two settings per side."""
-    best = 0
+def brute_force_chsh(m: int, signs=CHSH_SIGNS) -> list[float]:
+    """Direct scan: the signed four-term sum of every deterministic strategy, two settings per side."""
+    values = []
     side = list(itertools.product((-1, 1), repeat=2 * m))
     for a_flat in side:
         a0, a1 = a_flat[:m], a_flat[m:]
@@ -154,22 +156,45 @@ def brute_force_max_chsh(m: int) -> float:
             # columns (a,c), (a,b), (d,b), (d,c); side-2 rows are [b, c]
             total = 0
             for lam in range(m):
-                total += a0[lam] * b1[lam] - a0[lam] * b0[lam] - a1[lam] * b0[lam] - a1[lam] * b1[lam]
-            best = max(best, abs(total))
-    return best / m
+                products = (a0[lam] * b1[lam], a0[lam] * b0[lam], a1[lam] * b0[lam], a1[lam] * b1[lam])
+                total += sum(sign * p for sign, p in zip(signs, products))
+            values.append(total / m)
+    return values
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_enumeration_matches_brute_force(m):
-    assert enumerate_deterministic_strategies(2, 2, m).max_abs_chsh == brute_force_max_chsh(m)
+    assert enumerate_deterministic_strategies(2, 2, m).max_abs_chsh == max(map(abs, brute_force_chsh(m)))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_every_facet_maximum_matches_brute_force(m):
+    result = enumerate_deterministic_strategies(2, 2, m)
+    signs_listed = [signs for signs, _ in result.facets]
+    # the 8 CHSH facets: the sign vectors with an odd number of -1s
+    assert sorted(signs_listed) == sorted(s for s in itertools.product((-1, 1), repeat=4) if s.count(-1) % 2)
+    for signs, top in result.facets:
+        assert max(brute_force_chsh(m, signs)) == top == result.max_abs_chsh, signs
+
+
+@given(st.lists(st.integers(0, 2**20), min_size=16, max_size=16).filter(any))
+def test_vertex_mixtures_satisfy_every_facet(weights):
+    # Integer weights keep every sum exact, so the bound needs no tolerance.
+    vertices = list(itertools.product((-1, 1), repeat=4))  # (A_a, A_d, B_b, B_c)
+    products = [(aa * bc, aa * bb, ad * bb, ad * bc) for aa, ad, bb, bc in vertices]
+    total = math.fsum(weights)
+    numerators = [math.fsum(w * p[k] for w, p in zip(weights, products)) for k in range(4)]
+    for signs, _ in enumerate_deterministic_strategies(2, 2, 1).facets:
+        value = math.fsum(sign * n for sign, n in zip(signs, numerators)) / total
+        assert abs(value) <= 2.0, (signs, value)
 
 
 @pytest.mark.parametrize("m", [1, 2, 4, 8])
 def test_enumeration_returns_two_exactly(m):
     result = enumerate_deterministic_strategies(2, 2, m)
     assert result.max_abs_chsh == 2.0
-    assert result.total_strategies == 2 ** (4 * m)
-    assert result.per_lambda_max == tuple([2] * m)
+    assert result.vertices_scanned == 16
+    assert [top for _, top in result.facets] == [2] * 8
     assert result.a_table.shape == (2, m)
     assert set(np.unique(result.a_table)) <= {-1, 1}
 
@@ -187,8 +212,8 @@ def test_enumeration_pads_unread_settings():
     small = enumerate_deterministic_strategies(2, 2, 1)
     big = enumerate_deterministic_strategies(16, 16, 1)
     assert big.max_abs_chsh == small.max_abs_chsh
-    assert big.per_lambda_max == small.per_lambda_max
-    assert big.total_strategies == 2**32
+    assert big.facets == small.facets
+    assert big.vertices_scanned == small.vertices_scanned == 16
     assert np.array_equal(big.a_table[:2], small.a_table)
     assert np.array_equal(big.b_table[:2], small.b_table)
     assert np.all(big.a_table[2:] == -1) and np.all(big.b_table[2:] == -1)
