@@ -25,6 +25,8 @@ import os
 import sys
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import __version__, rng
 from .core import Setting, SettingQuad, chsh_pairs
 from .errors import (
@@ -65,11 +67,9 @@ from .simulate import (
 )
 from .tables import (
     KeyMode,
-    Sum,
     build_reordered_table,
     lln_balance_check,
     render_table,
-    row_sums,
     table_to_json_obj,
 )
 
@@ -546,15 +546,10 @@ def cmd_tables(args) -> int:
     key_mode = KeyMode(args.key_mode)
     log = run_experiment(cfg.model, cfg.quad, cfg.n_trials, cfg.seed, threads=threads)
     table = build_reordered_table(log, key_mode)
-    sums = row_sums(table)
-
-    histogram: dict[int, int] = {}
-    undefined = 0
-    for s in sums:
-        if isinstance(s, Sum):
-            histogram[s.value] = histogram.get(s.value, 0) + 1
-        else:
-            undefined += 1
+    complete = table.rows.all(axis=1)
+    values, counts = np.unique(table.rows[complete].sum(axis=1, dtype=np.int64), return_counts=True)
+    histogram = dict(zip(values.tolist(), counts.tolist()))
+    undefined = len(table.rows) - table.complete_rows
 
     leftover_fraction = table.leftover_trials / table.n_trials if table.n_trials else 0.0
     print(f"bell-lab tables: key mode {key_mode.value}")

@@ -120,13 +120,13 @@ class ModelSpec:
     def source_arrays(self, seed, indices):
         """Sample the source value for each trial index.
 
-        Returns (lam_repr, lam_angle): the logged representation (discrete index
-        as a float, or the angle itself) and the angle fed to the detectors.
+        Returns (lam_repr, lam_angle): the logged representation (the int64
+        discrete index, or the angle itself) and the angle fed to the detectors.
         """
         u = rng.uniforms(seed, "source", indices)
         if isinstance(self.source, DiscreteSource):
             idx = np.minimum(np.searchsorted(self.source.cumulative, u, side="right"), self.source.size - 1)
-            return idx.astype(np.float64), midpoint_angles(idx, self.source.size)
+            return idx, midpoint_angles(idx, self.source.size)
         angle = u * TAU
         return angle, angle
 
@@ -329,7 +329,7 @@ class ModelFamily(Protocol):
     with these members runs through the same code path.
     """
 
-    lambda_kind: str  # "discrete" or "angle"
+    lambda_kind: str  # "discrete" (the runner logs lambda as int64) or "angle" (float64)
 
     def source_arrays(self, seed: int, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]: ...
 

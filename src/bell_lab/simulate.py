@@ -63,29 +63,38 @@ def _column(dtype, header: str | None = None):
 
 @dataclass(kw_only=True, eq=False)
 class TrialLog:
-    """Column-oriented log of an experiment: one numpy array per logged column.
-
-    Equality compares every column, the lambda representation and the pair
-    count — exactly what the CSV round-trips.
+    """Column-oriented log of an experiment: one numpy array per logged column,
+    all as long as ``t``. ``lam``'s dtype is the log's kind: int64 for a discrete
+    source's index, float64 for an angle. Equality compares every column, the kind
+    and the pair count — exactly what the CSV round-trips.
     """
 
     t: np.ndarray = _column(np.int64)
     pair_id: np.ndarray = _column(np.int8)
     setting_1: np.ndarray = _column(np.float64)
     setting_2: np.ndarray = _column(np.float64)
-    lam: np.ndarray = _column(np.float64, "lambda")
+    lam: np.ndarray = _column(np.float64, "lambda")  # or int64: see lambda_kind
     ip_1: np.ndarray = _column(np.float64)
     ip_2: np.ndarray = _column(np.float64)
     a: np.ndarray = _column(np.int8, "A")
     b: np.ndarray = _column(np.int8, "B")
-    lambda_kind: str
     n_pairs: int
 
     def __post_init__(self):
         for name, (_header, dtype) in _COLUMNS.items():
-            setattr(self, name, np.ascontiguousarray(getattr(self, name), dtype=dtype))
-        if self.lambda_kind not in ("discrete", "angle"):
-            raise ValueError(f"lambda_kind must be 'discrete' or 'angle', got {self.lambda_kind!r}")
+            column = np.asarray(getattr(self, name))
+            if name == "lam":
+                dtype = np.int64 if column.dtype.kind in "iu" else dtype
+                if column.dtype.kind == "b" or not np.can_cast(column.dtype, dtype):
+                    raise ValueError(f"lambda must hold integers that fit int64, or floats; got dtype {column.dtype}")
+            setattr(self, name, np.ascontiguousarray(column, dtype=dtype))
+            if len(column) != len(self.t):
+                raise ValueError(f"column {name} has {len(column)} rows, t has {len(self.t)}")
+
+    @property
+    def lambda_kind(self) -> str:
+        """'discrete' for an int64 lambda, 'angle' for a float64 one."""
+        return "discrete" if self.lam.dtype == np.int64 else "angle"
 
     def __len__(self) -> int:
         return len(self.t)
@@ -111,8 +120,7 @@ class TrialLog:
 
     def to_csv(self, path) -> None:
         """Write the frozen CSV schema; floats use shortest round-trip repr."""
-        lam = self.lam.astype(np.int64) if self.lambda_kind == "discrete" else self.lam
-        columns = [lam if name == "lam" else getattr(self, name) for name in _COLUMNS]
+        columns = [getattr(self, name) for name in _COLUMNS]
         with open(path, "w", newline="") as fh:
             fh.write(",".join(CSV_COLUMNS) + "\n")
             # str of a Python float is its shortest round-trip repr. Formatting
@@ -145,20 +153,17 @@ class TrialLog:
         _reject_rows(rows["index"] != np.arange(len(rows)), "index must count the rows from 0")
         _reject_rows((rows["pair_id"] < 0) | (rows["pair_id"] > 3), "pair_id must be 0, 1, 2 or 3")
         _reject_rows((np.abs(rows["A"]) != 1) | (np.abs(rows["B"]) != 1), "A and B must be -1 or 1")
-        discrete = len(rows) > 0 and not any(ch in first[CSV_COLUMNS.index("lambda")] for ch in ".e")
-        if discrete:
-            # to_csv writes a discrete lambda through int64, so only whole numbers round-trip.
-            lam = rows["lambda"]
-            whole = (lam >= 0.0) & (lam < 2.0**63) & (lam == np.floor(lam))
-            _reject_rows(~whole, "a discrete lambda must be a whole number in [0, 2**63)")
+        columns = {name: rows[header] for name, (header, _dtype) in _COLUMNS.items()}
+        if len(rows) > 0 and not any(ch in first[CSV_COLUMNS.index("lambda")] for ch in ".e"):
+            # Parsed as float64, a whole number is exact below 2**53 and may be rounded above.
+            lam = columns["lam"]
+            whole = (lam >= 0.0) & (lam < 2.0**53) & (lam == np.floor(lam))
+            _reject_rows(~whole, "a discrete lambda must be a whole number in [0, 2**53)")
+            columns["lam"] = lam.astype(np.int64)
         for header, dtype in _COLUMNS.values():
             if dtype.kind == "f":
                 _reject_rows(~np.isfinite(rows[header]), f"{header} must be finite")
-        return cls(
-            **{name: rows[header] for name, (header, _dtype) in _COLUMNS.items()},
-            lambda_kind="discrete" if discrete else "angle",
-            n_pairs=4,
-        )
+        return cls(**columns, n_pairs=4)
 
 
 # Attribute -> (CSV header, dtype) of each logged column, in CSV order after "index".
@@ -263,6 +268,7 @@ def run_pairs(
     """
     # The runner itself rejects n_trials < 1.
     columns = {name: np.empty(max(n_trials, 0), dtype=dtype) for name, (_header, dtype) in _COLUMNS.items()}
+    columns["lam"] = np.empty(max(n_trials, 0), dtype={"discrete": np.int64, "angle": np.float64}[spec.lambda_kind])
 
     def fill(lo: int, block: dict) -> int:
         for name, column in columns.items():
@@ -270,7 +276,7 @@ def run_pairs(
         return 0  # a log keeps its trials, so there is nothing to add up
 
     _run_blocks(spec, pairs, n_trials, seed, threads, fill)
-    return TrialLog(**columns, lambda_kind=spec.lambda_kind, n_pairs=len(pairs))
+    return TrialLog(**columns, n_pairs=len(pairs))
 
 
 def run_sums(

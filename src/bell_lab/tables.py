@@ -81,7 +81,7 @@ def _require_four_columns(log: TrialLog) -> None:
 
 def _lambda_pair_counts(log: TrialLog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct lambda values, each trial's (lambda index * 4 + pair) group, and group counts."""
-    values, lam_idx = np.unique(log.lam.astype(np.int64), return_inverse=True)
+    values, lam_idx = np.unique(log.lam, return_inverse=True)
     group = lam_idx * 4 + log.pair_id
     counts = np.bincount(group, minlength=4 * len(values)).reshape(-1, 4)
     return values, group, counts
@@ -99,16 +99,14 @@ def build_reordered_table(log: TrialLog, key_mode: KeyMode) -> OutcomeTable:
     n = len(log)
     signs = np.asarray(CHSH_SIGNS, dtype=np.int8)
     signed = signs[log.pair_id] * log.a * log.b
-    discrete = log.lambda_kind == "discrete"
 
     if key_mode is KeyMode.LAMBDA_TIME:
         # (lambda, t) is unique per trial: no key can ever fill four columns.
         rows = np.zeros((n, 4), dtype=np.int8)
         rows[np.arange(n), log.pair_id] = signed
-        lam = log.lam.astype(np.int64) if discrete else log.lam
-        return OutcomeTable(key_mode, lam, log.t, rows, leftover_trials=n, n_trials=n)
+        return OutcomeTable(key_mode, log.lam, log.t, rows, leftover_trials=n, n_trials=n)
 
-    if not discrete:
+    if log.lambda_kind != "discrete":
         raise ContinuousLambdaUnorderable(
             "lambda-keyed reordering needs a discrete source whose value set is "
             "much smaller than the number of trials; a continuous lambda never repeats"

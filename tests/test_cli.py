@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,8 @@ from bell_lab.cli import (
 )
 from bell_lab.errors import ConfigError
 from bell_lab.models import FAMILIES, BellDeterministic, DiscreteSource, UniformAngleSource
-from bell_lab.simulate import TrialLog
+from bell_lab.simulate import TrialLog, run_experiment
+from bell_lab.tables import KeyMode, Sum, Undefined, build_reordered_table, row_sums
 
 DATA = Path(__file__).parent / "data"
 
@@ -439,6 +441,29 @@ def test_tables_command_lambda_time(tmp_path, capsys):
     obj = json.loads((out / "table.json").read_text())
     assert obj["table"]["complete_rows"] == 0
     assert obj["undefined_row_sums"] == 1000
+
+
+@pytest.mark.parametrize(
+    "name, source, mode",
+    [
+        (name, source, mode)
+        for name in sorted(FAMILIES)
+        for source in ("angle", "discrete")
+        for mode in ("lambda", "lambda-time")
+        if (source, mode) != ("angle", "lambda")  # exit 4: a continuous lambda never repeats
+    ],
+)
+def test_tables_json_counts_are_a_count_over_row_sums(tmp_path, name, source, mode):
+    text = MINIMAL.replace("bell_deterministic", name) + FAMILY_CASES[name][0]
+    if source == "discrete":
+        text += "model.source.kind = discrete\nmodel.source.size = 16\n"
+    out = tmp_path / "out"
+    assert main(["tables", "--config", write_cfg(tmp_path, text), "--key-mode", mode, "--out", str(out)]) == 0
+    obj = json.loads((out / "table.json").read_text())
+    cfg = parse_config_text(text)
+    sums = row_sums(build_reordered_table(run_experiment(cfg.model, cfg.quad, cfg.n_trials, cfg.seed), KeyMode(mode)))
+    assert obj["row_sum_histogram"] == dict(Counter(str(s.value) for s in sums if isinstance(s, Sum)))
+    assert obj["undefined_row_sums"] == sum(isinstance(s, Undefined) for s in sums)
 
 
 def test_oracle_enumerate_certificate(capsys):

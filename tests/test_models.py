@@ -386,6 +386,13 @@ class _CoinFamily:
         return np.where(np.asarray(ip) < 0.5, 1, -1).astype(np.int8)
 
 
+def test_custom_family_with_an_unknown_lambda_kind_is_refused():
+    fam = _CoinFamily()
+    fam.lambda_kind = "Angle"
+    with pytest.raises(KeyError, match="Angle"):
+        run_experiment(fam, QUAD, 10, seed=8)
+
+
 def test_register_custom_family():
     fam = _CoinFamily()
     log = run_experiment(fam, QUAD, 2_000, seed=8)

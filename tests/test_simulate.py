@@ -176,12 +176,11 @@ def test_insufficient_data():
         pair_id=np.zeros(n, dtype=np.int8),
         setting_1=np.zeros(n),
         setting_2=np.zeros(n),
-        lam=np.zeros(n),
+        lam=np.zeros(n, dtype=np.int64),
         ip_1=np.zeros(n),
         ip_2=np.zeros(n),
         a=np.ones(n, dtype=np.int8),
         b=np.ones(n, dtype=np.int8),
-        lambda_kind="discrete",
         n_pairs=4,
     )
     with pytest.raises(InsufficientData) as exc:
@@ -205,9 +204,39 @@ def _one_pair_log(products: np.ndarray) -> TrialLog:
     n = len(products)
     zeros = np.zeros(n)
     return TrialLog(
-        t=np.arange(n), pair_id=np.zeros(n, dtype=np.int8), setting_1=zeros, setting_2=zeros, lam=zeros,
-        ip_1=zeros, ip_2=zeros, a=products, b=np.ones(n, dtype=np.int8), lambda_kind="discrete", n_pairs=1,
+        t=np.arange(n), pair_id=np.zeros(n, dtype=np.int8), setting_1=zeros, setting_2=zeros,
+        lam=np.zeros(n, dtype=np.int64), ip_1=zeros, ip_2=zeros, a=products, b=np.ones(n, dtype=np.int8), n_pairs=1,
     )
+
+
+@pytest.mark.parametrize(
+    "lam, dtype, kind",
+    [
+        (np.arange(3, dtype=np.int32), np.int64, "discrete"),
+        (np.arange(3, dtype=np.uint8), np.int64, "discrete"),
+        ([0, 1, 2], np.int64, "discrete"),
+        (np.zeros(3, dtype=np.float32), np.float64, "angle"),
+        ([0.5, 1.7, 2.2], np.float64, "angle"),
+    ],
+    ids=["int32", "uint8", "int-list", "float32", "float-list"],
+)
+def test_trial_log_kind_follows_the_lambda_dtype(lam, dtype, kind):
+    log = replace(_one_pair_log(np.ones(3, dtype=np.int8)), lam=lam)
+    assert log.lam.dtype == dtype and log.lambda_kind == kind
+    assert np.array_equal(log.lam, lam)
+
+
+@pytest.mark.parametrize("dtype", [np.bool_, np.complex128, np.uint64, np.str_])
+def test_trial_log_rejects_a_lambda_that_is_neither_int64_nor_float(dtype):
+    # a uint64 above 2**63 - 1 would wrap to a negative int64
+    with pytest.raises(ValueError, match="lambda must hold integers that fit int64, or floats"):
+        replace(_one_pair_log(np.ones(3, dtype=np.int8)), lam=np.zeros(3, dtype=dtype))
+
+
+def test_trial_log_rejects_columns_of_unequal_length():
+    log = _one_pair_log(np.ones(3, dtype=np.int8))
+    with pytest.raises(ValueError, match="^column pair_id has 2 rows, t has 3$"):
+        replace(log, pair_id=log.pair_id[:2], ip_2=log.ip_2[:1])
 
 
 @settings(max_examples=80, deadline=None)
@@ -382,6 +411,7 @@ def test_csv_round_trip_bit_identical(tmp_path, source):
         again = TrialLog.from_csv(path)
         assert again == log
         assert again.lambda_kind == log.lambda_kind
+        assert again.lam.dtype == log.lam.dtype == (np.int64 if isinstance(source, DiscreteSource) else np.float64)
         for name, (_header, dtype) in simulate._COLUMNS.items():
             bits = f"u{dtype.itemsize}"
             assert np.array_equal(getattr(again, name).view(bits), getattr(log, name).view(bits)), name
@@ -442,6 +472,9 @@ def _cell(header, text):
         (4, _cell("lambda", "-1"), DISCRETE_4),
         (5, _cell("lambda", "inf"), DISCRETE_4),
         (3, _cell("lambda", "100000000000000000000"), DISCRETE_4),
+        # parsed as float64, 2**53 + 1 would load as 2**53
+        (3, _cell("lambda", str(2**53 + 1)), DISCRETE_4),
+        (4, _cell("lambda", str(2**53)), DISCRETE_4),
         # an angle log's float columns must be finite (line 2 would read "nan" as a discrete lambda)
         (3, _cell("lambda", "nan"), ANGLE),
         (4, _cell("setting_1", "inf"), ANGLE),
@@ -452,7 +485,7 @@ def _cell(header, text):
     ids=[
         "short-first-row", "short-later-row", "index-7", "pair-id-9", "a-3", "b-0", "pair-id-1.5",
         "discrete-lambda-2.5", "discrete-lambda-nan-first", "discrete-lambda-negative",
-        "discrete-lambda-inf", "discrete-lambda-1e20",
+        "discrete-lambda-inf", "discrete-lambda-1e20", "discrete-lambda-2**53+1", "discrete-lambda-2**53",
         "angle-lambda-nan", "setting-1-inf", "setting-2-nan", "ip-1-minus-inf", "ip-2-nan",
     ],
 )
@@ -468,6 +501,19 @@ def test_csv_reader_rejects_malformed_rows(tmp_path, line, edit, source):
         assert str(exc.value).startswith(f"trial log line {line}: a discrete lambda")
     if source is ANGLE:
         assert str(exc.value).startswith(f"trial log line {line}: ") and str(exc.value).endswith(" must be finite")
+
+
+def test_csv_largest_discrete_lambda_round_trips(tmp_path):
+    path = tmp_path / "log.csv"
+    run_experiment(BellDeterministic(DISCRETE_4), QUAD, 5, seed=1).to_csv(path)
+    lines = path.read_text().splitlines()
+    lines[2] = ",".join(_cell("lambda", str(2**53 - 1))(lines[2].split(",")))
+    path.write_text("\n".join(lines) + "\n")
+    log = TrialLog.from_csv(path)
+    assert log.lam[1] == 2**53 - 1 and log.lambda_kind == "discrete"
+    again = tmp_path / "again.csv"
+    log.to_csv(again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_csv_header_only_loads_as_empty_log(tmp_path):

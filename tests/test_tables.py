@@ -34,19 +34,18 @@ QUAD = SettingQuad.from_degrees(0.0, 45.0, 135.0, 90.0)
 MIXED_QUAD = SettingQuad.from_degrees(0.0, 45.0, 10.0, 90.0)
 
 
-def _hand_log(pair_ids, lams, a, b, lambda_kind="discrete", n_pairs=4):
+def _hand_log(pair_ids, lams, a, b, n_pairs=4):
     n = len(pair_ids)
     return TrialLog(
         t=np.arange(n),
         pair_id=np.asarray(pair_ids, dtype=np.int8),
         setting_1=np.zeros(n),
         setting_2=np.zeros(n),
-        lam=np.asarray(lams, dtype=np.float64),
+        lam=np.asarray(lams, dtype=np.int64),
         ip_1=np.zeros(n),
         ip_2=np.zeros(n),
         a=np.asarray(a, dtype=np.int8),
         b=np.asarray(b, dtype=np.int8),
-        lambda_kind=lambda_kind,
         n_pairs=n_pairs,
     )
 
