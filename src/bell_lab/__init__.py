@@ -20,6 +20,7 @@ from .errors import (
     InvalidSpec,
     TooLarge,
     UnknownSetting,
+    WorkerFailed,
 )
 from .models import (
     AnticorrelationReport,
@@ -77,7 +78,7 @@ __all__ = [
     "CHSH_SIGNS", "Setting", "SettingQuad", "chsh_pairs", "row_identity", "row_sum",
     # errors
     "BellLabError", "InvalidSpec", "InsufficientData", "AnticorrelationViolated",
-    "ContinuousLambdaUnorderable", "UnknownSetting", "TooLarge", "ConfigError",
+    "ContinuousLambdaUnorderable", "UnknownSetting", "TooLarge", "ConfigError", "WorkerFailed",
     # models
     "FAMILIES", "ModelSpec", "BellDeterministic", "FactorizableInstrument",
     "TimeTaggedAnticorrelated", "SettingPairDependent", "DiscreteSource",

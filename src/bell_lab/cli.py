@@ -9,7 +9,8 @@ Exit codes are fixed and scriptable:
 
 * 0 — success (a bound VIOLATION verdict is a result, not an error)
 * 2 — invalid config, thread count, oracle or table argument or input file,
-  an output path that cannot be written, or a run too large for memory
+  an output path that cannot be written, a run too large for memory, or a
+  worker process that ended without its result (e.g. killed by a signal)
 * 3 — model error or failed premise (e.g. anticorrelation pilot)
 * 4 — table precondition (lambda-keyed reordering of a continuous source)
 * 5 — enumeration size guard
@@ -38,6 +39,7 @@ from .errors import (
     InvalidSpec,
     TooLarge,
     UnknownSetting,
+    WorkerFailed,
 )
 from .models import (
     FAMILIES,
@@ -63,6 +65,7 @@ from .simulate import (
     resolve_threads,
     run_experiment,
     run_sums,
+    run_sums_each,
     three_setting_statistic,
 )
 from .tables import (
@@ -76,10 +79,11 @@ from .tables import (
 CHSH_LOCAL_BOUND = 2.0
 SIGMA_BAND = 4.0
 
-# Largest n_trials a config may ask for: about 20 hours of a no-log simulate at
-# the 1.4e7 trials/s that two threads reach on a 2-vCPU host. A run holds no
-# array as long as itself unless it writes a trial log or a table, so without
-# this bound a mistyped exponent would run for years instead of failing.
+# Largest n_trials a config may ask for: about a day of a no-log simulate at
+# the 1.2e7 trials/s that two worker processes reach on a 2-vCPU host (Xeon,
+# 2 MB L2 per core, factorizable_instrument). A run holds no array as long as
+# itself unless it writes a trial log or a table, so without this bound a
+# mistyped exponent would run for years instead of failing.
 MAX_TRIALS = 10**12
 
 _PARAM_KEYS = {f"model.{name}" for family in FAMILIES.values() for name in family.parameters()}
@@ -364,12 +368,15 @@ def _resolve_output(cfg: ExperimentConfig, out_dir: str | None, name: str, defau
 def _sweep_rows(cfg: ExperimentConfig, threads: int) -> list[tuple[float, float, float, float, float]]:
     """Angle-vs-correlation plot data: MC estimate plus both references."""
     n = min(cfg.n_trials, 50_000)
+    angles = range(0, 181, 5)
+    runs = [
+        ([(Setting(0.0), Setting(math.radians(angle_deg)))], n, int(rng.hash_words(cfg.seed, "sweep", k)))
+        for k, angle_deg in enumerate(angles)
+    ]
     rows = []
-    for k, angle_deg in enumerate(range(0, 181, 5)):
+    for angle_deg, sums in zip(angles, run_sums_each(cfg.model, runs, threads)):
         theta = math.radians(angle_deg)
-        pair = (Setting(0.0), Setting(theta))
-        sweep_seed = int(rng.hash_words(cfg.seed, "sweep", k))
-        est = estimate_correlations(run_sums(cfg.model, [pair], n, sweep_seed, threads=threads)[-1])[0]
+        est = estimate_correlations(sums[-1])[0]
         classical = -1.0 + 2.0 * theta / math.pi
         rows.append((float(angle_deg), est.mean, est.std_error, classical, -math.cos(theta)))
     return rows
@@ -688,7 +695,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", required=True, help="path to a key = value config file")
         p.add_argument("--out", default=None, help="directory for output files")
-        p.add_argument("--threads", type=int, default=None, help="worker threads (default: BELL_LAB_THREADS or 1)")
+        p.add_argument(
+            "--threads", type=int, default=None,
+            help="worker processes, at most one per core (default: BELL_LAB_THREADS or 1)",
+        )
 
     p_sim = sub.add_parser("simulate", help="run an experiment and report per-pair correlations")
     add_common(p_sim)
@@ -751,6 +761,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:  # unreadable inputs are ConfigErrors: this is an output write
         print(f"output error: {exc}", file=sys.stderr)
+        return 2
+    except WorkerFailed as exc:  # e.g. the OOM killer's SIGKILL
+        print(f"worker error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # e.g. n_trials or model.source.size too large to allocate
         detail = str(exc) or "allocation failed"

@@ -55,6 +55,12 @@ class TooLarge(BellLabError):
     """An enumeration request asks for argmax tables with more cells than the guard allows."""
 
 
+class WorkerFailed(BellLabError):
+    """A worker process of the runner ended without sending its result, for
+    example when a signal such as the OOM killer's SIGKILL ended it, or could not
+    be started."""
+
+
 class ConfigError(BellLabError):
     """A config file failed strict-schema validation.
 

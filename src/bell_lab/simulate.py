@@ -6,11 +6,15 @@ a shared clock tick t equal to the trial index, a source draw, one instrument
 value per station, and two +/-1 outcomes.
 
 With w = min(threads, cores), the runner splits [0, n_trials) into blocks of
-min(65,536, ceil(n_trials / w)) trials on min(w, blocks) worker threads.
-Every random quantity is a pure function of (seed, trial index, stream
-label), so the log for a given (spec, quad, n_trials, seed) is bit-identical
-no matter how many worker threads evaluate it or in which order blocks
-complete.
+min(16,384, ceil(n_trials / w)) trials, which W = min(w, blocks) worker
+processes share: this process evaluates blocks 0, W, 2W, ..., and W - 1
+children made by ``os.fork`` the others, each sending back one sum through a
+pipe (``run_pairs``' columns live in shared memory, so the children write the
+log in place). A run forks nothing when W = 1, where ``os.fork`` does not
+exist, or while another Python thread is running. Every random quantity is a
+pure function of (seed, trial index, stream label), so the log for a given
+(spec, quad, n_trials, seed) is bit-identical no matter how many workers
+evaluate it or which of them evaluates which block.
 
 Logs are stored column-wise (numpy arrays), one array per logged column:
 51 bytes per trial. A report reads only each pair's trial count n and the sum
@@ -29,15 +33,18 @@ platform and numpy version.
 from __future__ import annotations
 
 import math
+import mmap
 import os
-from concurrent.futures import ThreadPoolExecutor
+import pickle
+import signal
+import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import rng
 from .core import CHSH_SIGNS, Setting, SettingQuad, chsh_pairs
-from .errors import AnticorrelationViolated, InsufficientData, InvalidSpec
+from .errors import AnticorrelationViolated, InsufficientData, InvalidSpec, WorkerFailed
 from .models import ModelFamily, check_anticorrelation, trial_arrays
 
 # Length of the equal-settings pilot that bell_statistic runs first.
@@ -45,7 +52,8 @@ _PILOT_TRIALS = 1000
 
 
 def resolve_threads(threads: int | None = None) -> int:
-    """Worker-thread count: explicit argument, else BELL_LAB_THREADS, else 1."""
+    """Worker count, the most processes a run may use: explicit argument, else
+    BELL_LAB_THREADS, else 1. The runner caps it at the core count."""
     if threads is None:
         env = os.environ.get("BELL_LAB_THREADS", "").strip()
         if env and not env.isdecimal():
@@ -195,20 +203,104 @@ def _reject_rows(bad: np.ndarray, what: str) -> None:
 
 
 # Most trials per block, the runner's unit of work: every kernel temporary is
-# at most one block long whatever n_trials is, so it stays cache-sized.
-_BLOCK_TRIALS = 1 << 16
+# at most one block long whatever n_trials is. At 2**14 trials a block's arrays
+# fit a 2 MB L2 cache; at 2**16 they spill out of it.
+_BLOCK_TRIALS = 1 << 14
 
-# Most blocks handed to the worker pool at once. The pool keeps a future per
-# block it is given, about 2 KB each, so without a window a run's memory would
-# grow with its length (30 GB at 10**12 trials).
-_WINDOW_BLOCKS = 1024
+
+def _workers(threads: int | None, tasks: int) -> int:
+    """How many processes share ``tasks`` tasks: min(threads, cores, tasks), or 1
+    where forking is impossible (no ``os.fork``) or unsafe (another Python thread
+    is running, and a child would start with any lock that thread holds)."""
+    workers = min(resolve_threads(threads), os.cpu_count() or 1, max(tasks, 1))
+    return workers if hasattr(os, "fork") and threading.active_count() == 1 else 1
+
+
+def _fork_shares(share, workers: int) -> list:
+    """[share(0), share(1), ..., share(workers - 1)]. Share 0 runs in this process,
+    every other share in a child made by ``os.fork``, which sends its result (or
+    its exception, raised here with its own type) back pickled through a pipe. A
+    child that ends without a result raises ``WorkerFailed``. Every child is
+    reaped before this returns or raises, and killed first if it is still running.
+    """
+    pids, pipes = [], []  # children not yet reaped, read ends not yet closed
+    try:
+        for w in range(1, workers):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError as exc:
+                os.close(read_end)
+                os.close(write_end)
+                raise WorkerFailed(f"cannot start a worker process: {exc}") from None
+            if pid == 0:
+                _child(share, w, write_end)  # never returns
+            os.close(write_end)
+            pids.append(pid)
+            pipes.append(read_end)
+        results = [share(0)]
+        for pid in list(pids):
+            with open(pipes.pop(0), "rb") as pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            pids.remove(pid)
+            try:
+                ok, value = pickle.loads(data)
+            except Exception:  # it ended before it wrote all of its result, or any
+                raise WorkerFailed(f"a worker process ended without its result ({_ending(status)})") from None
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for read_end in pipes:
+            os.close(read_end)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _child(share, w: int, write_end: int):
+    """A forked worker's whole life: run ``share(w)``, send the outcome through
+    ``write_end`` and leave by ``os._exit``, which flushes none of the buffers the
+    parent had filled when it forked and returns to none of its callers."""
+    code = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_DFL)  # Ctrl-C ends the whole run
+        try:
+            outcome = (True, share(w))
+        except BaseException as exc:
+            outcome = (False, exc)
+        try:
+            data = pickle.dumps(outcome)
+            pickle.loads(data)  # an exception whose __init__ takes other arguments fails here
+        except Exception as exc:
+            what = f"{type(outcome[1]).__name__}: {outcome[1]}" if not outcome[0] else "its result"
+            data = pickle.dumps((False, WorkerFailed(f"a worker process could not send {what} ({exc})")))
+        with open(write_end, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _ending(status: int) -> str:
+    """How a child with wait status ``status`` ended, in words."""
+    code = os.waitstatus_to_exitcode(status)
+    if code >= 0:
+        return f"exit code {code}"
+    try:
+        return f"killed by {signal.Signals(-code).name}"
+    except ValueError:
+        return f"killed by signal {-code}"
 
 
 def _run_blocks(spec: ModelFamily, pairs, n_trials: int, seed: int, threads: int | None, reduce):
-    """The runner: evaluate [0, n_trials) block by block on min(threads, cores, blocks)
-    workers and return the sum over blocks of ``reduce(lo, block)``, where ``block``
-    maps each ``TrialLog`` column name to the values of trials lo, lo + 1, ... A
-    one-worker run starts no thread."""
+    """The runner: evaluate [0, n_trials) block by block on W = min(threads, cores,
+    blocks) workers and return the sum over blocks of ``reduce(lo, block)``, where
+    ``block`` maps each ``TrialLog`` column name to the values of trials lo, lo + 1, ...
+    Worker w adds up blocks w, w + W, w + 2W, ...: worker 0 is this process, the
+    others are forked (``_fork_shares``). A one-worker run forks nothing."""
     if n_trials < 1:
         raise InvalidSpec(f"n_trials must be >= 1, got {n_trials}")
     n_pairs = len(pairs)
@@ -219,6 +311,8 @@ def _run_blocks(spec: ModelFamily, pairs, n_trials: int, seed: int, threads: int
         idx = np.arange(lo, min(lo + size, n_trials), dtype=np.uint64)
         if n_pairs == 4:
             pid = rng.choice_of_4(seed, "die", idx)
+        elif n_pairs == 1:  # a one-faced die: integers_below(seed, "die", idx, 1) is all zeros
+            pid = np.zeros(len(idx), dtype=np.int64)
         else:
             pid = rng.integers_below(seed, "die", idx, n_pairs)
         th1 = theta1_of_pair[pid]
@@ -226,18 +320,14 @@ def _run_blocks(spec: ModelFamily, pairs, n_trials: int, seed: int, threads: int
         lrep, i1, i2, a, b = trial_arrays(spec, seed, idx, th1, th2, pid)
         return reduce(lo, dict(t=idx, pair_id=pid, setting_1=th1, setting_2=th2, lam=lrep, ip_1=i1, ip_2=i2, a=a, b=b))
 
-    # More workers than cores only adds OS threads: the results never depend
-    # on the thread count, so it is capped at the core count. Blocks shrink to
-    # n / workers so that a short run, such as one --sweep point, uses every worker.
-    workers = min(resolve_threads(threads), os.cpu_count() or 1)
+    # More workers than cores only adds processes: the results never depend on
+    # the worker count, so it is capped at the core count. Blocks shrink to
+    # n / workers so that a short run uses every worker.
+    workers = _workers(threads, n_trials)
     size = min(_BLOCK_TRIALS, -(-n_trials // workers))
     starts = range(0, n_trials, size)
     workers = min(workers, len(starts))
-    if workers == 1:
-        return sum(map(run, starts))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        windows = (starts[i : i + _WINDOW_BLOCKS] for i in range(0, len(starts), _WINDOW_BLOCKS))
-        return sum(sum(pool.map(run, window)) for window in windows)
+    return sum(_fork_shares(lambda w: sum(map(run, starts[w::workers])), workers))
 
 
 def _pair_sums(pair_id: np.ndarray, agree: np.ndarray, n_pairs: int, lo: int, checkpoints) -> np.ndarray:
@@ -267,8 +357,9 @@ def run_pairs(
     protocol; both run through the same calls.
     """
     # The runner itself rejects n_trials < 1.
-    columns = {name: np.empty(max(n_trials, 0), dtype=dtype) for name, (_header, dtype) in _COLUMNS.items()}
-    columns["lam"] = np.empty(max(n_trials, 0), dtype={"discrete": np.int64, "angle": np.float64}[spec.lambda_kind])
+    dtypes = {name: dtype for name, (_header, dtype) in _COLUMNS.items()}
+    dtypes["lam"] = {"discrete": np.int64, "angle": np.float64}[spec.lambda_kind]
+    columns = {name: _shared_empty(max(n_trials, 0), dtype) for name, dtype in dtypes.items()}
 
     def fill(lo: int, block: dict) -> int:
         for name, column in columns.items():
@@ -277,6 +368,17 @@ def run_pairs(
 
     _run_blocks(spec, pairs, n_trials, seed, threads, fill)
     return TrialLog(**columns, n_pairs=len(pairs))
+
+
+def _shared_empty(n: int, dtype) -> np.ndarray:
+    """An uninitialised array of ``n`` items in anonymous shared memory, so that what
+    a forked worker writes into it reaches this process too."""
+    dtype = np.dtype(dtype)
+    try:
+        buffer = mmap.mmap(-1, max(n, 1) * dtype.itemsize)
+    except OSError as exc:  # ENOMEM: the failure that np.empty reports as MemoryError
+        raise MemoryError(str(exc)) from None
+    return np.frombuffer(buffer, dtype=dtype, count=n)
 
 
 def run_sums(
@@ -296,6 +398,21 @@ def run_sums(
         return _pair_sums(block["pair_id"], block["a"] == block["b"], len(pairs), lo, checkpoints)
 
     return _run_blocks(spec, pairs, n_trials, seed, threads, tally)
+
+
+def run_sums_each(spec: ModelFamily, runs, threads: int | None = None) -> list[np.ndarray]:
+    """``run_sums(spec, pairs, n_trials, seed)`` for each (pairs, n_trials, seed) of
+    ``runs``, in order: many short runs, such as the --sweep points. Each run is
+    evaluated whole by one worker, and the runs are dealt round-robin over
+    min(threads, cores, len(runs)) workers, so a set of runs forks its workers once."""
+    runs = list(runs)
+    workers = _workers(threads, len(runs))
+
+    def share(w: int) -> list[np.ndarray]:
+        return [run_sums(spec, pairs, n_trials, seed, threads=1) for pairs, n_trials, seed in runs[w::workers]]
+
+    shares = _fork_shares(share, workers)
+    return [shares[k % workers][k // workers] for k in range(len(runs))]
 
 
 def experiment_pairs(quad: SettingQuad) -> list[tuple[Setting, Setting]]:

@@ -1,20 +1,32 @@
 """Experiment runner: determinism, statistics, serialization."""
 
 import math
+import os
+import signal
+import subprocess
+import sys
 import threading
 import warnings
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bell_lab import simulate
+from bell_lab import cli, rng, simulate
 from bell_lab.core import Setting, SettingQuad, chsh_pairs
-from bell_lab.errors import AnticorrelationViolated, InsufficientData, InvalidSpec
-from bell_lab.models import BellDeterministic, DiscreteSource, FactorizableInstrument, UniformAngleSource
+from bell_lab.errors import AnticorrelationViolated, InsufficientData, InvalidSpec, WorkerFailed
+from bell_lab.models import (
+    FAMILIES,
+    BellDeterministic,
+    DiscreteSource,
+    FactorizableInstrument,
+    UniformAngleSource,
+    trial_arrays,
+)
 from bell_lab.simulate import (
     TrialLog,
     bell_statistic,
@@ -60,71 +72,169 @@ def test_threads_env_var(monkeypatch):
 
 
 @pytest.fixture
-def serial_pool(monkeypatch):
-    """A serial stand-in for the runner's pool: it records the worker count and
-    the number of blocks of each pooled run, and starts no thread."""
-    requested, blocks = [], []
+def forks(monkeypatch):
+    """Counts the runner's calls of ``os.fork``; the children are real."""
+    pids = []
+    real_fork = os.fork
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            items = list(items)
-            blocks.append(len(items))
-            return map(fn, items)
-
-    monkeypatch.setattr(simulate, "ThreadPoolExecutor", SerialPool)
-    return requested, blocks
+    monkeypatch.setattr(simulate.os, "fork", counting_fork)
+    return pids
 
 
-def test_thread_count_is_capped_at_core_count(monkeypatch, serial_pool):
-    # The stand-in pool never makes the uncapped request for real. The block
-    # size is patched small so that there are more blocks than cores.
-    requested, blocks = serial_pool
-    spec = FactorizableInstrument(epsilon=0.3)
-    serial = run_experiment(spec, QUAD, 1_000, seed=5, threads=1)
-    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(simulate, "_BLOCK_TRIALS", 100)
-    before = threading.active_count()
-    capped = run_experiment(spec, QUAD, 1_000, seed=5, threads=10**5)
-    assert threading.active_count() == before
-    assert requested == [3] and blocks == [10]
-    assert capped == serial
+def _no_child_left():
+    """Every child process of this one has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
-def test_run_shorter_than_a_block_per_worker_is_split_over_the_workers(monkeypatch, serial_pool):
-    # 50,000 trials (one --sweep point) fit in one full block; at two threads
-    # on two cores they are cut into one block per worker.
-    requested, blocks = serial_pool
-    spec = FactorizableInstrument(epsilon=0.3)
-    serial = run_experiment(spec, QUAD, 50_000, seed=5, threads=1)
-    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
-    split = run_experiment(spec, QUAD, 50_000, seed=5, threads=2)
-    assert requested == [2] and blocks == [2]
-    assert split == serial
-
-
-def test_long_runs_reach_the_pool_a_window_of_blocks_at_a_time(monkeypatch, serial_pool):
-    # The pool keeps a future per block it is given, so a long run hands it
-    # windows of _WINDOW_BLOCKS blocks; the outputs do not change.
-    requested, blocks = serial_pool
+def test_thread_count_is_capped_at_core_count(monkeypatch, forks):
+    # With three cores, 10**5 workers are three processes: this one and two
+    # children. The block size is patched small so that there are more blocks
+    # than cores.
     spec = FactorizableInstrument(epsilon=0.3)
     pairs = simulate.experiment_pairs(QUAD)
     serial_log = run_experiment(spec, QUAD, 1_000, seed=5, threads=1)
     serial_sums = simulate.run_sums(spec, pairs, 1_000, 5, 1, [16, 500, 1_000])
+    assert forks == []
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(simulate, "_BLOCK_TRIALS", 100)
+    assert run_experiment(spec, QUAD, 1_000, seed=5, threads=10**5) == serial_log
+    assert len(forks) == 2
+    assert np.array_equal(simulate.run_sums(spec, pairs, 1_000, 5, 10**5, [16, 500, 1_000]), serial_sums)
+    assert len(forks) == 4
+    _no_child_left()
+
+
+def test_run_shorter_than_a_block_per_worker_is_split_over_the_workers(monkeypatch, forks):
+    # 50,000 trials (one --sweep point) fit in one full block; at two workers
+    # on two cores they are cut into one block per worker.
+    spec = FactorizableInstrument(epsilon=0.3)
+    serial = run_experiment(spec, QUAD, 50_000, seed=5, threads=1)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+    assert run_experiment(spec, QUAD, 50_000, seed=5, threads=2) == serial
+    assert len(forks) == 1
+    _no_child_left()
+
+
+def test_runs_of_a_set_share_one_set_of_workers(monkeypatch, forks):
+    # Each run is evaluated whole by one worker, and the set forks once.
+    spec = FactorizableInstrument(epsilon=0.3)
+    runs = [([(Setting(0.0), Setting(0.1 * k))], 3_000 + k, 40 + k) for k in range(7)]
+    serial = [simulate.run_sums(spec, *run, threads=1) for run in runs]
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
+    got = simulate.run_sums_each(spec, runs, threads=4)
+    assert len(forks) == 2
+    assert [g.tolist() for g in got] == [s.tolist() for s in serial]
+    _no_child_left()
+
+
+@pytest.mark.parametrize("why", ["a running thread", "no os.fork"])
+def test_runs_fork_nothing_where_forking_is_unsafe_or_impossible(monkeypatch, forks, why):
+    spec = FactorizableInstrument(epsilon=0.3)
+    serial = run_experiment(spec, QUAD, 1_000, seed=5, threads=1)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(simulate, "_BLOCK_TRIALS", 100)
-    monkeypatch.setattr(simulate, "_WINDOW_BLOCKS", 3)
-    assert run_experiment(spec, QUAD, 1_000, seed=5, threads=2) == serial_log
-    assert np.array_equal(simulate.run_sums(spec, pairs, 1_000, 5, 2, [16, 500, 1_000]), serial_sums)
-    assert requested == [2, 2] and blocks == [3, 3, 3, 1] * 2
+    done = threading.Event()
+    waiter = threading.Thread(target=done.wait, args=(60,))
+    if why == "no os.fork":
+        monkeypatch.delattr(simulate.os, "fork")
+    else:
+        waiter.start()
+    try:
+        assert run_experiment(spec, QUAD, 1_000, seed=5, threads=2) == serial
+    finally:
+        done.set()
+        if waiter.is_alive():
+            waiter.join(timeout=60)
+    assert forks == []
+
+
+class _FailsInBlock1(FactorizableInstrument):
+    """A family whose instrument law fails in the block of trials 100 to 199,
+    which the first child owns when two workers share blocks of 100 trials."""
+
+    how = "raise"
+    parent = None  # the test's process, which must never run the SIGKILL
+
+    def instrument_arrays(self, seed, t, theta_local, station, pair_id=None):
+        if t[0] == 100:
+            if self.how == "raise":
+                raise InvalidSpec(f"block 1 failed in process {os.getpid()}")
+            assert os.getpid() != self.parent, "block 1 ran in the parent"
+            os.kill(os.getpid(), signal.SIGKILL)
+        return super().instrument_arrays(seed, t, theta_local, station, pair_id)
+
+
+@pytest.mark.parametrize("how", ["raise", "sigkill"])
+def test_a_failing_worker_ends_the_run_with_an_error(monkeypatch, forks, tmp_path, capsys, how):
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(simulate, "_BLOCK_TRIALS", 100)
+    monkeypatch.setattr(_FailsInBlock1, "how", how)
+    monkeypatch.setattr(_FailsInBlock1, "parent", os.getpid())
+    spec = _FailsInBlock1(epsilon=0.3)
+    pairs = simulate.experiment_pairs(QUAD)
+    if how == "raise":
+        with pytest.raises(InvalidSpec, match=r"^block 1 failed in process \d+$") as exc:
+            simulate.run_sums(spec, pairs, 1_000, 5, threads=2)
+        assert int(str(exc.value).split()[-1]) != os.getpid()  # it was raised in the child
+        with pytest.raises(InvalidSpec, match=f"^block 1 failed in process {os.getpid()}$"):
+            simulate.run_sums(spec, pairs, 1_000, 5, threads=1)
+    else:
+        with pytest.raises(WorkerFailed, match=r"^a worker process ended without its result \(killed by SIGKILL\)$"):
+            run_experiment(spec, QUAD, 1_000, seed=5, threads=2)
+    assert len(forks) == 1
+    _no_child_left()
+
+    # The command line ends in one line and the exit code of a run at one worker.
+    monkeypatch.setitem(FAMILIES, "factorizable_instrument", _FailsInBlock1)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model.kind = factorizable_instrument\nmodel.epsilon = 0.3\nquad.a_deg = 0\nquad.b_deg = 45\n"
+                   "quad.c_deg = 135\nquad.d_deg = 90\nn_trials = 1000\nseed = 5\n")
+    capsys.readouterr()
+    for threads in ("2", "1") if how == "raise" else ("2",):
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path), "--threads", threads]) == (
+            3 if how == "raise" else 2
+        )
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("model error: block 1 failed" if how == "raise" else "worker error: ")
+    _no_child_left()
+
+
+def test_one_pair_runs_equal_runs_that_draw_the_die():
+    # A one-pair run's pair_id is 0 for every trial without drawing the die.
+    pair = (Setting(0.0), Setting(0.9))
+    idx = np.arange(5_000, dtype=np.uint64)
+    for family in FAMILIES.values():
+        pid = rng.integers_below(11, "die", idx, 1)
+        theta1, theta2 = np.full(len(idx), pair[0].angle)[pid], np.full(len(idx), pair[1].angle)[pid]
+        _lam, _ip1, _ip2, a, b = trial_arrays(family(), 11, idx, theta1, theta2, pid)
+        drawn = [[len(idx), int(np.sum(a * b, dtype=np.int64))]]
+        assert simulate.run_sums(family(), [pair], len(idx), 11, threads=1)[-1].tolist() == drawn, family.name
+
+
+def test_block_buffered_stdout_is_written_once(tmp_path):
+    # A child leaves by os._exit, so it never flushes the copy of the parent's
+    # stdout buffer that it was forked with.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model.kind = time_tagged_anticorrelated\nquad.a_deg = 0\nquad.b_deg = 45\nquad.c_deg = 135\n"
+                   "quad.d_deg = 90\nn_trials = 40000\nseed = 5\n")
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUNBUFFERED", "BELL_LAB_THREADS")}
+    env["PYTHONPATH"] = str(Path(__file__).parents[1] / "src")
+    out = tmp_path / "stdout.txt"
+    with open(out, "wb") as fh:
+        argv = [sys.executable, "-m", "bell_lab.cli", "check", "--config", str(cfg), "--threads", "2"]
+        proc = subprocess.run(argv, env=env, stdout=fh, stderr=subprocess.PIPE, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = out.read_text().splitlines()
+    assert lines[0] == "bell-lab check: time_tagged_anticorrelated"
+    assert lines.count(lines[0]) == 1 and len(lines) == 3
 
 
 def test_pair_choice_uniformity():
