@@ -32,11 +32,13 @@ platform and numpy version.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import mmap
 import os
 import pickle
 import signal
+import sys
 import threading
 from dataclasses import dataclass, field, fields
 
@@ -207,6 +209,14 @@ def _reject_rows(bad: np.ndarray, what: str) -> None:
 # fit a 2 MB L2 cache; at 2**16 they spill out of it.
 _BLOCK_TRIALS = 1 << 14
 
+# prctl(PR_SET_PDEATHSIG, signal): the kernel sends the signal to this process
+# when its parent ends.
+_PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
+if sys.platform.startswith("linux"):
+    _PRCTL = ctypes.CDLL(None, use_errno=True).prctl
+    _PRCTL.argtypes = [ctypes.c_int, ctypes.c_ulong]
+    _PRCTL.restype = ctypes.c_int
+
 
 def _workers(threads: int | None, tasks: int) -> int:
     """How many processes share ``tasks`` tasks: min(threads, cores, tasks), or 1
@@ -223,6 +233,7 @@ def _fork_shares(share, workers: int) -> list:
     child that ends without a result raises ``WorkerFailed``. Every child is
     reaped before this returns or raises, and killed first if it is still running.
     """
+    parent = os.getpid()
     pids, pipes = [], []  # children not yet reaped, read ends not yet closed
     try:
         for w in range(1, workers):
@@ -234,7 +245,7 @@ def _fork_shares(share, workers: int) -> list:
                 os.close(write_end)
                 raise WorkerFailed(f"cannot start a worker process: {exc}") from None
             if pid == 0:
-                _child(share, w, write_end)  # never returns
+                _child(share, w, write_end, parent)  # never returns
             os.close(write_end)
             pids.append(pid)
             pipes.append(read_end)
@@ -260,13 +271,19 @@ def _fork_shares(share, workers: int) -> list:
             os.waitpid(pid, 0)
 
 
-def _child(share, w: int, write_end: int):
+def _child(share, w: int, write_end: int, parent: int):
     """A forked worker's whole life: run ``share(w)``, send the outcome through
     ``write_end`` and leave by ``os._exit``, which flushes none of the buffers the
     parent had filled when it forked and returns to none of its callers."""
     code = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_DFL)  # Ctrl-C ends the whole run
+        # A parent ended by a signal it does not handle, such as SIGTERM, cannot
+        # kill its children; on Linux the kernel does it for them.
+        if sys.platform.startswith("linux"):
+            _PRCTL(_PR_SET_PDEATHSIG, signal.SIGKILL)  # fails only for an invalid signal
+        if os.getppid() != parent:  # the parent ended before that took effect
+            return
         try:
             outcome = (True, share(w))
         except BaseException as exc:

@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -205,6 +206,48 @@ def test_a_failing_worker_ends_the_run_with_an_error(monkeypatch, forks, tmp_pat
         assert len(err.splitlines()) == 1
         assert err.startswith("model error: block 1 failed" if how == "raise" else "worker error: ")
     _no_child_left()
+
+
+def _running(pid: int) -> bool:
+    """Process ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="the kernel kills the children on Linux only")
+def test_workers_end_with_a_parent_ended_by_sigterm(tmp_path):
+    # SIGTERM ends the parent before its finally clause can kill the children.
+    script = (
+        "import os, sys, time\n"
+        "from bell_lab import simulate\n"
+        "def share(w):\n"
+        "    if w:\n"
+        f"        open({str(tmp_path / 'child')!r}, 'w').write(str(os.getpid()))\n"
+        "    time.sleep(60)\n"
+        "simulate._fork_shares(share, 2)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    parent = subprocess.Popen([sys.executable, "-c", script], env=env)
+    try:
+        deadline = time.monotonic() + 30
+        while not (tmp_path / "child").exists() or not (tmp_path / "child").read_text():
+            assert time.monotonic() < deadline and parent.poll() is None
+            time.sleep(0.05)
+        child = int((tmp_path / "child").read_text())
+        assert _running(child)
+    finally:
+        parent.terminate()
+        parent.wait(timeout=30)
+    deadline = time.monotonic() + 10
+    while _running(child) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = _running(child)
+    if left:
+        os.kill(child, signal.SIGKILL)
+    assert not left
 
 
 def test_one_pair_runs_equal_runs_that_draw_the_die():
