@@ -37,6 +37,7 @@ import math
 import mmap
 import os
 import pickle
+import select
 import signal
 import sys
 import threading
@@ -227,14 +228,41 @@ def _workers(threads: int | None, tasks: int) -> int:
 
 
 def _fork_shares(share, workers: int) -> list:
-    """[share(0), share(1), ..., share(workers - 1)]. Share 0 runs in this process,
-    every other share in a child made by ``os.fork``, which sends its result (or
-    its exception, raised here with its own type) back pickled through a pipe. A
-    child that ends without a result raises ``WorkerFailed``. Every child is
-    reaped before this returns or raises, and killed first if it is still running.
+    """[share(0, poll), share(1, poll), ..., share(workers - 1, poll)]. Share 0 runs in
+    this process, every other share in a child made by ``os.fork``, which sends its
+    result (or its exception, raised here with its own type) back pickled through a
+    pipe. A share calls ``poll()`` before each unit of its work: in this process it
+    collects every child that has finished, so that a child's failure ends the run
+    within one unit of share 0, not after all of it; in a child it does nothing. A
+    child that ends without its result raises ``WorkerFailed``. Every child is reaped
+    before this returns or raises, and killed first if it is still running.
     """
     parent = os.getpid()
-    pids, pipes = [], []  # children not yet reaped, read ends not yet closed
+    children = {}  # the read end of each child's pipe -> (its share, its pid), until reaped
+    results = [None] * workers
+    poller = select.poll() if workers > 1 else None
+
+    def collect(ready) -> None:
+        for read_end in ready:
+            w, pid = children[read_end]
+            with open(read_end, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[read_end]
+            poller.unregister(read_end)
+            os.close(read_end)
+            try:
+                ok, value = pickle.loads(data)
+            except Exception:  # it ended before it wrote all of its result, or any
+                raise WorkerFailed(f"a worker process ended without its result ({_ending(status)})") from None
+            if not ok:
+                raise value
+            results[w] = value
+
+    def poll() -> None:
+        if children:
+            collect([read_end for read_end, _event in poller.poll(0)])
+
     try:
         for w in range(1, workers):
             read_end, write_end = os.pipe()
@@ -247,32 +275,20 @@ def _fork_shares(share, workers: int) -> list:
             if pid == 0:
                 _child(share, w, write_end, parent)  # never returns
             os.close(write_end)
-            pids.append(pid)
-            pipes.append(read_end)
-        results = [share(0)]
-        for pid in list(pids):
-            with open(pipes.pop(0), "rb") as pipe:
-                data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            pids.remove(pid)
-            try:
-                ok, value = pickle.loads(data)
-            except Exception:  # it ended before it wrote all of its result, or any
-                raise WorkerFailed(f"a worker process ended without its result ({_ending(status)})") from None
-            if not ok:
-                raise value
-            results.append(value)
+            children[read_end] = (w, pid)
+            poller.register(read_end, select.POLLIN)
+        results[0] = share(0, poll)
+        collect(list(children))
         return results
     finally:
-        for read_end in pipes:
+        for read_end, (_w, pid) in children.items():
             os.close(read_end)
-        for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
 
 def _child(share, w: int, write_end: int, parent: int):
-    """A forked worker's whole life: run ``share(w)``, send the outcome through
+    """A forked worker's whole life: run its share ``w``, send the outcome through
     ``write_end`` and leave by ``os._exit``, which flushes none of the buffers the
     parent had filled when it forked and returns to none of its callers."""
     code = 1
@@ -285,7 +301,7 @@ def _child(share, w: int, write_end: int, parent: int):
         if os.getppid() != parent:  # the parent ended before that took effect
             return
         try:
-            outcome = (True, share(w))
+            outcome = (True, share(w, lambda: None))
         except BaseException as exc:
             outcome = (False, exc)
         try:
@@ -344,7 +360,15 @@ def _run_blocks(spec: ModelFamily, pairs, n_trials: int, seed: int, threads: int
     size = min(_BLOCK_TRIALS, -(-n_trials // workers))
     starts = range(0, n_trials, size)
     workers = min(workers, len(starts))
-    return sum(_fork_shares(lambda w: sum(map(run, starts[w::workers])), workers))
+
+    def share(w: int, poll):
+        total = 0
+        for lo in starts[w::workers]:
+            poll()
+            total += run(lo)
+        return total
+
+    return sum(_fork_shares(share, workers))
 
 
 def _pair_sums(pair_id: np.ndarray, agree: np.ndarray, n_pairs: int, lo: int, checkpoints) -> np.ndarray:
@@ -425,8 +449,12 @@ def run_sums_each(spec: ModelFamily, runs, threads: int | None = None) -> list[n
     runs = list(runs)
     workers = _workers(threads, len(runs))
 
-    def share(w: int) -> list[np.ndarray]:
-        return [run_sums(spec, pairs, n_trials, seed, threads=1) for pairs, n_trials, seed in runs[w::workers]]
+    def share(w: int, poll) -> list[np.ndarray]:
+        sums = []
+        for pairs, n_trials, seed in runs[w::workers]:
+            poll()
+            sums.append(run_sums(spec, pairs, n_trials, seed, threads=1))
+        return sums
 
     shares = _fork_shares(share, workers)
     return [shares[k % workers][k // workers] for k in range(len(runs))]

@@ -25,6 +25,7 @@ from bell_lab.models import (
     BellDeterministic,
     DiscreteSource,
     FactorizableInstrument,
+    Station,
     UniformAngleSource,
     trial_arrays,
 )
@@ -208,6 +209,28 @@ def test_a_failing_worker_ends_the_run_with_an_error(monkeypatch, forks, tmp_pat
     _no_child_left()
 
 
+def test_a_failing_child_ends_the_run_before_the_parent_share_is_done(monkeypatch):
+    # The parent's 1,000 blocks of 100 trials take at least 2 s; the child fails
+    # in its first block, and the parent notices before its next block.
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(simulate, "_BLOCK_TRIALS", 100)
+    parent, parent_blocks = os.getpid(), []
+
+    class SlowParentFailingChild(FactorizableInstrument):
+        def instrument_arrays(self, seed, t, theta_local, station, pair_id=None):
+            if os.getpid() == parent and station is Station.S1:
+                parent_blocks.append(int(t[0]))
+                time.sleep(0.002)
+            elif os.getpid() != parent and t[0] == 100:
+                raise InvalidSpec("block 1 failed in a child")
+            return super().instrument_arrays(seed, t, theta_local, station, pair_id)
+
+    with pytest.raises(InvalidSpec, match="block 1 failed in a child"):
+        simulate.run_sums(SlowParentFailingChild(epsilon=0.3), simulate.experiment_pairs(QUAD), 200_000, 5, 2)
+    assert 0 < len(parent_blocks) < 500
+    _no_child_left()
+
+
 def _running(pid: int) -> bool:
     """Process ``pid`` exists and is not a zombie."""
     try:
@@ -223,7 +246,7 @@ def test_workers_end_with_a_parent_ended_by_sigterm(tmp_path):
     script = (
         "import os, sys, time\n"
         "from bell_lab import simulate\n"
-        "def share(w):\n"
+        "def share(w, poll):\n"
         "    if w:\n"
         f"        open({str(tmp_path / 'child')!r}, 'w').write(str(os.getpid()))\n"
         "    time.sleep(60)\n"
