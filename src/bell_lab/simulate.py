@@ -400,14 +400,19 @@ def run_pairs(
     # The runner itself rejects n_trials < 1.
     dtypes = {name: dtype for name, (_header, dtype) in _COLUMNS.items()}
     dtypes["lam"] = {"discrete": np.int64, "angle": np.float64}[spec.lambda_kind]
-    columns = {name: _shared_empty(max(n_trials, 0), dtype) for name, dtype in dtypes.items()}
+    # Forked workers need the columns in shared memory, whose pages cost more
+    # to fault in than private ones: a one-process run allocates them privately.
+    # The runner gets this worker count, so it never forks into private columns.
+    workers = _workers(threads, n_trials)
+    allocate = _shared_empty if workers > 1 else np.empty
+    columns = {name: allocate(max(n_trials, 0), dtype) for name, dtype in dtypes.items()}
 
     def fill(lo: int, block: dict) -> int:
         for name, column in columns.items():
             column[lo : lo + len(block["t"])] = block[name]
         return 0  # a log keeps its trials, so there is nothing to add up
 
-    _run_blocks(spec, pairs, n_trials, seed, threads, fill)
+    _run_blocks(spec, pairs, n_trials, seed, workers, fill)
     return TrialLog(**columns, n_pairs=len(pairs))
 
 

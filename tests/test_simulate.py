@@ -136,8 +136,10 @@ def test_runs_of_a_set_share_one_set_of_workers(monkeypatch, forks):
     _no_child_left()
 
 
-@pytest.mark.parametrize("why", ["a running thread", "no os.fork"])
+@pytest.mark.parametrize("why", ["a running thread", "a thread that ends before the blocks run", "no os.fork"])
 def test_runs_fork_nothing_where_forking_is_unsafe_or_impossible(monkeypatch, forks, why):
+    # A thread that ends after run_pairs allocated private columns must not let
+    # the runner fork: the children's blocks would never reach the log.
     spec = FactorizableInstrument(epsilon=0.3)
     serial = run_experiment(spec, QUAD, 1_000, seed=5, threads=1)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
@@ -146,6 +148,9 @@ def test_runs_fork_nothing_where_forking_is_unsafe_or_impossible(monkeypatch, fo
     waiter = threading.Thread(target=done.wait, args=(60,))
     if why == "no os.fork":
         monkeypatch.delattr(simulate.os, "fork")
+    elif why == "a thread that ends before the blocks run":
+        counts = iter([2])
+        monkeypatch.setattr(simulate.threading, "active_count", lambda: next(counts, 1))
     else:
         waiter.start()
     try:
