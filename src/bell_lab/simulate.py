@@ -9,12 +9,12 @@ With w = min(threads, cores), the runner splits [0, n_trials) into blocks of
 min(16,384, ceil(n_trials / w)) trials, which W = min(w, blocks) worker
 processes share: this process evaluates blocks 0, W, 2W, ..., and W - 1
 children made by ``os.fork`` the others, each sending back one sum through a
-pipe (``run_pairs``' columns live in shared memory, so the children write the
-log in place). A run forks nothing when W = 1, where ``os.fork`` does not
-exist, or while another Python thread is running. Every random quantity is a
-pure function of (seed, trial index, stream label), so the log for a given
-(spec, quad, n_trials, seed) is bit-identical no matter how many workers
-evaluate it or which of them evaluates which block.
+pipe (a forking ``run_pairs`` puts its columns in shared memory, so the
+children write the log in place). A run forks nothing when W = 1, where
+``os.fork`` does not exist, or while another Python thread is running. Every
+random quantity is a pure function of (seed, trial index, stream label), so
+the log for a given (spec, quad, n_trials, seed) is bit-identical no matter
+how many workers evaluate it or which of them evaluates which block.
 
 Logs are stored column-wise (numpy arrays), one array per logged column:
 51 bytes per trial. A report reads only each pair's trial count n and the sum
