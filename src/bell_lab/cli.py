@@ -338,9 +338,14 @@ def _estimates_json(cfg: ExperimentConfig, estimates) -> list[dict]:
     return out
 
 
+def _make_parent(path: str) -> None:
+    """Create the directory that ``path`` names a file in, if it is missing."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+
+
 def _write_json(path: str, obj: dict, compact: bool = False) -> None:
     """Write ``obj`` with sorted keys, indented, or on one line without spaces if ``compact``."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    _make_parent(path)
     with open(path, "w") as fh:
         if compact:
             # json.dumps without indent runs the C encoder; json.dump never does.
@@ -382,12 +387,13 @@ def _sweep_rows(cfg: ExperimentConfig, threads: int) -> list[tuple[float, float,
     return rows
 
 
-def _write_sweep_csv(path: str, rows) -> None:
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+def _write_csv(path: str, header: str, rows) -> None:
+    """Write the ``header`` line, then each row's values as ``repr`` texts joined by commas."""
+    _make_parent(path)
     with open(path, "w", newline="") as fh:
-        fh.write("angle_deg,mc_mean,mc_std_error,classical_closed_form,singlet_reference\n")
-        for r in rows:
-            fh.write(",".join(repr(v) for v in r) + "\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def _convergence_checkpoints(n_trials: int) -> list[int]:
@@ -395,17 +401,14 @@ def _convergence_checkpoints(n_trials: int) -> list[int]:
     return [16 << k for k in range((n_trials - 1).bit_length() - 4)] + [n_trials]
 
 
-def _write_convergence_csv(path: str, checkpoints: list[int], sums) -> None:
+def _convergence_rows(checkpoints: list[int], sums):
     """One row per prefix; a prefix with fewer than 2 trials of some pair is left out."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write("n_trials,chsh_value,chsh_std_error\n")
-        for n, prefix in zip(checkpoints, sums):
-            try:
-                stat = chsh_statistic(estimate_correlations(prefix))
-            except InsufficientData:
-                continue
-            fh.write(f"{n},{stat.value!r},{stat.std_error!r}\n")
+    for n, prefix in zip(checkpoints, sums):
+        try:
+            stat = chsh_statistic(estimate_correlations(prefix))
+        except InsufficientData:
+            continue
+        yield n, stat.value, stat.std_error
 
 
 def _threads(args) -> int:
@@ -450,14 +453,15 @@ def cmd_simulate(args) -> int:
         _write_json(report_path, report)
         print(f"  report -> {report_path}")
     if log_path:
-        os.makedirs(os.path.dirname(os.path.abspath(log_path)), exist_ok=True)
+        _make_parent(log_path)
         log.to_csv(log_path)
         print(f"  trial log -> {log_path}")
     if args.sweep:
-        _write_sweep_csv(args.sweep, _sweep_rows(cfg, threads))
+        header = "angle_deg,mc_mean,mc_std_error,classical_closed_form,singlet_reference"
+        _write_csv(args.sweep, header, _sweep_rows(cfg, threads))
         print(f"  correlation sweep -> {args.sweep}")
     if args.convergence:
-        _write_convergence_csv(args.convergence, checkpoints, sums)
+        _write_csv(args.convergence, "n_trials,chsh_value,chsh_std_error", _convergence_rows(checkpoints, sums))
         print(f"  convergence data -> {args.convergence}")
     return 0
 

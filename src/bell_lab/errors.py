@@ -21,6 +21,9 @@ class InsufficientData(BellLabError):
             f"pair_id {pair_id} has {count} trial(s); need at least 2 for a standard error"
         )
 
+    def __reduce__(self):  # pickle would call __init__ with the message alone
+        return type(self), (self.pair_id, self.count)
+
 
 class AnticorrelationViolated(BellLabError):
     """The pilot equal-settings check failed.
@@ -36,6 +39,9 @@ class AnticorrelationViolated(BellLabError):
             f"anticorrelation violated in {violations} of {trials} pilot trials; "
             "the three-setting inequality presupposes A = -B at equal settings"
         )
+
+    def __reduce__(self):  # pickle would call __init__ with the message alone
+        return type(self), (self.violations, self.trials)
 
 
 class ContinuousLambdaUnorderable(BellLabError):

@@ -5,12 +5,14 @@ canonical setting pairs, then ``models.trial_arrays``, the one trial kernel:
 a shared clock tick t equal to the trial index, a source draw, one instrument
 value per station, and two +/-1 outcomes.
 
-With w = min(threads, cores), the runner splits [0, n_trials) into blocks of
-min(16,384, ceil(n_trials / w)) trials, which W = min(w, blocks) worker
-processes share: this process evaluates blocks 0, W, 2W, ..., and W - 1
-children made by ``os.fork`` the others, each sending back one sum through a
-pipe (a forking ``run_pairs`` puts its columns in shared memory, so the
-children write the log in place). A run forks nothing when W = 1, where
+One call of the runner evaluates one run (``run_pairs``, ``run_sums``) or a
+list of runs (``run_sums_each``). With w = min(threads, cores), it cuts every
+run into blocks of min(16,384, ceil(total trials / w)) trials and numbers the
+blocks of all its runs in run order; W = min(w, blocks) worker processes deal
+them round-robin: this process evaluates blocks 0, W, 2W, ..., and W - 1
+children made by ``os.fork`` the others, each sending back one sum per run
+through a pipe (a forking ``run_pairs`` puts its columns in shared memory, so
+the children write the log in place). A call forks nothing when W = 1, where
 ``os.fork`` does not exist, or while another Python thread is running. Every
 random quantity is a pure function of (seed, trial index, stream label), so
 the log for a given (spec, quad, n_trials, seed) is bit-identical no matter
@@ -33,6 +35,7 @@ platform and numpy version.
 from __future__ import annotations
 
 import ctypes
+import itertools
 import math
 import mmap
 import os
@@ -328,47 +331,46 @@ def _ending(status: int) -> str:
         return f"killed by signal {-code}"
 
 
-def _run_blocks(spec: ModelFamily, pairs, n_trials: int, seed: int, threads: int | None, reduce):
-    """The runner: evaluate [0, n_trials) block by block on W = min(threads, cores,
-    blocks) workers and return the sum over blocks of ``reduce(lo, block)``, where
-    ``block`` maps each ``TrialLog`` column name to the values of trials lo, lo + 1, ...
-    Worker w adds up blocks w, w + W, w + 2W, ...: worker 0 is this process, the
-    others are forked (``_fork_shares``). A one-worker run forks nothing."""
-    if n_trials < 1:
-        raise InvalidSpec(f"n_trials must be >= 1, got {n_trials}")
-    n_pairs = len(pairs)
-    theta1_of_pair = np.asarray([p[0].angle for p in pairs])
-    theta2_of_pair = np.asarray([p[1].angle for p in pairs])
+def _run_blocks(spec: ModelFamily, runs, workers: int, reduce) -> list:
+    """The runner: evaluate each run (pairs, n_trials, seed) of ``runs`` block by block
+    and return, for each run k, the sum over its blocks of ``reduce(k, lo, block)``,
+    where ``block`` maps each ``TrialLog`` column name to the values of run k's trials
+    lo, lo + 1, ... Every run is cut into blocks of min(_BLOCK_TRIALS, ceil(total
+    trials / workers)) trials, so that a short run uses every worker. The blocks of all
+    runs are numbered in run order, and W = min(workers, blocks) workers deal them
+    round-robin: worker w evaluates blocks w, w + W, w + 2W, ..., worker 0 in this
+    process and the others forked (``_fork_shares``). A one-worker call forks nothing."""
+    for _pairs, n_trials, _seed in runs:
+        if n_trials < 1:
+            raise InvalidSpec(f"n_trials must be >= 1, got {n_trials}")
+    size = min(_BLOCK_TRIALS, -(-sum(n_trials for _pairs, n_trials, _seed in runs) // workers))
+    starts = [range(0, n_trials, size) for _pairs, n_trials, _seed in runs]
+    firsts = list(itertools.accumulate(map(len, starts), initial=0))  # each run's first block, then the count
+    workers = min(workers, max(firsts[-1], 1))
 
-    def run(lo: int):
+    def run(k: int, lo: int):
+        pairs, n_trials, seed = runs[k]
         idx = np.arange(lo, min(lo + size, n_trials), dtype=np.uint64)
-        if n_pairs == 4:
+        if len(pairs) == 4:
             pid = rng.choice_of_4(seed, "die", idx)
-        elif n_pairs == 1:  # a one-faced die: integers_below(seed, "die", idx, 1) is all zeros
+        elif len(pairs) == 1:  # a one-faced die: integers_below(seed, "die", idx, 1) is all zeros
             pid = np.zeros(len(idx), dtype=np.int64)
         else:
-            pid = rng.integers_below(seed, "die", idx, n_pairs)
-        th1 = theta1_of_pair[pid]
-        th2 = theta2_of_pair[pid]
+            pid = rng.integers_below(seed, "die", idx, len(pairs))
+        th1 = np.asarray([s1.angle for s1, _s2 in pairs])[pid]
+        th2 = np.asarray([s2.angle for _s1, s2 in pairs])[pid]
         lrep, i1, i2, a, b = trial_arrays(spec, seed, idx, th1, th2, pid)
-        return reduce(lo, dict(t=idx, pair_id=pid, setting_1=th1, setting_2=th2, lam=lrep, ip_1=i1, ip_2=i2, a=a, b=b))
+        return reduce(k, lo, dict(t=idx, pair_id=pid, setting_1=th1, setting_2=th2, lam=lrep, ip_1=i1, ip_2=i2, a=a, b=b))
 
-    # More workers than cores only adds processes: the results never depend on
-    # the worker count, so it is capped at the core count. Blocks shrink to
-    # n / workers so that a short run uses every worker.
-    workers = _workers(threads, n_trials)
-    size = min(_BLOCK_TRIALS, -(-n_trials // workers))
-    starts = range(0, n_trials, size)
-    workers = min(workers, len(starts))
+    def share(w: int, poll) -> list:
+        totals = [0] * len(runs)
+        for k, (first, run_starts) in enumerate(zip(firsts, starts)):
+            for lo in run_starts[(w - first) % workers :: workers]:
+                poll()
+                totals[k] += run(k, lo)
+        return totals
 
-    def share(w: int, poll):
-        total = 0
-        for lo in starts[w::workers]:
-            poll()
-            total += run(lo)
-        return total
-
-    return sum(_fork_shares(share, workers))
+    return [sum(run_totals) for run_totals in zip(*_fork_shares(share, workers))]
 
 
 def _pair_sums(pair_id: np.ndarray, agree: np.ndarray, n_pairs: int, lo: int, checkpoints) -> np.ndarray:
@@ -402,17 +404,16 @@ def run_pairs(
     dtypes["lam"] = {"discrete": np.int64, "angle": np.float64}[spec.lambda_kind]
     # Forked workers need the columns in shared memory, whose pages cost more
     # to fault in than private ones: a one-process run allocates them privately.
-    # The runner gets this worker count, so it never forks into private columns.
     workers = _workers(threads, n_trials)
     allocate = _shared_empty if workers > 1 else np.empty
     columns = {name: allocate(max(n_trials, 0), dtype) for name, dtype in dtypes.items()}
 
-    def fill(lo: int, block: dict) -> int:
+    def fill(_k: int, lo: int, block: dict) -> int:
         for name, column in columns.items():
             column[lo : lo + len(block["t"])] = block[name]
         return 0  # a log keeps its trials, so there is nothing to add up
 
-    _run_blocks(spec, pairs, n_trials, seed, workers, fill)
+    _run_blocks(spec, [(pairs, n_trials, seed)], workers, fill)
     return TrialLog(**columns, n_pairs=len(pairs))
 
 
@@ -440,29 +441,23 @@ def run_sums(
     int64 of shape (len(checkpoints), len(pairs), 2). No array is as long as the run."""
     checkpoints = [n_trials] if checkpoints is None else checkpoints
 
-    def tally(lo: int, block: dict) -> np.ndarray:
+    def tally(_k: int, lo: int, block: dict) -> np.ndarray:
         return _pair_sums(block["pair_id"], block["a"] == block["b"], len(pairs), lo, checkpoints)
 
-    return _run_blocks(spec, pairs, n_trials, seed, threads, tally)
+    return _run_blocks(spec, [(pairs, n_trials, seed)], _workers(threads, n_trials), tally)[0]
 
 
 def run_sums_each(spec: ModelFamily, runs, threads: int | None = None) -> list[np.ndarray]:
     """``run_sums(spec, pairs, n_trials, seed)`` for each (pairs, n_trials, seed) of
-    ``runs``, in order: many short runs, such as the --sweep points. Each run is
-    evaluated whole by one worker, and the runs are dealt round-robin over
-    min(threads, cores, len(runs)) workers, so a set of runs forks its workers once."""
+    ``runs``, in order: many short runs, such as the --sweep points. The blocks of all
+    the runs are dealt over one set of workers, so a set of runs forks once."""
     runs = list(runs)
-    workers = _workers(threads, len(runs))
 
-    def share(w: int, poll) -> list[np.ndarray]:
-        sums = []
-        for pairs, n_trials, seed in runs[w::workers]:
-            poll()
-            sums.append(run_sums(spec, pairs, n_trials, seed, threads=1))
-        return sums
+    def tally(k: int, lo: int, block: dict) -> np.ndarray:
+        pairs, n_trials, _seed = runs[k]
+        return _pair_sums(block["pair_id"], block["a"] == block["b"], len(pairs), lo, [n_trials])
 
-    shares = _fork_shares(share, workers)
-    return [shares[k % workers][k // workers] for k in range(len(runs))]
+    return _run_blocks(spec, runs, _workers(threads, sum(n_trials for _pairs, n_trials, _seed in runs)), tally)
 
 
 def experiment_pairs(quad: SettingQuad) -> list[tuple[Setting, Setting]]:

@@ -1,7 +1,10 @@
 """Experiment runner: determinism, statistics, serialization."""
 
+import errno
+import inspect
 import math
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -17,9 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bell_lab import cli, rng, simulate
+from bell_lab import cli, errors, rng, simulate
 from bell_lab.core import Setting, SettingQuad, chsh_pairs
-from bell_lab.errors import AnticorrelationViolated, InsufficientData, InvalidSpec, WorkerFailed
+from bell_lab.errors import AnticorrelationViolated, ConfigError, InsufficientData, InvalidSpec, WorkerFailed
 from bell_lab.models import (
     FAMILIES,
     BellDeterministic,
@@ -124,16 +127,41 @@ def test_run_shorter_than_a_block_per_worker_is_split_over_the_workers(monkeypat
     _no_child_left()
 
 
-def test_runs_of_a_set_share_one_set_of_workers(monkeypatch, forks):
-    # Each run is evaluated whole by one worker, and the set forks once.
+class _WritesItsBlocks(FactorizableInstrument):
+    """A family that appends "<process id> <seed> <first trial>" to ``path`` for each
+    block it evaluates."""
+
+    path = None
+
+    def instrument_arrays(self, seed, t, theta_local, station, pair_id=None):
+        if station is Station.S1:
+            with open(self.path, "a") as fh:
+                fh.write(f"{os.getpid()} {seed} {t[0]}\n")
+        return super().instrument_arrays(seed, t, theta_local, station, pair_id)
+
+
+@pytest.mark.parametrize("block", [simulate._BLOCK_TRIALS, 1_000])
+def test_runs_of_a_set_share_one_set_of_workers(monkeypatch, forks, tmp_path, block):
+    # The blocks of all the runs are dealt over one set of workers, which the set
+    # forks once. At 1,000-trial blocks each run has several, and the blocks of
+    # one run are evaluated by different workers.
     spec = FactorizableInstrument(epsilon=0.3)
     runs = [([(Setting(0.0), Setting(0.1 * k))], 3_000 + k, 40 + k) for k in range(7)]
     serial = [simulate.run_sums(spec, *run, threads=1) for run in runs]
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
-    got = simulate.run_sums_each(spec, runs, threads=4)
+    monkeypatch.setattr(simulate, "_BLOCK_TRIALS", block)
+    monkeypatch.setattr(_WritesItsBlocks, "path", tmp_path / "blocks.txt")
+    got = simulate.run_sums_each(_WritesItsBlocks(epsilon=0.3), runs, threads=4)
     assert len(forks) == 2
     assert [g.tolist() for g in got] == [s.tolist() for s in serial]
     _no_child_left()
+    blocks = [line.split() for line in (tmp_path / "blocks.txt").read_text().splitlines()]
+    assert sorted((int(seed), int(lo)) for _pid, seed, lo in blocks) == sorted(
+        (seed, lo) for _pairs, n_trials, seed in runs for lo in range(0, n_trials, min(block, 7_007))
+    )
+    if block == 1_000:
+        for _pairs, _n_trials, seed in runs:
+            assert len({pid for pid, s, _lo in blocks if int(s) == seed}) > 1
 
 
 @pytest.mark.parametrize("why", ["a running thread", "a thread that ends before the blocks run", "no os.fork"])
@@ -162,23 +190,51 @@ def test_runs_fork_nothing_where_forking_is_unsafe_or_impossible(monkeypatch, fo
     assert forks == []
 
 
+class _TwoArgumentError(Exception):
+    """An error that pickle cannot rebuild: its __init__ takes more than its message."""
+
+    def __init__(self, what: str, where: str):
+        super().__init__(f"{what} in {where}")
+
+
+# The error that _FailsInBlock1 raises in block 1, by the name of its class.
+_BLOCK_1_ERRORS = {
+    "InvalidSpec": lambda: InvalidSpec(f"block 1 failed in process {os.getpid()}"),
+    "InsufficientData": lambda: InsufficientData(1, 1),
+    "AnticorrelationViolated": lambda: AnticorrelationViolated(3, 1_000),
+    "_TwoArgumentError": lambda: _TwoArgumentError("block 1 failed", "a child"),
+}
+
+
 class _FailsInBlock1(FactorizableInstrument):
     """A family whose instrument law fails in the block of trials 100 to 199,
-    which the first child owns when two workers share blocks of 100 trials."""
+    which the first child owns when two workers share blocks of 100 trials: it
+    raises an error of _BLOCK_1_ERRORS, or is killed by SIGKILL."""
 
-    how = "raise"
+    how = "InvalidSpec"
     parent = None  # the test's process, which must never run the SIGKILL
 
     def instrument_arrays(self, seed, t, theta_local, station, pair_id=None):
         if t[0] == 100:
-            if self.how == "raise":
-                raise InvalidSpec(f"block 1 failed in process {os.getpid()}")
+            if self.how != "sigkill":
+                raise _BLOCK_1_ERRORS[self.how]()
             assert os.getpid() != self.parent, "block 1 ran in the parent"
             os.kill(os.getpid(), signal.SIGKILL)
         return super().instrument_arrays(seed, t, theta_local, station, pair_id)
 
 
-@pytest.mark.parametrize("how", ["raise", "sigkill"])
+def _simulate(monkeypatch, tmp_path, capsys, threads: str) -> tuple[int, str]:
+    """Exit code and stderr of a 1,000-trial ``simulate`` of _FailsInBlock1."""
+    monkeypatch.setitem(FAMILIES, "factorizable_instrument", _FailsInBlock1)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model.kind = factorizable_instrument\nmodel.epsilon = 0.3\nquad.a_deg = 0\nquad.b_deg = 45\n"
+                   "quad.c_deg = 135\nquad.d_deg = 90\nn_trials = 1000\nseed = 5\n")
+    capsys.readouterr()
+    code = cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path), "--threads", threads])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("how", ["InvalidSpec", "InsufficientData", "AnticorrelationViolated", "sigkill"])
 def test_a_failing_worker_ends_the_run_with_an_error(monkeypatch, forks, tmp_path, capsys, how):
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(simulate, "_BLOCK_TRIALS", 100)
@@ -186,32 +242,99 @@ def test_a_failing_worker_ends_the_run_with_an_error(monkeypatch, forks, tmp_pat
     monkeypatch.setattr(_FailsInBlock1, "parent", os.getpid())
     spec = _FailsInBlock1(epsilon=0.3)
     pairs = simulate.experiment_pairs(QUAD)
-    if how == "raise":
-        with pytest.raises(InvalidSpec, match=r"^block 1 failed in process \d+$") as exc:
-            simulate.run_sums(spec, pairs, 1_000, 5, threads=2)
-        assert int(str(exc.value).split()[-1]) != os.getpid()  # it was raised in the child
-        with pytest.raises(InvalidSpec, match=f"^block 1 failed in process {os.getpid()}$"):
-            simulate.run_sums(spec, pairs, 1_000, 5, threads=1)
-    else:
+    if how == "sigkill":
         with pytest.raises(WorkerFailed, match=r"^a worker process ended without its result \(killed by SIGKILL\)$"):
             run_experiment(spec, QUAD, 1_000, seed=5, threads=2)
+    else:
+        # A child's error is raised here with its own type, message and attributes.
+        expected = _BLOCK_1_ERRORS[how]()
+        for threads in (2, 1):
+            with pytest.raises(type(expected)) as exc:
+                simulate.run_sums(spec, pairs, 1_000, 5, threads=threads)
+            if how == "InvalidSpec":
+                assert str(exc.value).startswith("block 1 failed in process ")
+                in_this_process = int(str(exc.value).split()[-1]) == os.getpid()
+                assert in_this_process == (threads == 1)
+            else:
+                assert (str(exc.value), vars(exc.value)) == (str(expected), vars(expected))
     assert len(forks) == 1
     _no_child_left()
 
-    # The command line ends in one line and the exit code of a run at one worker.
-    monkeypatch.setitem(FAMILIES, "factorizable_instrument", _FailsInBlock1)
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("model.kind = factorizable_instrument\nmodel.epsilon = 0.3\nquad.a_deg = 0\nquad.b_deg = 45\n"
-                   "quad.c_deg = 135\nquad.d_deg = 90\nn_trials = 1000\nseed = 5\n")
-    capsys.readouterr()
-    for threads in ("2", "1") if how == "raise" else ("2",):
-        assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path), "--threads", threads]) == (
-            3 if how == "raise" else 2
-        )
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1
-        assert err.startswith("model error: block 1 failed" if how == "raise" else "worker error: ")
+    # The command line ends with the exit code and the one error line of a run at one worker.
+    for threads in ("2", "1") if how != "sigkill" else ("2",):
+        code, err = _simulate(monkeypatch, tmp_path, capsys, threads)
+        if how == "sigkill":
+            assert code == 2 and len(err.splitlines()) == 1 and err.startswith("worker error: ")
+        else:
+            assert code == 3
+            assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[0]]
+            assert err.startswith("model error: block 1 failed" if how == "InvalidSpec" else f"model error: {expected}\n")
     _no_child_left()
+
+
+def test_an_error_that_cannot_cross_the_pipe_ends_the_run_with_a_worker_error(monkeypatch, forks, tmp_path, capsys):
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(simulate, "_BLOCK_TRIALS", 100)
+    monkeypatch.setattr(_FailsInBlock1, "how", "_TwoArgumentError")
+    pairs = simulate.experiment_pairs(QUAD)
+    sent = r"^a worker process could not send _TwoArgumentError: block 1 failed in a child \(.+\)$"
+    with pytest.raises(WorkerFailed, match=sent):
+        simulate.run_sums(_FailsInBlock1(epsilon=0.3), pairs, 1_000, 5, threads=2)
+    assert len(forks) == 1
+    code, err = _simulate(monkeypatch, tmp_path, capsys, "2")
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("worker error: a worker process could not send _TwoArgumentError: ")
+    _no_child_left()
+
+
+def test_a_worker_that_cannot_start_ends_the_run_with_a_worker_error(monkeypatch, forks, tmp_path, capsys):
+    # Of the two children of a three-worker run, the first starts and the second
+    # cannot: the first is killed and reaped. Later forks fail at once, so the
+    # test starts one real child.
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
+    counting_fork, real = simulate.os.fork, iter([True])
+    kills, real_kill = [], os.kill
+
+    def fork_once():
+        if next(real, False):
+            return counting_fork()
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    def recording_kill(pid, sig):
+        kills.append((pid, sig))
+        real_kill(pid, sig)
+
+    monkeypatch.setattr(simulate.os, "fork", fork_once)
+    monkeypatch.setattr(simulate.os, "kill", recording_kill)
+    spec = FactorizableInstrument(epsilon=0.3)
+    with pytest.raises(WorkerFailed, match=r"^cannot start a worker process: \[Errno \d+\] "):
+        simulate.run_sums(spec, simulate.experiment_pairs(QUAD), 100_000, 5, threads=3)
+    assert len(forks) == 1 and kills == [(forks[0], signal.SIGKILL)]
+    _no_child_left()
+
+    code, err = _simulate(monkeypatch, tmp_path, capsys, "3")  # its first fork fails: no block runs
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("worker error: cannot start a worker process: ")
+    assert len(forks) == 1
+    _no_child_left()
+
+
+# One instance of each class of bell_lab.errors whose __init__ takes more than a message.
+_ERROR_EXAMPLES = {
+    InsufficientData: lambda: InsufficientData(2, 1),
+    AnticorrelationViolated: lambda: AnticorrelationViolated(3, 1_000),
+    ConfigError: lambda: ConfigError("unknown config key", key="model.x", line=4),
+}
+
+
+@pytest.mark.parametrize(
+    "cls", [cls for _name, cls in inspect.getmembers(errors, inspect.isclass) if cls.__module__ == errors.__name__]
+)
+def test_every_error_crosses_the_pipe_unchanged(cls):
+    # A forked worker sends its error to the parent pickled.
+    error = _ERROR_EXAMPLES.get(cls, lambda: cls(f"an example {cls.__name__}"))()
+    back = pickle.loads(pickle.dumps(error))
+    assert (type(back), str(back), vars(back)) == (cls, str(error), vars(error))
 
 
 def test_a_failing_child_ends_the_run_before_the_parent_share_is_done(monkeypatch):
