@@ -7,11 +7,11 @@ value per station, and two +/-1 outcomes.
 
 One call of the runner evaluates one run (``run_pairs``, ``run_sums``) or a
 list of runs (``run_sums_each``). With w = min(threads, cores), it cuts every
-run into blocks of min(16,384, ceil(total trials / w)) trials and numbers the
-blocks of all its runs in run order; W = min(w, blocks) worker processes deal
-them round-robin: this process evaluates blocks 0, W, 2W, ..., and W - 1
-children made by ``os.fork`` the others, each sending back one sum per run
-through a pipe (a forking ``run_pairs`` puts its columns in shared memory, so
+run into near-equal blocks of at most min(16,384, ceil(total trials / w))
+trials and numbers the blocks of all its runs in run order; W = min(w,
+blocks) worker processes deal them round-robin: this process evaluates blocks
+0, W, 2W, ..., and W - 1 children made by ``os.fork`` the others, each
+sending back one sum per run through a pipe (a forking ``run_pairs`` puts its columns in shared memory, so
 the children write the log in place). A call forks nothing when W = 1, where
 ``os.fork`` does not exist, or while another Python thread is running. Every
 random quantity is a pure function of (seed, trial index, stream label), so
@@ -335,30 +335,32 @@ def _run_blocks(spec: ModelFamily, runs, workers: int, reduce) -> list:
     """The runner: evaluate each run (pairs, n_trials, seed) of ``runs`` block by block
     and return, for each run k, the sum over its blocks of ``reduce(k, lo, block)``,
     where ``block`` maps each ``TrialLog`` column name to the values of run k's trials
-    lo, lo + 1, ... Every run is cut into blocks of min(_BLOCK_TRIALS, ceil(total
-    trials / workers)) trials, so that a short run uses every worker. The blocks of all
-    runs are numbered in run order, and W = min(workers, blocks) workers deal them
+    lo, lo + 1, ... A run of n trials is cut into ceil(n / size) blocks, size =
+    min(_BLOCK_TRIALS, ceil(total trials / workers)), so that a short run uses every
+    worker; all but the last are ceil(n / blocks) trials long, so that a deal of many
+    equal runs gives no one worker all their short last blocks. The blocks of all runs
+    are numbered in run order, and W = min(workers, blocks) workers deal them
     round-robin: worker w evaluates blocks w, w + W, w + 2W, ..., worker 0 in this
     process and the others forked (``_fork_shares``). A one-worker call forks nothing."""
     for _pairs, n_trials, _seed in runs:
         if n_trials < 1:
             raise InvalidSpec(f"n_trials must be >= 1, got {n_trials}")
     size = min(_BLOCK_TRIALS, -(-sum(n_trials for _pairs, n_trials, _seed in runs) // workers))
-    starts = [range(0, n_trials, size) for _pairs, n_trials, _seed in runs]
+    starts = [range(0, n_trials, -(-n_trials // -(-n_trials // size))) for _pairs, n_trials, _seed in runs]
     firsts = list(itertools.accumulate(map(len, starts), initial=0))  # each run's first block, then the count
     workers = min(workers, max(firsts[-1], 1))
+    angles = [tuple(np.asarray([pair[i].angle for pair in pairs]) for i in (0, 1)) for pairs, _n, _seed in runs]
 
     def run(k: int, lo: int):
         pairs, n_trials, seed = runs[k]
-        idx = np.arange(lo, min(lo + size, n_trials), dtype=np.uint64)
+        idx = np.arange(lo, min(lo + starts[k].step, n_trials), dtype=np.uint64)
         if len(pairs) == 4:
             pid = rng.choice_of_4(seed, "die", idx)
         elif len(pairs) == 1:  # a one-faced die: integers_below(seed, "die", idx, 1) is all zeros
             pid = np.zeros(len(idx), dtype=np.int64)
         else:
             pid = rng.integers_below(seed, "die", idx, len(pairs))
-        th1 = np.asarray([s1.angle for s1, _s2 in pairs])[pid]
-        th2 = np.asarray([s2.angle for _s1, s2 in pairs])[pid]
+        th1, th2 = angles[k][0][pid], angles[k][1][pid]
         lrep, i1, i2, a, b = trial_arrays(spec, seed, idx, th1, th2, pid)
         return reduce(k, lo, dict(t=idx, pair_id=pid, setting_1=th1, setting_2=th2, lam=lrep, ip_1=i1, ip_2=i2, a=a, b=b))
 
@@ -440,11 +442,7 @@ def run_sums(
     first c trials for each increasing c of ``checkpoints`` (default: n_trials), as
     int64 of shape (len(checkpoints), len(pairs), 2). No array is as long as the run."""
     checkpoints = [n_trials] if checkpoints is None else checkpoints
-
-    def tally(_k: int, lo: int, block: dict) -> np.ndarray:
-        return _pair_sums(block["pair_id"], block["a"] == block["b"], len(pairs), lo, checkpoints)
-
-    return _run_blocks(spec, [(pairs, n_trials, seed)], _workers(threads, n_trials), tally)[0]
+    return _sums(spec, [(pairs, n_trials, seed)], [checkpoints], _workers(threads, n_trials))[0]
 
 
 def run_sums_each(spec: ModelFamily, runs, threads: int | None = None) -> list[np.ndarray]:
@@ -452,12 +450,17 @@ def run_sums_each(spec: ModelFamily, runs, threads: int | None = None) -> list[n
     ``runs``, in order: many short runs, such as the --sweep points. The blocks of all
     the runs are dealt over one set of workers, so a set of runs forks once."""
     runs = list(runs)
+    checkpoints = [[n_trials] for _pairs, n_trials, _seed in runs]
+    return _sums(spec, runs, checkpoints, _workers(threads, sum(n_trials for _pairs, n_trials, _seed in runs)))
+
+
+def _sums(spec: ModelFamily, runs, checkpoints, workers: int) -> list[np.ndarray]:
+    """For each run k of ``runs``, ``run_sums`` at the checkpoints ``checkpoints[k]``."""
 
     def tally(k: int, lo: int, block: dict) -> np.ndarray:
-        pairs, n_trials, _seed = runs[k]
-        return _pair_sums(block["pair_id"], block["a"] == block["b"], len(pairs), lo, [n_trials])
+        return _pair_sums(block["pair_id"], block["a"] == block["b"], len(runs[k][0]), lo, checkpoints[k])
 
-    return _run_blocks(spec, runs, _workers(threads, sum(n_trials for _pairs, n_trials, _seed in runs)), tally)
+    return _run_blocks(spec, runs, workers, tally)
 
 
 def experiment_pairs(quad: SettingQuad) -> list[tuple[Setting, Setting]]:

@@ -5,6 +5,7 @@ import inspect
 import math
 import os
 import pickle
+import re
 import signal
 import subprocess
 import sys
@@ -143,8 +144,8 @@ class _WritesItsBlocks(FactorizableInstrument):
 @pytest.mark.parametrize("block", [simulate._BLOCK_TRIALS, 1_000])
 def test_runs_of_a_set_share_one_set_of_workers(monkeypatch, forks, tmp_path, block):
     # The blocks of all the runs are dealt over one set of workers, which the set
-    # forks once. At 1,000-trial blocks each run has several, and the blocks of
-    # one run are evaluated by different workers.
+    # forks once. At 1,000-trial blocks each run has several, of near-equal
+    # length, and the blocks of one run are evaluated by different workers.
     spec = FactorizableInstrument(epsilon=0.3)
     runs = [([(Setting(0.0), Setting(0.1 * k))], 3_000 + k, 40 + k) for k in range(7)]
     serial = [simulate.run_sums(spec, *run, threads=1) for run in runs]
@@ -156,12 +157,25 @@ def test_runs_of_a_set_share_one_set_of_workers(monkeypatch, forks, tmp_path, bl
     assert [g.tolist() for g in got] == [s.tolist() for s in serial]
     _no_child_left()
     blocks = [line.split() for line in (tmp_path / "blocks.txt").read_text().splitlines()]
-    assert sorted((int(seed), int(lo)) for _pid, seed, lo in blocks) == sorted(
-        (seed, lo) for _pairs, n_trials, seed in runs for lo in range(0, n_trials, min(block, 7_007))
-    )
+    # ceil(n / size) blocks of one run, 7,007 = ceil(21,021 trials / 3 workers)
+    count = {seed: -(-n_trials // min(block, 7_007)) for _pairs, n_trials, seed in runs}
+    lengths = {  # (seed, first trial) -> trials in that block
+        (seed, lo): min(lo + -(-n_trials // count[seed]), n_trials) - lo
+        for _pairs, n_trials, seed in runs
+        for lo in range(0, n_trials, -(-n_trials // count[seed]))
+    }
+    assert sorted((int(seed), int(lo)) for _pid, seed, lo in blocks) == sorted(lengths)
+    for seed in count:
+        run_lengths = [n for (s, _lo), n in lengths.items() if s == seed]
+        assert max(run_lengths) - min(run_lengths) < count[seed]  # only the last is short, and by little
     if block == 1_000:
         for _pairs, _n_trials, seed in runs:
             assert len({pid for pid, s, _lo in blocks if int(s) == seed}) > 1
+        # No worker is given a whole block more than another.
+        by_worker = {}
+        for pid, seed, lo in blocks:
+            by_worker[pid] = by_worker.get(pid, 0) + lengths[int(seed), int(lo)]
+        assert len(by_worker) == 3 and max(by_worker.values()) - min(by_worker.values()) < 1_000
 
 
 @pytest.mark.parametrize("why", ["a running thread", "a thread that ends before the blocks run", "no os.fork"])
@@ -249,26 +263,30 @@ def test_a_failing_worker_ends_the_run_with_an_error(monkeypatch, forks, tmp_pat
         # A child's error is raised here with its own type, message and attributes.
         expected = _BLOCK_1_ERRORS[how]()
         for threads in (2, 1):
-            with pytest.raises(type(expected)) as exc:
+            match = r"^block 1 failed in process \d+$" if how == "InvalidSpec" else None
+            with pytest.raises(type(expected), match=match) as exc:
                 simulate.run_sums(spec, pairs, 1_000, 5, threads=threads)
-            if how == "InvalidSpec":
-                assert str(exc.value).startswith("block 1 failed in process ")
-                in_this_process = int(str(exc.value).split()[-1]) == os.getpid()
-                assert in_this_process == (threads == 1)
+            if how == "InvalidSpec":  # raised in the child at two workers, here at one
+                assert (int(str(exc.value).split()[-1]) == os.getpid()) == (threads == 1)
             else:
                 assert (str(exc.value), vars(exc.value)) == (str(expected), vars(expected))
     assert len(forks) == 1
     _no_child_left()
 
-    # The command line ends with the exit code and the one error line of a run at one worker.
+    # The command line ends with the exit code and the whole stderr of a run at one worker.
     for threads in ("2", "1") if how != "sigkill" else ("2",):
         code, err = _simulate(monkeypatch, tmp_path, capsys, threads)
         if how == "sigkill":
-            assert code == 2 and len(err.splitlines()) == 1 and err.startswith("worker error: ")
+            assert code == 2
+            assert err == "worker error: a worker process ended without its result (killed by SIGKILL)\n"
+        elif how == "InvalidSpec":
+            assert code == 3 and re.fullmatch(r"model error: block 1 failed in process \d+\n", err)
+        elif how == "InsufficientData":
+            assert (code, err) == (3, f"model error: {expected}\n")
         else:
-            assert code == 3
-            assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[0]]
-            assert err.startswith("model error: block 1 failed" if how == "InvalidSpec" else f"model error: {expected}\n")
+            note = ("(the three-setting inequality is derived assuming perfect anticorrelation; "
+                    "a model that violates it at equal settings has no such statistic)")
+            assert (code, err) == (3, f"model error: {expected}\n{note}\n")
     _no_child_left()
 
 
