@@ -375,13 +375,13 @@ def _sweep_rows(cfg: ExperimentConfig, threads: int) -> list[tuple[float, float,
     n = min(cfg.n_trials, 50_000)
     angles = range(0, 181, 5)
     runs = [
-        ([(Setting(0.0), Setting(math.radians(angle_deg)))], n, int(rng.hash_words(cfg.seed, "sweep", k)))
+        ([(Setting(0.0), Setting(math.radians(angle_deg)))], range(n), int(rng.hash_words(cfg.seed, "sweep", k)))
         for k, angle_deg in enumerate(angles)
     ]
     rows = []
     for angle_deg, sums in zip(angles, run_sums_each(cfg.model, runs, threads)):
         theta = math.radians(angle_deg)
-        est = estimate_correlations(sums[-1])[0]
+        est = estimate_correlations(sums)[0]
         classical = -1.0 + 2.0 * theta / math.pi
         rows.append((float(angle_deg), est.mean, est.std_error, classical, -math.cos(theta)))
     return rows
@@ -491,10 +491,12 @@ def cmd_check(args) -> int:
         bell = three_setting_statistic(*exact([(quad.a, quad.b), (quad.a, quad.c), (quad.b, quad.c)]))
         flags = {"setting_dependent_distribution": False}
     else:
+        # bell_statistic's pilot tests the inequality's premise, so a model that fails it
+        # ends the command before the four-pair run.
+        bell = bell_statistic(cfg.model, quad.a, quad.b, quad.c, cfg.n_trials, cfg.seed, threads=threads)
         estimates = estimate_correlations(
             run_sums(cfg.model, experiment_pairs(quad), cfg.n_trials, cfg.seed, threads=threads)[-1]
         )
-        bell = bell_statistic(cfg.model, quad.a, quad.b, quad.c, cfg.n_trials, cfg.seed, threads=threads)
         flags = cfg.model.flags
     report["estimates"] = _estimates_json(cfg, estimates)
     stat = chsh_statistic(estimates)

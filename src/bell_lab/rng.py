@@ -80,17 +80,20 @@ def uniform(seed: int, label: str, index: int, draw: int = 0) -> float:
 
 
 def choice_of_4(seed: int, label: str, indices) -> np.ndarray:
-    """Uniform integers in {0,1,2,3} from the top two bits (exactly uniform)."""
-    return (hash_words(seed, label, indices) >> np.uint64(62)).astype(np.int64)
+    """Uniform integers in {0,1,2,3}: ``integers_below(..., 4)``, a word's top two bits."""
+    return integers_below(seed, label, indices, 4)
 
 
 def integers_below(seed: int, label: str, indices, bound: int) -> np.ndarray:
-    """Uniform integers in [0, bound) via 53-bit uniforms.
-
-    The floor construction carries a bias of at most bound * 2**-53 per draw,
-    far below every statistical tolerance used here.
-    """
+    """Uniform integers in [0, bound): floor(u * bound) of a 53-bit uniform u, with
+    a bias of at most bound * 2**-53 per draw, far below every tolerance used here.
+    Bound 1 gives zeros and hashes no word; a power of two up to 2**53 gives the
+    same floor as the word's top bits."""
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
+    if bound == 1:
+        return np.zeros(np.shape(indices), dtype=np.int64)
+    if bound & (bound - 1) == 0 and bound <= 2**53:
+        return (hash_words(seed, label, indices) >> np.uint64(65 - int(bound).bit_length())).astype(np.int64)
     u = uniforms(seed, label, indices)
     return np.minimum((u * bound).astype(np.int64), bound - 1)

@@ -5,26 +5,25 @@ canonical setting pairs, then ``models.trial_arrays``, the one trial kernel:
 a shared clock tick t equal to the trial index, a source draw, one instrument
 value per station, and two +/-1 outcomes.
 
-One call of the runner evaluates one run (``run_pairs``, ``run_sums``) or a
-list of runs (``run_sums_each``). With w = min(threads, cores), it cuts every
-run into near-equal blocks of at most min(16,384, ceil(total trials / w))
-trials and numbers the blocks of all its runs in run order; W = min(w,
-blocks) worker processes deal them round-robin: this process evaluates blocks
-0, W, 2W, ..., and W - 1 children made by ``os.fork`` the others, each
-sending back one sum per run through a pipe (a forking ``run_pairs`` puts its columns in shared memory, so
-the children write the log in place). A call forks nothing when W = 1, where
-``os.fork`` does not exist, or while another Python thread is running. Every
-random quantity is a pure function of (seed, trial index, stream label), so
-the log for a given (spec, quad, n_trials, seed) is bit-identical no matter
-how many workers evaluate it or which of them evaluates which block.
+A run is a range of trial indices, its setting pairs and its seed. One call of the
+runner evaluates one run (``run_pairs``) or a list of runs (``run_sums_each``, which
+``run_sums`` calls with the segments of one run). With w = min(threads, cores), it cuts
+every run into near-equal blocks of at most min(16,384, ceil(total trials / w)) trials
+and numbers the blocks of all its runs in run order; W = min(w, blocks) worker processes
+deal them round-robin: this process evaluates blocks 0, W, 2W, ..., and W - 1 children
+made by ``os.fork`` the others, each sending back one sum per run through a pipe (a
+forking ``run_pairs`` puts its columns in shared memory, so the children write the log
+in place). A call forks nothing when W = 1, where ``os.fork`` does not exist, or while
+another Python thread is running. Every random quantity is a pure function of (seed,
+trial index, stream label), so the log for a given (spec, quad, n_trials, seed) is
+bit-identical no matter how many workers evaluate it or which evaluates which block.
 
-Logs are stored column-wise (numpy arrays), one array per logged column:
-51 bytes per trial. A report reads only each pair's trial count n and the sum
-s of its outcome products A*B. ``run_sums`` reduces each block to those int64
-sums as it goes, so a report holds no array as long as the run, and
-``TrialLog.pair_sums`` takes the same sums from a log's columns. Checkpoints
-(the convergence prefixes) are given up front: a block adds its partial sums
-at each checkpoint it contains.
+Logs are stored column-wise (numpy arrays), one array per logged column: 51 bytes per
+trial. A report reads only each pair's trial count n and the sum s of its outcome
+products A*B. ``run_sums`` reduces each block to those int64 sums as it goes, so a
+report holds no array as long as the run, and ``TrialLog.pair_sums`` takes the same sums
+from a log's columns. Checkpoints (the convergence prefixes) cut the trials into
+segments, each tallied once: a checkpoint's sums are the running total of the segments'.
 
 A pair's mean is s / n and its standard error sqrt((n^2 - s^2) / (n^2 (n - 1))).
 Each is one correctly rounded operation on exact integers (a true division of
@@ -122,13 +121,10 @@ class TrialLog:
 
     def pair_sums(self, checkpoints=None) -> np.ndarray:
         """``run_sums`` of this log, from its columns: each pair's (count, sum of A*B)
-        over the first c trials for each c of ``checkpoints`` (default: the whole log)."""
-        checkpoints = [len(self)] if checkpoints is None else checkpoints
-        total = np.zeros((len(checkpoints), self.n_pairs, 2), dtype=np.int64)
-        for lo in range(0, len(self), _BLOCK_TRIALS):
-            hi = lo + _BLOCK_TRIALS
-            total += _pair_sums(self.pair_id[lo:hi], self.a[lo:hi] == self.b[lo:hi], self.n_pairs, lo, checkpoints)
-        return total
+        over the first c trials for each c of ``checkpoints`` (default: the whole log),
+        the running total of the sums of its segments (``_segments``)."""
+        cuts = [slice(segment.start, segment.stop) for segment in _segments(len(self), checkpoints)]
+        return np.cumsum([_pair_sums(self.pair_id[c], self.a[c], self.b[c], self.n_pairs) for c in cuts], axis=0)
 
     # -- serialization --------------------------------------------------
 
@@ -332,34 +328,26 @@ def _ending(status: int) -> str:
 
 
 def _run_blocks(spec: ModelFamily, runs, workers: int, reduce) -> list:
-    """The runner: evaluate each run (pairs, n_trials, seed) of ``runs`` block by block
-    and return, for each run k, the sum over its blocks of ``reduce(k, lo, block)``,
-    where ``block`` maps each ``TrialLog`` column name to the values of run k's trials
-    lo, lo + 1, ... A run of n trials is cut into ceil(n / size) blocks, size =
-    min(_BLOCK_TRIALS, ceil(total trials / workers)), so that a short run uses every
-    worker; all but the last are ceil(n / blocks) trials long, so that a deal of many
-    equal runs gives no one worker all their short last blocks. The blocks of all runs
-    are numbered in run order, and W = min(workers, blocks) workers deal them
-    round-robin: worker w evaluates blocks w, w + W, w + 2W, ..., worker 0 in this
-    process and the others forked (``_fork_shares``). A one-worker call forks nothing."""
-    for _pairs, n_trials, _seed in runs:
-        if n_trials < 1:
-            raise InvalidSpec(f"n_trials must be >= 1, got {n_trials}")
-    size = min(_BLOCK_TRIALS, -(-sum(n_trials for _pairs, n_trials, _seed in runs) // workers))
-    starts = [range(0, n_trials, -(-n_trials // -(-n_trials // size))) for _pairs, n_trials, _seed in runs]
+    """The runner: evaluate each run (pairs, trials, seed) of ``runs``, ``trials`` a
+    nonempty range of trial indices, block by block and return, for each run k, the sum
+    over its blocks of ``reduce(k, lo, block)``, where ``block`` maps each ``TrialLog``
+    column name to the values of run k's trials lo, lo + 1, ... A run of n trials is cut
+    into ceil(n / size) blocks, size = min(_BLOCK_TRIALS, ceil(total trials / workers)),
+    so that a short run uses every worker; all but the last are ceil(n / blocks) trials
+    long, so that a deal of many equal runs gives no one worker all their short last
+    blocks. The blocks of all runs are numbered in run order, and W = min(workers,
+    blocks) workers deal them round-robin: worker w evaluates blocks w, w + W, ...,
+    worker 0 in this process and the others forked (``_fork_shares``)."""
+    size = min(_BLOCK_TRIALS, -(-sum(len(trials) for _pairs, trials, _seed in runs) // workers))
+    starts = [trials[:: -(-len(trials) // -(-len(trials) // size))] for _pairs, trials, _seed in runs]
     firsts = list(itertools.accumulate(map(len, starts), initial=0))  # each run's first block, then the count
     workers = min(workers, max(firsts[-1], 1))
     angles = [tuple(np.asarray([pair[i].angle for pair in pairs]) for i in (0, 1)) for pairs, _n, _seed in runs]
 
     def run(k: int, lo: int):
-        pairs, n_trials, seed = runs[k]
-        idx = np.arange(lo, min(lo + starts[k].step, n_trials), dtype=np.uint64)
-        if len(pairs) == 4:
-            pid = rng.choice_of_4(seed, "die", idx)
-        elif len(pairs) == 1:  # a one-faced die: integers_below(seed, "die", idx, 1) is all zeros
-            pid = np.zeros(len(idx), dtype=np.int64)
-        else:
-            pid = rng.integers_below(seed, "die", idx, len(pairs))
+        pairs, trials, seed = runs[k]
+        idx = np.arange(lo, min(lo + starts[k].step, trials.stop), dtype=np.uint64)
+        pid = rng.integers_below(seed, "die", idx, len(pairs))
         th1, th2 = angles[k][0][pid], angles[k][1][pid]
         lrep, i1, i2, a, b = trial_arrays(spec, seed, idx, th1, th2, pid)
         return reduce(k, lo, dict(t=idx, pair_id=pid, setting_1=th1, setting_2=th2, lam=lrep, ip_1=i1, ip_2=i2, a=a, b=b))
@@ -375,18 +363,23 @@ def _run_blocks(spec: ModelFamily, runs, workers: int, reduce) -> list:
     return [sum(run_totals) for run_totals in zip(*_fork_shares(share, workers))]
 
 
-def _pair_sums(pair_id: np.ndarray, agree: np.ndarray, n_pairs: int, lo: int, checkpoints) -> np.ndarray:
-    """Each pair's (count, sum of A*B) over the trials lo, lo + 1, ... that ``pair_id``
-    and ``agree`` (A == B) describe, counting for each c of ``checkpoints`` only the
-    trials before c: int64 of shape (len(checkpoints), n_pairs, 2)."""
-    key = 2 * pair_id.astype(np.intp) + agree
+def _pair_sums(pair_id: np.ndarray, a: np.ndarray, b: np.ndarray, n_pairs: int) -> np.ndarray:
+    """Each pair's (count, sum of A*B) over the trials of the columns ``pair_id``, ``a`` and
+    ``b``, int64 of shape (n_pairs, 2), tallied a block at a time to bound the temporaries."""
+    total = np.zeros((n_pairs, 2), dtype=np.int64)
+    for lo in range(0, len(pair_id), _BLOCK_TRIALS):
+        hi = lo + _BLOCK_TRIALS
+        key = 2 * pair_id[lo:hi].astype(np.intp) + (a[lo:hi] == b[lo:hi])
+        minus, plus = np.bincount(key, minlength=2 * n_pairs).reshape(n_pairs, 2).T
+        total += np.stack((minus + plus, plus - minus), axis=1)
+    return total
 
-    def tally(keys: np.ndarray) -> np.ndarray:
-        minus, plus = np.bincount(keys, minlength=2 * n_pairs).reshape(n_pairs, 2).T
-        return np.stack((minus + plus, plus - minus), axis=1)
 
-    whole = tally(key)
-    return np.stack([whole if c >= lo + len(key) else tally(key[: max(c - lo, 0)]) for c in checkpoints])
+def _segments(n_trials: int, checkpoints=None) -> list[range]:
+    """The trials between checkpoints: range(c', c) for each c of the nondecreasing
+    ``checkpoints`` (default: n_trials) clipped to [0, n_trials], c' the one before it, or 0."""
+    ends = [min(max(c, 0), n_trials) for c in ([n_trials] if checkpoints is None else checkpoints)]
+    return [range(lo, hi) for lo, hi in itertools.pairwise([0, *ends])]
 
 
 def run_pairs(
@@ -401,21 +394,22 @@ def run_pairs(
     ``spec`` is a ModelSpec or any other object satisfying the ModelFamily
     protocol; both run through the same calls.
     """
-    # The runner itself rejects n_trials < 1.
+    if n_trials < 1:
+        raise InvalidSpec(f"n_trials must be >= 1, got {n_trials}")
     dtypes = {name: dtype for name, (_header, dtype) in _COLUMNS.items()}
     dtypes["lam"] = {"discrete": np.int64, "angle": np.float64}[spec.lambda_kind]
     # Forked workers need the columns in shared memory, whose pages cost more
     # to fault in than private ones: a one-process run allocates them privately.
     workers = _workers(threads, n_trials)
     allocate = _shared_empty if workers > 1 else np.empty
-    columns = {name: allocate(max(n_trials, 0), dtype) for name, dtype in dtypes.items()}
+    columns = {name: allocate(n_trials, dtype) for name, dtype in dtypes.items()}
 
     def fill(_k: int, lo: int, block: dict) -> int:
         for name, column in columns.items():
             column[lo : lo + len(block["t"])] = block[name]
         return 0  # a log keeps its trials, so there is nothing to add up
 
-    _run_blocks(spec, [(pairs, n_trials, seed)], workers, fill)
+    _run_blocks(spec, [(pairs, range(n_trials), seed)], workers, fill)
     return TrialLog(**columns, n_pairs=len(pairs))
 
 
@@ -439,28 +433,30 @@ def run_sums(
     checkpoints=None,
 ) -> np.ndarray:
     """What a report reads of ``run_pairs``: each pair's (count, sum of A*B) over the
-    first c trials for each increasing c of ``checkpoints`` (default: n_trials), as
-    int64 of shape (len(checkpoints), len(pairs), 2). No array is as long as the run."""
-    checkpoints = [n_trials] if checkpoints is None else checkpoints
-    return _sums(spec, [(pairs, n_trials, seed)], [checkpoints], _workers(threads, n_trials))[0]
+    first c trials for each nondecreasing c of ``checkpoints`` (default: n_trials), as
+    int64 of shape (len(checkpoints), len(pairs), 2), the running total of the sums of
+    its segments (``_segments``), all run by one ``run_sums_each``; an empty one adds zeros."""
+    if n_trials < 1:
+        raise InvalidSpec(f"n_trials must be >= 1, got {n_trials}")
+    segments = _segments(n_trials, checkpoints)
+    sums = iter(run_sums_each(spec, [(pairs, segment, seed) for segment in segments if segment], threads))
+    return np.cumsum([next(sums) if s else np.zeros((len(pairs), 2), dtype=np.int64) for s in segments], axis=0)
 
 
 def run_sums_each(spec: ModelFamily, runs, threads: int | None = None) -> list[np.ndarray]:
-    """``run_sums(spec, pairs, n_trials, seed)`` for each (pairs, n_trials, seed) of
-    ``runs``, in order: many short runs, such as the --sweep points. The blocks of all
-    the runs are dealt over one set of workers, so a set of runs forks once."""
+    """Each pair's (count, sum of A*B), int64 of shape (len(pairs), 2), for each run
+    (pairs, trials, seed) of ``runs`` in order, ``trials`` a range of consecutive trial
+    indices: many short runs, such as the --sweep points or one run's segments. The
+    blocks of all the runs are dealt over one set of workers, so a set of runs forks once."""
     runs = list(runs)
-    checkpoints = [[n_trials] for _pairs, n_trials, _seed in runs]
-    return _sums(spec, runs, checkpoints, _workers(threads, sum(n_trials for _pairs, n_trials, _seed in runs)))
+    for _pairs, trials, _seed in runs:
+        if len(trials) < 1:
+            raise InvalidSpec(f"n_trials must be >= 1, got {len(trials)}")
 
+    def tally(k: int, _lo: int, block: dict) -> np.ndarray:
+        return _pair_sums(block["pair_id"], block["a"], block["b"], len(runs[k][0]))
 
-def _sums(spec: ModelFamily, runs, checkpoints, workers: int) -> list[np.ndarray]:
-    """For each run k of ``runs``, ``run_sums`` at the checkpoints ``checkpoints[k]``."""
-
-    def tally(k: int, lo: int, block: dict) -> np.ndarray:
-        return _pair_sums(block["pair_id"], block["a"] == block["b"], len(runs[k][0]), lo, checkpoints[k])
-
-    return _run_blocks(spec, runs, workers, tally)
+    return _run_blocks(spec, runs, _workers(threads, sum(len(trials) for _pairs, trials, _seed in runs)), tally)
 
 
 def experiment_pairs(quad: SettingQuad) -> list[tuple[Setting, Setting]]:

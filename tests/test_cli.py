@@ -230,11 +230,24 @@ def test_missing_config_file_exit_two(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 2
 
 
-def test_check_premise_failure_exit_three(tmp_path, capsys):
+def test_check_premise_failure_exit_three(tmp_path, capsys, monkeypatch):
+    # The pilot runs before any run of the model's trials, so a model that fails it
+    # costs no run however long n_trials is.
+    from bell_lab import simulate
+
+    def no_run(*args):
+        raise AssertionError("check ran the model's trials before its pilot")
+
+    monkeypatch.setattr(simulate, "_run_blocks", no_run)
     text = MINIMAL.replace("bell_deterministic", "factorizable_instrument") + "\nmodel.epsilon = 0.5\n"
     cfg = write_cfg(tmp_path, text)
     assert main(["check", "--config", cfg]) == 3
-    assert "anticorrelation" in capsys.readouterr().err
+    assert capsys.readouterr() == (
+        "bell-lab check: factorizable_instrument\n",
+        "model error: anticorrelation violated in 362 of 1000 pilot trials; the three-setting inequality "
+        "presupposes A = -B at equal settings\n(the three-setting inequality is derived assuming perfect "
+        "anticorrelation; a model that violates it at equal settings has no such statistic)\n",
+    )
 
 
 def test_tables_continuous_lambda_exit_four(tmp_path, capsys):

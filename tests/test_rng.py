@@ -61,6 +61,30 @@ def test_integers_below():
         rng.integers_below(9, "die", np.arange(4), 0)
 
 
+@pytest.mark.parametrize("bound", [1, 3, 5, 1000, *(2**j for j in range(1, 55))])
+def test_integers_below_is_the_floor_of_a_uniform(bound):
+    # The reference is the floor of a 53-bit uniform times the bound. Powers of two
+    # up to 2**53 take the word's top bits, which is the same floor; 2**54 is beyond
+    # a uniform's 53 bits, so it keeps the float path.
+    idx = np.arange(20_000, dtype=np.uint64)
+    floor = np.minimum((rng.uniforms(13, "die", idx) * bound).astype(np.int64), bound - 1)
+    assert np.array_equal(rng.integers_below(13, "die", idx, bound), floor)
+    assert rng.integers_below(13, "die", 5, bound).shape == ()
+
+
+def test_choice_of_4_is_integers_below_4():
+    idx = np.arange(20_000, dtype=np.uint64)
+    assert np.array_equal(rng.choice_of_4(13, "die", idx), rng.integers_below(13, "die", idx, 4))
+
+
+def test_a_one_faced_die_hashes_no_word(monkeypatch):
+    def no_words(*args):
+        raise AssertionError("a one-faced die hashed a word")
+
+    monkeypatch.setattr(rng, "hash_words", no_words)
+    assert rng.integers_below(13, "die", np.arange(10, dtype=np.uint64), 1).tolist() == [0] * 10
+
+
 def test_draw_accepts_arrays():
     idx = np.arange(16, dtype=np.uint64)
     per_draw = rng.uniforms(1, "x", idx, draw=np.arange(16, dtype=np.uint64))

@@ -145,31 +145,35 @@ class _WritesItsBlocks(FactorizableInstrument):
 def test_runs_of_a_set_share_one_set_of_workers(monkeypatch, forks, tmp_path, block):
     # The blocks of all the runs are dealt over one set of workers, which the set
     # forks once. At 1,000-trial blocks each run has several, of near-equal
-    # length, and the blocks of one run are evaluated by different workers.
+    # length, and the blocks of one run are evaluated by different workers. A run
+    # is a range of trial indices, and all but the first start after trial 0.
     spec = FactorizableInstrument(epsilon=0.3)
-    runs = [([(Setting(0.0), Setting(0.1 * k))], 3_000 + k, 40 + k) for k in range(7)]
-    serial = [simulate.run_sums(spec, *run, threads=1) for run in runs]
+    runs = [([(Setting(0.0), Setting(0.1 * k))], range(5 * k, 5 * k + 3_000 + k), 40 + k) for k in range(7)]
+    serial = []
+    for pairs, trials, seed in runs:  # the run's trials of a serial log
+        log = run_pairs(spec, pairs, trials.stop, seed, threads=1)
+        serial.append([[len(trials), int(np.sum(log.a[trials.start :] * log.b[trials.start :], dtype=np.int64))]])
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
     monkeypatch.setattr(simulate, "_BLOCK_TRIALS", block)
     monkeypatch.setattr(_WritesItsBlocks, "path", tmp_path / "blocks.txt")
     got = simulate.run_sums_each(_WritesItsBlocks(epsilon=0.3), runs, threads=4)
     assert len(forks) == 2
-    assert [g.tolist() for g in got] == [s.tolist() for s in serial]
+    assert [g.tolist() for g in got] == serial
     _no_child_left()
     blocks = [line.split() for line in (tmp_path / "blocks.txt").read_text().splitlines()]
     # ceil(n / size) blocks of one run, 7,007 = ceil(21,021 trials / 3 workers)
-    count = {seed: -(-n_trials // min(block, 7_007)) for _pairs, n_trials, seed in runs}
+    count = {seed: -(-len(trials) // min(block, 7_007)) for _pairs, trials, seed in runs}
     lengths = {  # (seed, first trial) -> trials in that block
-        (seed, lo): min(lo + -(-n_trials // count[seed]), n_trials) - lo
-        for _pairs, n_trials, seed in runs
-        for lo in range(0, n_trials, -(-n_trials // count[seed]))
+        (seed, lo): min(lo + -(-len(trials) // count[seed]), trials.stop) - lo
+        for _pairs, trials, seed in runs
+        for lo in trials[:: -(-len(trials) // count[seed])]
     }
     assert sorted((int(seed), int(lo)) for _pid, seed, lo in blocks) == sorted(lengths)
     for seed in count:
         run_lengths = [n for (s, _lo), n in lengths.items() if s == seed]
         assert max(run_lengths) - min(run_lengths) < count[seed]  # only the last is short, and by little
     if block == 1_000:
-        for _pairs, _n_trials, seed in runs:
+        for _pairs, _trials, seed in runs:
             assert len({pid for pid, s, _lo in blocks if int(s) == seed}) > 1
         # No worker is given a whole block more than another.
         by_worker = {}
@@ -420,11 +424,12 @@ def test_workers_end_with_a_parent_ended_by_sigterm(tmp_path):
 
 
 def test_one_pair_runs_equal_runs_that_draw_the_die():
-    # A one-pair run's pair_id is 0 for every trial without drawing the die.
+    # A one-pair run's pair_id is 0 for every trial without drawing the die; the
+    # drawn die is the floor formula, not integers_below's shortcut for one face.
     pair = (Setting(0.0), Setting(0.9))
     idx = np.arange(5_000, dtype=np.uint64)
     for family in FAMILIES.values():
-        pid = rng.integers_below(11, "die", idx, 1)
+        pid = np.minimum((rng.uniforms(11, "die", idx) * 1).astype(np.int64), 0)
         theta1, theta2 = np.full(len(idx), pair[0].angle)[pid], np.full(len(idx), pair[1].angle)[pid]
         _lam, _ip1, _ip2, a, b = trial_arrays(family(), 11, idx, theta1, theta2, pid)
         drawn = [[len(idx), int(np.sum(a * b, dtype=np.int64))]]
@@ -612,20 +617,32 @@ def test_closed_form_steps_are_correctly_rounded(count, data):
 @pytest.mark.parametrize("block", [7, 64, simulate._BLOCK_TRIALS])
 def test_pair_sums_of_a_run_are_its_prefix_sums(monkeypatch, block):
     # Small blocks put several checkpoints inside one block and others on block edges.
+    # A checkpoint of 0, a repeated one and those past the last trial make empty
+    # segments, which add zeros and are never run.
     monkeypatch.setattr(simulate, "_BLOCK_TRIALS", block)
     log = run_experiment(FactorizableInstrument(epsilon=0.5), QUAD, 1_000, seed=47)
     products = log.a * log.b
-    lengths = [4, 8, 16, 64, 100, 128, 999, 1_000]
+    lengths = [0, 4, 8, 16, 16, 64, 100, 128, 999, 1_000, 1_000, 1_500, 2_000]
     expected = [
         [[np.count_nonzero(log.pair_id[:n] == pid), int(products[:n][log.pair_id[:n] == pid].sum())]
          for pid in range(4)]
         for n in lengths
     ]
+    run_blocks, runs = simulate._run_blocks, []
+
+    def recorded(spec, block_runs, workers, reduce):
+        runs.extend(trials for _pairs, trials, _seed in block_runs)
+        return run_blocks(spec, block_runs, workers, reduce)
+
+    monkeypatch.setattr(simulate, "_run_blocks", recorded)
     for threads in (1, 2):
         sums = simulate.run_sums(FactorizableInstrument(epsilon=0.5), simulate.experiment_pairs(QUAD), 1_000, 47,
                                  threads, lengths)
         assert sums.dtype == np.int64 and sums.tolist() == expected
     assert log.pair_sums(lengths).tolist() == expected
+    segments = [range(0, 4), range(4, 8), range(8, 16), range(16, 64), range(64, 100), range(100, 128),
+                range(128, 999), range(999, 1_000)]
+    assert runs == segments * 2
 
 
 def test_prefix_correlations_are_numpy_estimates_of_prefix_slices(monkeypatch):
