@@ -562,7 +562,7 @@ def cmd_tables(args) -> int:
     complete = table.rows.all(axis=1)
     values, counts = np.unique(table.rows[complete].sum(axis=1, dtype=np.int64), return_counts=True)
     histogram = dict(zip(values.tolist(), counts.tolist()))
-    undefined = len(table.rows) - table.complete_rows
+    undefined = len(complete) - int(np.count_nonzero(complete))
 
     leftover_fraction = table.leftover_trials / table.n_trials if table.n_trials else 0.0
     print(f"bell-lab tables: key mode {key_mode.value}")

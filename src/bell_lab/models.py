@@ -1,16 +1,15 @@
 """Local hidden-variable model families.
 
-Each shipped family is one ``ModelSpec`` subclass holding its config ``name``,
-its parameters (dataclass fields after ``source``) and its two vectorized laws,
-the ``ModelFamily`` methods ``instrument_arrays`` and ``outcome_arrays``;
+A family is its three vectorized laws, the ``ModelFamily`` methods
+``source_arrays``, ``instrument_arrays`` and ``outcome_arrays``. Each shipped
+family is one ``ModelSpec`` subclass holding its config ``name``, its parameters
+(dataclass fields after ``source``) and its instrument and outcome laws;
 ``ModelSpec.source_arrays`` is the source law they share. The class is the
-family's one constructor. ``FAMILIES`` maps each name to its class:
-``BellDeterministic``, ``FactorizableInstrument``, ``TimeTaggedAnticorrelated``
-and ``SettingPairDependent``. Randomness enters only through the source and
-instrument laws. ``trial_arrays`` is the one trial kernel (tick t = index,
-source, two instruments, two outcomes): the runner's blocks and the
-equal-settings pilot both call it, and it reaches every family, shipped or
-not, through the module-level dispatchers of the same three names.
+family's one constructor; ``FAMILIES`` maps each name to its class. Randomness
+enters only through the source and instrument laws. ``trial_arrays`` is the one
+trial kernel (tick t = index, source, two instruments, two outcomes): the
+runner's blocks and the equal-settings pilot both call it, and it reaches every
+family, shipped or not, through the module-level dispatchers of the same three names.
 """
 
 from __future__ import annotations
@@ -109,11 +108,6 @@ class ModelSpec:
         return tuple(f.name for f in fields(cls)[1:])
 
     @property
-    def lambda_kind(self) -> str:
-        """'discrete' or 'angle': how the source value is represented."""
-        return "discrete" if isinstance(self.source, DiscreteSource) else "angle"
-
-    @property
     def flags(self) -> dict[str, bool]:
         return {"setting_dependent_distribution": self.setting_dependent_distribution}
 
@@ -191,11 +185,8 @@ class SettingPairDependent(ModelSpec):
     setting_dependent_distribution = True
 
     def instrument_arrays(self, seed, t, theta_local, station, pair_id=None):
-        if pair_id is None:
-            raise InvalidSpec(
-                "setting_pair_dependent instruments need the trial's setting pair; "
-                "this model only runs inside a paired experiment"
-            )
+        if pair_id is None:  # the equal-settings pilot: there is no setting pair
+            raise InvalidSpec(f"{self.name} has no equal-settings semantics; anticorrelation is not defined for it")
         return np.asarray(pair_id, dtype=np.float64) / 4.0
 
     def outcome_arrays(self, station, theta_local, lam_angle, ip):
@@ -280,7 +271,7 @@ def outcome_arrays(
 
 def trial_arrays(spec: ModelFamily, seed: int, indices, theta1, theta2, pair_id: np.ndarray | None) -> tuple:
     """The one trial kernel, t = index: (lam_repr, ip1, ip2, a, b) from the family's
-    source, instrument and outcome laws. ``pair_id`` is None outside a paired experiment."""
+    laws. ``pair_id`` is None outside a paired experiment; a law that needs it raises."""
     t = indices
     lam_repr, lam_angle = source_arrays(spec, seed, indices)
     ip1 = instrument_arrays(spec, seed, t, theta1, Station.S1, pair_id)
@@ -304,14 +295,13 @@ def check_anticorrelation(
 ) -> AnticorrelationReport:
     """Count trials where A != -B with equal settings and a shared tick.
 
-    Settings cycle deterministically over the supplied list, one per trial.
+    Settings cycle deterministically over the supplied list, one per trial. The
+    trials have no setting pair, so an instrument law that reads one raises.
     """
     if n_trials < 1:
         raise InvalidSpec(f"n_trials must be >= 1, got {n_trials}")
     if not settings:
         raise InvalidSpec("need at least one setting")
-    if isinstance(spec, ModelSpec) and spec.setting_dependent_distribution:
-        raise InvalidSpec(f"{spec.name} has no equal-settings semantics; anticorrelation is not defined for it")
     indices = np.arange(n_trials, dtype=np.uint64)
     theta = np.asarray([s.angle for s in settings])[np.arange(n_trials) % len(settings)]
     *_, a, b = trial_arrays(spec, seed, indices, theta, theta, None)
@@ -323,13 +313,10 @@ def check_anticorrelation(
 
 
 class ModelFamily(Protocol):
-    """What the experiment runner needs from a model family.
-
-    The shipped ``ModelSpec`` subclasses implement it; any other object
-    with these members runs through the same code path.
-    """
-
-    lambda_kind: str  # "discrete" (the runner logs lambda as int64) or "angle" (float64)
+    """What the experiment runner needs from a model family: its three laws. The
+    logged lambda takes its type from what ``source_arrays`` returns (int64 for
+    integers, float64 for floats); the shipped ``ModelSpec`` subclasses and any
+    other object with these methods run through the same code path."""
 
     def source_arrays(self, seed: int, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]: ...
 

@@ -50,7 +50,7 @@ import numpy as np
 from . import rng
 from .core import CHSH_SIGNS, Setting, SettingQuad, chsh_pairs
 from .errors import AnticorrelationViolated, InsufficientData, InvalidSpec, WorkerFailed
-from .models import ModelFamily, check_anticorrelation, trial_arrays
+from .models import ModelFamily, check_anticorrelation, source_arrays, trial_arrays
 
 # Length of the equal-settings pilot that bell_statistic runs first.
 _PILOT_TRIALS = 1000
@@ -67,6 +67,15 @@ def resolve_threads(threads: int | None = None) -> int:
     if threads < 1:
         raise ValueError(f"thread count must be >= 1, got {threads}")
     return threads
+
+
+def _lambda_dtype(dtype: np.dtype) -> np.dtype:
+    """The logged dtype of lambda values of ``dtype``: int64 for integers, float64 for
+    floats. A boolean, or an integer dtype that does not fit int64, raises ValueError."""
+    logged = np.dtype(np.int64 if dtype.kind in "iu" else np.float64)
+    if dtype.kind == "b" or not np.can_cast(dtype, logged):
+        raise ValueError(f"lambda must hold integers that fit int64, or floats; got dtype {dtype}")
+    return logged
 
 
 def _column(dtype, header: str | None = None):
@@ -97,9 +106,7 @@ class TrialLog:
         for name, (_header, dtype) in _COLUMNS.items():
             column = np.asarray(getattr(self, name))
             if name == "lam":
-                dtype = np.int64 if column.dtype.kind in "iu" else dtype
-                if column.dtype.kind == "b" or not np.can_cast(column.dtype, dtype):
-                    raise ValueError(f"lambda must hold integers that fit int64, or floats; got dtype {column.dtype}")
+                dtype = _lambda_dtype(column.dtype)
             setattr(self, name, np.ascontiguousarray(column, dtype=dtype))
             if len(column) != len(self.t):
                 raise ValueError(f"column {name} has {len(column)} rows, t has {len(self.t)}")
@@ -392,12 +399,14 @@ def run_pairs(
     """Core runner: per-trial uniform choice among ``pairs``, shared tick t=index.
 
     ``spec`` is a ModelSpec or any other object satisfying the ModelFamily
-    protocol; both run through the same calls.
+    protocol; both run through the same calls. The lambda column takes its type
+    from the source law's output for no trials (``_lambda_dtype``).
     """
     if n_trials < 1:
         raise InvalidSpec(f"n_trials must be >= 1, got {n_trials}")
     dtypes = {name: dtype for name, (_header, dtype) in _COLUMNS.items()}
-    dtypes["lam"] = {"discrete": np.int64, "angle": np.float64}[spec.lambda_kind]
+    lam, _lam_angle = source_arrays(spec, seed, np.empty(0, dtype=np.uint64))
+    dtypes["lam"] = _lambda_dtype(np.asarray(lam).dtype)
     # Forked workers need the columns in shared memory, whose pages cost more
     # to fault in than private ones: a one-process run allocates them privately.
     workers = _workers(threads, n_trials)
@@ -489,7 +498,6 @@ class CorrelationEstimate:
 class ChshStatistic:
     value: float
     std_error: float
-    per_pair: tuple[CorrelationEstimate, ...]
 
 
 @dataclass(frozen=True)
@@ -498,7 +506,6 @@ class BellStatistic:
     rhs: float
     margin: float
     std_error: float
-    per_pair: tuple[CorrelationEstimate, ...]
 
 
 def _estimate(pid: int, count: int, total: int) -> CorrelationEstimate:
@@ -528,7 +535,7 @@ def chsh_statistic(estimates: list[CorrelationEstimate]) -> ChshStatistic:
         raise ValueError(f"need exactly 4 estimates in canonical order, got {len(estimates)}")
     value = math.fsum(sign * e.mean for sign, e in zip(CHSH_SIGNS, estimates))
     std_error = math.sqrt(math.fsum(e.std_error**2 for e in estimates))
-    return ChshStatistic(value=value, std_error=std_error, per_pair=tuple(estimates))
+    return ChshStatistic(value=value, std_error=std_error)
 
 
 def three_setting_statistic(
@@ -539,7 +546,7 @@ def three_setting_statistic(
     lhs = abs(e_ab.mean - e_ac.mean)
     rhs = 1.0 + e_bc.mean
     std_error = math.sqrt(e_ab.std_error**2 + e_ac.std_error**2 + e_bc.std_error**2)
-    return BellStatistic(lhs=lhs, rhs=rhs, margin=rhs - lhs, std_error=std_error, per_pair=(e_ab, e_ac, e_bc))
+    return BellStatistic(lhs=lhs, rhs=rhs, margin=rhs - lhs, std_error=std_error)
 
 
 def bell_statistic(

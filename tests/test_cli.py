@@ -250,6 +250,25 @@ def test_check_premise_failure_exit_three(tmp_path, capsys, monkeypatch):
     )
 
 
+def test_check_refuses_setting_pair_dependent_exit_three(tmp_path, capsys, monkeypatch):
+    # Its instruments read the trial's setting pair, which the equal-settings
+    # pilot does not have: check refuses the model before any run, and writes no report.
+    from bell_lab import simulate
+
+    def no_run(*args):
+        raise AssertionError("check ran the model's trials")
+
+    monkeypatch.setattr(simulate, "_run_blocks", no_run)
+    cfg = write_cfg(tmp_path, MINIMAL.replace("bell_deterministic", "setting_pair_dependent"))
+    out = tmp_path / "out"
+    assert main(["check", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr() == (
+        "bell-lab check: setting_pair_dependent\n",
+        "model error: setting_pair_dependent has no equal-settings semantics; anticorrelation is not defined for it\n",
+    )
+    assert not (out / "check.json").exists()
+
+
 def test_tables_continuous_lambda_exit_four(tmp_path, capsys):
     cfg = write_cfg(tmp_path, MINIMAL)
     assert main(["tables", "--config", cfg, "--key-mode", "lambda"]) == 4

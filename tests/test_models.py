@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bell_lab import models, oracle
+from bell_lab import models, oracle, rng, simulate
 from bell_lab.core import TAU, Setting, SettingQuad
 from bell_lab.errors import AnticorrelationViolated, InvalidSpec
 from bell_lab.models import (
@@ -102,7 +102,7 @@ def test_sample_source_deterministic_given_substream():
     batch, _ = source_arrays(spec, 99, np.arange(20, dtype=np.uint64))
     assert a[0] == b[0] == batch[17]
     # an angle source logs the angle itself
-    assert spec.lambda_kind == "angle" and a[0] == a_angle[0] and 0.0 <= a[0] < TAU
+    assert a.dtype == np.float64 and a[0] == a_angle[0] and 0.0 <= a[0] < TAU
 
 
 def test_sample_source_weighted():
@@ -194,6 +194,10 @@ def test_sign_law_matches_cos_on_the_midpoint_grid(size):
         assert_sign_law_matches_cos(np.full(size, Setting.from_degrees(degrees).angle), lam)
 
 
+def _source_kind(spec) -> str:
+    return "discrete" if isinstance(spec.source, DiscreteSource) else "angle"
+
+
 SHIPPED_SPECS = [
     spec
     for source in (UniformAngleSource(), DiscreteSource.uniform(16))
@@ -207,7 +211,7 @@ SHIPPED_SPECS = [
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("spec", SHIPPED_SPECS, ids=lambda s: f"{s.name}-{s.lambda_kind}")
+@pytest.mark.parametrize("spec", SHIPPED_SPECS, ids=lambda s: f"{s.name}-{_source_kind(s)}")
 def test_runs_equal_the_cos_reference_runs(spec, threads, monkeypatch):
     log = run_experiment(spec, QUAD, 20_000, seed=17, threads=threads)
     monkeypatch.setattr(models, "sign_law", cos_sign_law)
@@ -217,7 +221,7 @@ def test_runs_equal_the_cos_reference_runs(spec, threads, monkeypatch):
 @pytest.mark.parametrize(
     "spec",
     [s for s in SHIPPED_SPECS if isinstance(s, (BellDeterministic, FactorizableInstrument))],
-    ids=lambda s: f"{s.name}-{s.lambda_kind}",
+    ids=lambda s: f"{s.name}-{_source_kind(s)}",
 )
 def test_discretized_tables_equal_the_cos_reference_tables(spec, monkeypatch):
     settings = [Setting.from_degrees(d) for d in range(360)]
@@ -288,11 +292,14 @@ def test_time_tagged_instruments_vary_with_setting_and_time():
 
 
 def test_setting_pair_dependent_requires_pair_context():
+    # Its instrument law refuses to run without a setting pair, so the pilot,
+    # which has none, refuses it through the law.
     spec = SettingPairDependent()
     zero = np.zeros(1, dtype=np.uint64)
-    with pytest.raises(InvalidSpec):
+    refusal = "setting_pair_dependent has no equal-settings semantics; anticorrelation is not defined for it"
+    with pytest.raises(InvalidSpec, match=f"^{refusal}$"):
         instrument_arrays(spec, 1, zero, np.zeros(1), Station.S1)
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(InvalidSpec, match=f"^{refusal}$"):
         check_anticorrelation(spec, [Setting(0.0)], 10, seed=1)
 
 
@@ -341,7 +348,7 @@ def test_check_anticorrelation_validates_inputs():
         TimeTaggedAnticorrelated(),
         SettingPairDependent(),
     ],
-    ids=lambda s: s.name + ("_discrete" if s.lambda_kind == "discrete" else ""),
+    ids=lambda s: s.name + ("_discrete" if _source_kind(s) == "discrete" else ""),
 )
 def test_scalar_api_reconstructs_logged_trials(spec):
     seed = 31
@@ -369,28 +376,54 @@ def test_scalar_api_reconstructs_logged_trials(spec):
 class _CoinFamily:
     """Trivial custom family: fair independent coins at both stations."""
 
-    lambda_kind = "angle"
-
     def source_arrays(self, seed, indices):
-        from bell_lab import rng
-
         angle = rng.uniforms(seed, "source", indices) * (2 * math.pi)
         return angle, angle
 
     def instrument_arrays(self, seed, t, theta_local, station, pair_id=None):
-        from bell_lab import rng
-
         return rng.uniforms(seed, f"coin.{station.value}", t)
 
     def outcome_arrays(self, station, theta_local, lam_angle, ip):
         return np.where(np.asarray(ip) < 0.5, 1, -1).astype(np.int8)
 
 
-def test_custom_family_with_an_unknown_lambda_kind_is_refused():
+class _IndexFamily(_CoinFamily):
+    """The coins with a discrete lambda: an index in [0, 16) of ``dtype``."""
+
+    def __init__(self, dtype):
+        self.dtype = dtype
+
+    def source_arrays(self, seed, indices):
+        index = (rng.uniforms(seed, "source", indices) * 16).astype(self.dtype)
+        return index, midpoint_angles(index.astype(np.int64), 16)
+
+
+def test_custom_family_logs_lambda_as_its_source_law_returns_it(monkeypatch, forks):
+    # The source law alone types lambda: a stale declaration that it is discrete
+    # does not truncate float angles to integers.
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
     fam = _CoinFamily()
-    fam.lambda_kind = "Angle"
-    with pytest.raises(KeyError, match="Angle"):
-        run_experiment(fam, QUAD, 10, seed=8)
+    fam.lambda_kind = "discrete"
+    angles, _ = fam.source_arrays(8, np.arange(2_000, dtype=np.uint64))
+    for threads in (1, 2):
+        log = run_experiment(fam, QUAD, 2_000, seed=8, threads=threads)
+        assert log.lambda_kind == "angle" and log.lam.tobytes() == angles.tobytes()
+    assert len(forks) == 1
+
+
+def test_custom_family_with_an_integer_source_logs_int64():
+    log = run_experiment(_IndexFamily(np.int32), QUAD, 2_000, seed=8)
+    index, _ = _IndexFamily(np.int64).source_arrays(8, np.arange(2_000, dtype=np.uint64))
+    assert log.lambda_kind == "discrete" and log.lam.dtype == np.int64
+    assert np.array_equal(log.lam, index)
+
+
+@pytest.mark.parametrize("dtype", [np.bool_, np.uint64])
+def test_custom_family_with_a_bool_or_uint64_source_is_refused_before_any_fork(monkeypatch, forks, dtype):
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+    with pytest.raises(ValueError, match="lambda must hold integers that fit int64, or floats"):
+        run_experiment(_IndexFamily(dtype), QUAD, 2_000, seed=8, threads=2)
+    assert forks == []
 
 
 def test_register_custom_family():

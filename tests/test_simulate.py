@@ -77,22 +77,6 @@ def test_threads_env_var(monkeypatch):
         resolve_threads(0)
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Counts the runner's calls of ``os.fork``; the children are real."""
-    pids = []
-    real_fork = os.fork
-
-    def counting_fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(simulate.os, "fork", counting_fork)
-    return pids
-
-
 def _no_child_left():
     """Every child process of this one has been reaped."""
     with pytest.raises(ChildProcessError):
