@@ -57,7 +57,9 @@ from .oracle import (
     singlet_correlation,
 )
 from .simulate import (
+    _CSV_BLOCK_ROWS,
     CorrelationEstimate,
+    _cell_texts,
     bell_statistic,
     chsh_statistic,
     estimate_correlations,
@@ -279,7 +281,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     lines = [f"model.kind = {cfg.model.name}"]
     if isinstance(cfg.model.source, DiscreteSource):
         lines.append("model.source.kind = discrete")
-        lines.append("model.source.weights = " + " ".join(repr(w) for w in cfg.model.source.weights))
+        lines.append("model.source.weights = " + " ".join(_cell_texts(np.asarray(cfg.model.source.weights))))
     else:
         lines.append("model.source.kind = uniform_angle")
     for name in cfg.model.parameters():
@@ -343,16 +345,54 @@ def _make_parent(path: str) -> None:
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
 
 
+# Stands in for each numpy array in the compact text; json.dumps writes it as "\u0000ndarray\u0000".
+_ARRAY_MARK = "\0ndarray\0"
+
+
 def _write_json(path: str, obj: dict, compact: bool = False) -> None:
-    """Write ``obj`` with sorted keys, indented, or on one line without spaces if ``compact``."""
+    """Write ``obj`` with sorted keys, indented, or on one line without spaces if ``compact``.
+
+    A compact file may hold numpy arrays of integers or finite floats (1-D, or 2-D as a
+    list of rows): each is written a block of rows at a time, as the text ``json.dumps``
+    gives its ``tolist()``.
+    """
     _make_parent(path)
     with open(path, "w") as fh:
         if compact:
+            arrays = []
+
+            def mark(value):
+                if not isinstance(value, np.ndarray):
+                    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+                arrays.append(value)
+                return _ARRAY_MARK
+
             # json.dumps without indent runs the C encoder; json.dump never does.
-            fh.write(json.dumps(obj, separators=(",", ":"), sort_keys=True))
+            text = json.dumps(obj, separators=(",", ":"), sort_keys=True, default=mark)
+            pieces = text.split(json.dumps(_ARRAY_MARK))
+            if len(pieces) != len(arrays) + 1:
+                raise ValueError(f"a string of the object equals the array mark {_ARRAY_MARK!r}")
+            fh.write(pieces[0])
+            for array, piece in zip(arrays, pieces[1:]):
+                _write_json_array(fh, array)
+                fh.write(piece)
         else:
             json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_json_array(fh, array: np.ndarray) -> None:
+    """Write a 1-D array as a JSON list, or a 2-D one as a list of row lists, a block of
+    rows at a time. Each value's text is its CSV text (``_cell_texts``), which is its JSON
+    text for integers and finite floats."""
+    fh.write("[")
+    for lo in range(0, len(array), _CSV_BLOCK_ROWS):
+        block = array[lo : lo + _CSV_BLOCK_ROWS]
+        texts = _cell_texts(block.ravel())
+        if block.ndim == 2:
+            texts = ["[" + ",".join(row) + "]" for row in zip(*[iter(texts)] * block.shape[1])]
+        fh.write(("," if lo else "") + ",".join(texts))
+    fh.write("]")
 
 
 def _resolve_output(cfg: ExperimentConfig, out_dir: str | None, name: str, default: str | None) -> str | None:

@@ -187,13 +187,15 @@ class TrialLog:
 _COLUMNS = {f.name: (f.metadata["header"] or f.name, f.metadata["dtype"]) for f in fields(TrialLog) if f.metadata}
 CSV_COLUMNS = ("index", *(header for header, _dtype in _COLUMNS.values()))
 _CSV_DTYPE = np.dtype([("index", np.int64), *_COLUMNS.values()])
-_CSV_BLOCK_ROWS = 1 << 14
+# Rows per block of the text writers (``to_csv`` and the compact JSON writer): a block's
+# text, not the whole file's, is what they hold in memory.
+_CSV_BLOCK_ROWS = 1 << 12
 
 
 def _cell_texts(values: np.ndarray):
-    """The CSV text of each value. When at most half of them are distinct, each
-    distinct value is formatted once and indexed; values are told apart by bit
-    pattern, so -0.0 and 0.0 keep their own text."""
+    """The CSV text of each value: str of its Python value. When at most half of
+    them are distinct, each distinct value is formatted once and indexed; values
+    are told apart by bit pattern, so -0.0 and 0.0 keep their own text."""
     bits = values.view(f"u{values.itemsize}")
     ordered = np.sort(bits)
     distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]

@@ -176,18 +176,19 @@ def lln_balance_check(log: TrialLog) -> BalanceReport:
 
 
 def table_to_json_obj(table: OutcomeTable) -> dict:
-    """``bell-lab.outcome-table.v2``: parallel key lists and one cell list per row."""
+    """``bell-lab.outcome-table.v2``: the parallel key arrays and the (n, 4) cell array,
+    as the table's own numpy arrays; the compact JSON writer streams them as lists."""
     obj = {
         "schema": "bell-lab.outcome-table.v2",
         "key_mode": table.key_mode.value,
         "complete_rows": table.complete_rows,
         "leftover_trials": table.leftover_trials,
         "n_trials": table.n_trials,
-        "lambda": table.lam.tolist(),
-        "cells": table.rows.tolist(),
+        "lambda": table.lam,
+        "cells": table.rows,
     }
     if table.t is not None:
-        obj["t"] = table.t.tolist()
+        obj["t"] = table.t
     return obj
 
 

@@ -1,5 +1,6 @@
 """CLI: config schema, exit codes, frozen output formats."""
 
+import dataclasses
 import json
 import math
 import os
@@ -13,7 +14,9 @@ import numpy as np
 import pytest
 
 from bell_lab.cli import (
+    _ARRAY_MARK,
     ExperimentConfig,
+    _write_json,
     config_digest,
     main,
     parse_config_text,
@@ -21,7 +24,7 @@ from bell_lab.cli import (
 )
 from bell_lab.errors import ConfigError
 from bell_lab.models import FAMILIES, BellDeterministic, DiscreteSource, UniformAngleSource
-from bell_lab.simulate import TrialLog, run_experiment
+from bell_lab.simulate import _CSV_BLOCK_ROWS, TrialLog, run_experiment
 from bell_lab.tables import KeyMode, Sum, Undefined, build_reordered_table, row_sums
 
 DATA = Path(__file__).parent / "data"
@@ -137,6 +140,21 @@ def test_round_trip_is_fixed_point():
         assert cfg2 == cfg
         assert serialize_config(cfg2) == serialize_config(cfg)
         assert config_digest(cfg2) == config_digest(cfg)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        (0.1,) * 5 + (0.0, 0.5, 0.0, -0.0, 0.0),  # repeated values, 0.0 and -0.0
+        DiscreteSource.uniform(1000).weights,
+    ],
+    ids=["mixed", "uniform-1000"],
+)
+def test_serialized_weights_are_the_repr_of_each_weight(weights):
+    cfg = parse_config_text(MINIMAL + "model.source.kind = discrete\nmodel.source.size = 2\n")
+    cfg = dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, source=DiscreteSource(weights)))
+    lines = [line for line in serialize_config(cfg).splitlines() if line.startswith("model.source.weights = ")]
+    assert lines == ["model.source.weights = " + " ".join(repr(w) for w in weights)]
 
 
 # Per family: its parameter lines, their report JSON, and the config digest of
@@ -496,6 +514,67 @@ def test_tables_json_counts_are_a_count_over_row_sums(tmp_path, name, source, mo
     sums = row_sums(build_reordered_table(run_experiment(cfg.model, cfg.quad, cfg.n_trials, cfg.seed), KeyMode(mode)))
     assert obj["row_sum_histogram"] == dict(Counter(str(s.value) for s in sums if isinstance(s, Sum)))
     assert obj["undefined_row_sums"] == sum(isinstance(s, Undefined) for s in sums)
+
+
+@pytest.mark.parametrize("n_trials", [3, 2 * _CSV_BLOCK_ROWS + 3], ids=["3", "two-blocks-and-3"])
+@pytest.mark.parametrize(
+    "name, source, mode",
+    [
+        ("bell_deterministic", "discrete", "lambda"),
+        ("bell_deterministic", "discrete", "lambda-time"),
+        ("factorizable_instrument", "angle", "lambda-time"),
+        ("setting_pair_dependent", "discrete", "lambda"),
+        ("setting_pair_dependent", "discrete", "lambda-time"),
+    ],
+)
+def test_table_json_is_the_compact_dump_of_the_table_lists(tmp_path, name, source, mode, n_trials):
+    text = MINIMAL.replace("bell_deterministic", name).replace("n_trials = 1000", f"n_trials = {n_trials}")
+    text += FAMILY_CASES[name][0]
+    if source == "discrete":
+        text += "model.source.kind = discrete\nmodel.source.size = 16\n"
+    out = tmp_path / "out"
+    assert main(["tables", "--config", write_cfg(tmp_path, text), "--key-mode", mode, "--out", str(out)]) == 0
+    written = (out / "table.json").read_text()
+
+    cfg = parse_config_text(text)
+    table = build_reordered_table(run_experiment(cfg.model, cfg.quad, cfg.n_trials, cfg.seed), KeyMode(mode))
+    reference = json.loads(written)
+    reference["table"] = {
+        "schema": "bell-lab.outcome-table.v2",
+        "key_mode": mode,
+        "complete_rows": table.complete_rows,
+        "leftover_trials": table.leftover_trials,
+        "n_trials": n_trials,
+        "lambda": table.lam.tolist(),
+        "cells": table.rows.tolist(),
+    }
+    if table.t is not None:
+        reference["table"]["t"] = table.t.tolist()
+    assert written == json.dumps(reference, separators=(",", ":"), sort_keys=True) + "\n"
+    if mode == "lambda" and n_trials == 3:
+        assert '"cells":[]' in written  # no lambda value met all four pairs
+    if (name, mode) == ("setting_pair_dependent", "lambda") and n_trials > 3:
+        assert reference["row_sum_histogram"] == {"4": table.complete_rows} and table.complete_rows > 0
+
+
+def test_compact_json_writes_each_array_as_the_dump_of_its_list(tmp_path):
+    rows = 2 * _CSV_BLOCK_ROWS + 3
+    obj = {
+        "e": "text",
+        "floats": np.array([0.1, -0.0, 0.0, 1e300, 2.5, 5e-324, 1 / 3]),
+        "repeated": np.tile([0.1, -0.0, 0.0, 6.0], rows),  # few distinct values: formatted once each
+        "nested": [np.arange(5, dtype=np.int64), {"empty": np.zeros((0, 4), dtype=np.int8)}],
+        "cells": np.tile(np.array([[1, -1, 0, 0], [0, 0, -1, 1]], dtype=np.int8), (rows, 1)),
+        "lam": np.arange(rows, dtype=np.int64) % 16,
+    }
+    path = tmp_path / "obj.json"
+    _write_json(str(path), obj, compact=True)
+    expected = json.dumps(obj, separators=(",", ":"), sort_keys=True, default=np.ndarray.tolist)
+    assert path.read_text() == expected + "\n"
+    with pytest.raises(ValueError, match="array mark"):
+        _write_json(str(path), {"s": _ARRAY_MARK, "a": np.zeros(1)}, compact=True)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        _write_json(str(path), {"s": {1, 2}}, compact=True)
 
 
 def test_oracle_enumerate_certificate(capsys):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bell_lab.cli import _write_json
 from bell_lab.core import CHSH_SIGNS, SettingQuad
 from bell_lab.errors import ContinuousLambdaUnorderable
 from bell_lab.models import (
@@ -251,12 +252,15 @@ def test_lln_flags_adversarial_log():
     assert report.max_abs_z > 100
 
 
-def test_json_round_trip():
+def test_json_round_trip(tmp_path):
     spec = BellDeterministic(DiscreteSource.uniform(4))
     log = run_experiment(spec, QUAD, 200, seed=89)
     for mode in (KeyMode.LAMBDA_ONLY, KeyMode.LAMBDA_TIME):
         table = build_reordered_table(log, mode)
-        obj = json.loads(json.dumps(table_to_json_obj(table)))
+        # the object holds the table's arrays; the compact writer turns them into lists
+        path = tmp_path / f"{mode.value}.json"
+        _write_json(str(path), table_to_json_obj(table), compact=True)
+        obj = json.loads(path.read_text())
         assert obj["schema"] == "bell-lab.outcome-table.v2"
         assert KeyMode(obj["key_mode"]) is mode
         for key in ("complete_rows", "leftover_trials", "n_trials"):
@@ -271,9 +275,11 @@ def test_json_round_trip():
 
 def test_json_cell_tags_explicit():
     log = run_experiment(BellDeterministic(DiscreteSource.uniform(2)), QUAD, 40, seed=97)
-    obj = table_to_json_obj(build_reordered_table(log, KeyMode.LAMBDA_TIME))
-    cells = np.asarray(obj["cells"])
-    assert cells.shape == (40, 4)
+    table = build_reordered_table(log, KeyMode.LAMBDA_TIME)
+    obj = table_to_json_obj(table)
+    cells = obj["cells"]
+    assert cells is table.rows and obj["lambda"] is table.lam and obj["t"] is table.t
+    assert cells.shape == (40, 4) and cells.dtype == np.int8
     assert set(cells.ravel().tolist()) <= {-1, 0, 1}
     # 0 tags the counterfactual cells; exactly one factual +/-1 per row
     assert np.all(np.count_nonzero(cells, axis=1) == 1)
