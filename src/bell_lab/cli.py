@@ -60,14 +60,15 @@ from .simulate import (
     _CSV_BLOCK_ROWS,
     CorrelationEstimate,
     _cell_texts,
-    bell_statistic,
     chsh_statistic,
     estimate_correlations,
     experiment_pairs,
+    require_anticorrelation,
     resolve_threads,
     run_experiment,
     run_sums,
     run_sums_each,
+    three_setting_pairs,
     three_setting_statistic,
 )
 from .tables import (
@@ -527,16 +528,19 @@ def cmd_check(args) -> int:
         def exact(pairs):
             return [CorrelationEstimate(i, singlet_correlation(s1, s2), 0.0, 0) for i, (s1, s2) in enumerate(pairs)]
 
-        estimates = exact((s1, s2) for s1, s2, _sign in chsh_pairs(quad))
-        bell = three_setting_statistic(*exact([(quad.a, quad.b), (quad.a, quad.c), (quad.b, quad.c)]))
+        estimates = exact(experiment_pairs(quad))
+        bell = three_setting_statistic(*exact(three_setting_pairs(quad.a, quad.b, quad.c)))
         flags = {"setting_dependent_distribution": False}
     else:
-        # bell_statistic's pilot tests the inequality's premise, so a model that fails it
-        # ends the command before the four-pair run.
-        bell = bell_statistic(cfg.model, quad.a, quad.b, quad.c, cfg.n_trials, cfg.seed, threads=threads)
-        estimates = estimate_correlations(
-            run_sums(cfg.model, experiment_pairs(quad), cfg.n_trials, cfg.seed, threads=threads)[-1]
-        )
+        # The pilot tests the inequality's premise, so a model that fails it ends the
+        # command before any run. The three-pair and four-pair runs share their seed and
+        # trials, so one pass evaluates both on the same die and source words; the
+        # three-pair estimates come first, as in bell_statistic.
+        require_anticorrelation(cfg.model, quad.a, quad.b, quad.c, cfg.seed)
+        pairs = (three_setting_pairs(quad.a, quad.b, quad.c), experiment_pairs(quad))
+        three, four = run_sums_each(cfg.model, [(p, range(cfg.n_trials), cfg.seed) for p in pairs], threads)
+        bell = three_setting_statistic(*estimate_correlations(three))
+        estimates = estimate_correlations(four)
         flags = cfg.model.flags
     report["estimates"] = _estimates_json(cfg, estimates)
     stat = chsh_statistic(estimates)

@@ -269,16 +269,20 @@ def outcome_arrays(
     return spec.outcome_arrays(station, theta_local, lam_angle, ip)
 
 
-def trial_arrays(spec: ModelFamily, seed: int, indices, theta1, theta2, pair_id: np.ndarray | None) -> tuple:
-    """The one trial kernel, t = index: (lam_repr, ip1, ip2, a, b) from the family's
-    laws. ``pair_id`` is None outside a paired experiment; a law that needs it raises."""
+def trial_arrays(
+    spec: ModelFamily, seed: int, indices, lam_angle, theta1, theta2, pair_id: np.ndarray | None
+) -> tuple:
+    """The one trial kernel, t = index: (ip1, ip2, a, b) from the family's instrument
+    and outcome laws, given the angles ``lam_angle`` that ``source_arrays`` drew for the
+    same indices. The source draw is the caller's, so that experiments over the same
+    trials draw it once. ``pair_id`` is None outside a paired experiment; a law that
+    needs it raises."""
     t = indices
-    lam_repr, lam_angle = source_arrays(spec, seed, indices)
     ip1 = instrument_arrays(spec, seed, t, theta1, Station.S1, pair_id)
     ip2 = instrument_arrays(spec, seed, t, theta2, Station.S2, pair_id)
     a = outcome_arrays(spec, Station.S1, theta1, lam_angle, ip1)
     b = outcome_arrays(spec, Station.S2, theta2, lam_angle, ip2)
-    return lam_repr, ip1, ip2, a, b
+    return ip1, ip2, a, b
 
 
 # --- Anticorrelation check ---------------------------------------------------
@@ -304,7 +308,8 @@ def check_anticorrelation(
         raise InvalidSpec("need at least one setting")
     indices = np.arange(n_trials, dtype=np.uint64)
     theta = np.asarray([s.angle for s in settings])[np.arange(n_trials) % len(settings)]
-    *_, a, b = trial_arrays(spec, seed, indices, theta, theta, None)
+    _lam, lam_angle = source_arrays(spec, seed, indices)
+    *_, a, b = trial_arrays(spec, seed, indices, lam_angle, theta, theta, None)
     violations = int(np.count_nonzero(a != -b))
     return AnticorrelationReport(trials=n_trials, violations=violations)
 

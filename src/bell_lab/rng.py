@@ -70,7 +70,11 @@ def hash_words(seed: int, label: str, indices, draw=0) -> np.ndarray:
 
 def uniforms(seed: int, label: str, indices, draw=0) -> np.ndarray:
     """float64 uniforms in [0, 1) with 53-bit resolution, one per index."""
-    words = hash_words(seed, label, indices, draw)
+    return _unit_floats(hash_words(seed, label, indices, draw))
+
+
+def _unit_floats(words: np.ndarray) -> np.ndarray:
+    """Each word's top 53 bits as a float64 in [0, 1)."""
     return (words >> np.uint64(11)).astype(np.float64) * (2.0**-53)
 
 
@@ -85,15 +89,23 @@ def choice_of_4(seed: int, label: str, indices) -> np.ndarray:
 
 
 def integers_below(seed: int, label: str, indices, bound: int) -> np.ndarray:
-    """Uniform integers in [0, bound): floor(u * bound) of a 53-bit uniform u, with
-    a bias of at most bound * 2**-53 per draw, far below every tolerance used here.
-    Bound 1 gives zeros and hashes no word; a power of two up to 2**53 gives the
-    same floor as the word's top bits."""
+    """Uniform integers in [0, bound), one per index: ``words_below`` of the hashed
+    words. Bound 1 gives zeros and hashes no word."""
+    if bound > 1:
+        return words_below(hash_words(seed, label, indices), bound)
+    return words_below(np.zeros(np.shape(indices), dtype=np.uint64), bound)  # zeros, or the bound's ValueError
+
+
+def words_below(words: np.ndarray, bound: int) -> np.ndarray:
+    """Uniform integers in [0, bound), one per hashed word: floor(u * bound) of the
+    word's 53-bit uniform u, with a bias of at most bound * 2**-53 per draw, far below
+    every tolerance used here. Bound 1 gives zeros whatever the words; a power of two
+    up to 2**53 gives the same floor as the word's top bits. So one word can serve
+    several bounds, as the runner's shared die does."""
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     if bound == 1:
-        return np.zeros(np.shape(indices), dtype=np.int64)
+        return np.zeros(np.shape(words), dtype=np.int64)
     if bound & (bound - 1) == 0 and bound <= 2**53:
-        return (hash_words(seed, label, indices) >> np.uint64(65 - int(bound).bit_length())).astype(np.int64)
-    u = uniforms(seed, label, indices)
-    return np.minimum((u * bound).astype(np.int64), bound - 1)
+        return (words >> np.uint64(65 - int(bound).bit_length())).astype(np.int64)
+    return np.minimum((_unit_floats(words) * bound).astype(np.int64), bound - 1)

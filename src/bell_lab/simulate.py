@@ -1,22 +1,25 @@
 """Seeded Monte Carlo experiment runner.
 
 One trial = one correlated pair: a tetrahedral-die choice among the four
-canonical setting pairs, then ``models.trial_arrays``, the one trial kernel:
-a shared clock tick t equal to the trial index, a source draw, one instrument
+canonical setting pairs, a source draw, then ``models.trial_arrays``, the one
+trial kernel: a shared clock tick t equal to the trial index, one instrument
 value per station, and two +/-1 outcomes.
 
 A run is a range of trial indices, its setting pairs and its seed. One call of the
 runner evaluates one run (``run_pairs``) or a list of runs (``run_sums_each``, which
-``run_sums`` calls with the segments of one run). With w = min(threads, cores), it cuts
-every run into near-equal blocks of at most min(16,384, ceil(total trials / w)) trials
-and numbers the blocks of all its runs in run order; W = min(w, blocks) worker processes
-deal them round-robin: this process evaluates blocks 0, W, 2W, ..., and W - 1 children
-made by ``os.fork`` the others, each sending back one sum per run through a pipe (a
-forking ``run_pairs`` puts its columns in shared memory, so the children write the log
-in place). A call forks nothing when W = 1, where ``os.fork`` does not exist, or while
-another Python thread is running. Every random quantity is a pure function of (seed,
-trial index, stream label), so the log for a given (spec, quad, n_trials, seed) is
-bit-identical no matter how many workers evaluate it or which evaluates which block.
+``run_sums`` calls with the segments of one run, and ``check`` with its three-pair and
+four-pair experiments). Runs of the same range and seed share one pass: each block
+hashes their die word and draws their source values once. With w = min(threads, cores),
+the runner cuts every run into near-equal blocks of at most min(8,192, ceil(total trials
+/ w)) trials and numbers the blocks of all its runs in run order; W = min(w, blocks)
+worker processes deal them round-robin: this process evaluates blocks 0, W, 2W, ...,
+and W - 1 children made by ``os.fork`` the others, each sending back one sum per run
+through a pipe (a forking ``run_pairs`` puts its columns in shared memory, so the
+children write the log in place). A call forks nothing when W = 1, where ``os.fork``
+does not exist, or while another Python thread is running. Every random quantity is a
+pure function of (seed, trial index, stream label), so the log for a given (spec, quad,
+n_trials, seed) is bit-identical no matter how many workers evaluate it or which
+evaluates which block.
 
 Logs are stored column-wise (numpy arrays), one array per logged column: 51 bytes per
 trial. A report reads only each pair's trial count n and the sum s of its outcome
@@ -47,12 +50,12 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import rng
+from . import models, rng
 from .core import CHSH_SIGNS, Setting, SettingQuad, chsh_pairs
 from .errors import AnticorrelationViolated, InsufficientData, InvalidSpec, WorkerFailed
-from .models import ModelFamily, check_anticorrelation, source_arrays, trial_arrays
+from .models import ModelFamily, check_anticorrelation
 
-# Length of the equal-settings pilot that bell_statistic runs first.
+# Length of the equal-settings pilot that require_anticorrelation runs.
 _PILOT_TRIALS = 1000
 
 
@@ -214,9 +217,11 @@ def _reject_rows(bad: np.ndarray, what: str) -> None:
 
 
 # Most trials per block, the runner's unit of work: every kernel temporary is
-# at most one block long whatever n_trials is. At 2**14 trials a block's arrays
-# fit a 2 MB L2 cache; at 2**16 they spill out of it.
-_BLOCK_TRIALS = 1 << 14
+# at most one block long whatever n_trials is. At 2**14 trials a float64 or
+# uint64 temporary is 128 KiB, glibc's default mmap threshold: the temporaries a
+# block frees then exceed the heap's trim threshold, so every block faults in
+# fresh pages (200-300 minor faults a block). At 2**13 the heap keeps them.
+_BLOCK_TRIALS = 1 << 13
 
 # prctl(PR_SET_PDEATHSIG, signal): the kernel sends the signal to this process
 # when its parent ends.
@@ -340,33 +345,50 @@ def _run_blocks(spec: ModelFamily, runs, workers: int, reduce) -> list:
     """The runner: evaluate each run (pairs, trials, seed) of ``runs``, ``trials`` a
     nonempty range of trial indices, block by block and return, for each run k, the sum
     over its blocks of ``reduce(k, lo, block)``, where ``block`` maps each ``TrialLog``
-    column name to the values of run k's trials lo, lo + 1, ... A run of n trials is cut
-    into ceil(n / size) blocks, size = min(_BLOCK_TRIALS, ceil(total trials / workers)),
-    so that a short run uses every worker; all but the last are ceil(n / blocks) trials
-    long, so that a deal of many equal runs gives no one worker all their short last
-    blocks. The blocks of all runs are numbered in run order, and W = min(workers,
-    blocks) workers deal them round-robin: worker w evaluates blocks w, w + W, ...,
-    worker 0 in this process and the others forked (``_fork_shares``)."""
-    size = min(_BLOCK_TRIALS, -(-sum(len(trials) for _pairs, trials, _seed in runs) // workers))
-    starts = [trials[:: -(-len(trials) // -(-len(trials) // size))] for _pairs, trials, _seed in runs]
-    firsts = list(itertools.accumulate(map(len, starts), initial=0))  # each run's first block, then the count
+    column name to the values of run k's trials lo, lo + 1, ... Runs of equal (trials,
+    seed) form a group, in order of first appearance, and share its blocks: a block
+    hashes the die word and draws the source once, and each run of the group maps the
+    die to its own pairs (``rng.words_below``) and evaluates its trials on that source.
+    A group of n trials is cut into ceil(n / size) blocks, size = min(_BLOCK_TRIALS,
+    ceil(total trials of the groups / workers)), so that a short run uses every worker;
+    all but the last are ceil(n / blocks) trials long, so that a deal of many equal runs
+    gives no one worker all their short last blocks. The blocks of all groups are
+    numbered in group order, and W = min(workers, blocks) workers deal them round-robin:
+    worker w evaluates blocks w, w + W, ..., worker 0 in this process and the others
+    forked (``_fork_shares``)."""
+    shared: dict[tuple[range, int], list[int]] = {}
+    for k, (_pairs, trials, seed) in enumerate(runs):
+        shared.setdefault((trials, seed), []).append(k)
+    groups = list(shared.items())
+    size = min(_BLOCK_TRIALS, -(-sum(len(trials) for (trials, _seed), _ks in groups) // workers))
+    starts = [trials[:: -(-len(trials) // -(-len(trials) // size))] for (trials, _seed), _ks in groups]
+    firsts = list(itertools.accumulate(map(len, starts), initial=0))  # each group's first block, then the count
     workers = min(workers, max(firsts[-1], 1))
     angles = [tuple(np.asarray([pair[i].angle for pair in pairs]) for i in (0, 1)) for pairs, _n, _seed in runs]
 
-    def run(k: int, lo: int):
-        pairs, trials, seed = runs[k]
-        idx = np.arange(lo, min(lo + starts[k].step, trials.stop), dtype=np.uint64)
-        pid = rng.integers_below(seed, "die", idx, len(pairs))
+    def run(k: int, lo: int, idx, die, lrep, lam_angle):
+        # A function of its own, so that run k's temporaries are freed before the next
+        # run of the group makes its own: the heap then reuses their pages.
+        pid = rng.words_below(die, len(runs[k][0]))
         th1, th2 = angles[k][0][pid], angles[k][1][pid]
-        lrep, i1, i2, a, b = trial_arrays(spec, seed, idx, th1, th2, pid)
+        i1, i2, a, b = models.trial_arrays(spec, runs[k][2], idx, lam_angle, th1, th2, pid)
         return reduce(k, lo, dict(t=idx, pair_id=pid, setting_1=th1, setting_2=th2, lam=lrep, ip_1=i1, ip_2=i2, a=a, b=b))
+
+    def run_group(g: int, lo: int, totals: list) -> None:
+        (trials, seed), ks = groups[g]
+        idx = np.arange(lo, min(lo + starts[g].step, trials.stop), dtype=np.uint64)
+        # words_below gives a one-pair run zeros whatever it reads, so such runs hash no die
+        die = rng.hash_words(seed, "die", idx) if any(len(runs[k][0]) > 1 for k in ks) else idx
+        lrep, lam_angle = models.source_arrays(spec, seed, idx)
+        for k in ks:
+            totals[k] += run(k, lo, idx, die, lrep, lam_angle)
 
     def share(w: int, poll) -> list:
         totals = [0] * len(runs)
-        for k, (first, run_starts) in enumerate(zip(firsts, starts)):
-            for lo in run_starts[(w - first) % workers :: workers]:
+        for g, (first, group_starts) in enumerate(zip(firsts, starts)):
+            for lo in group_starts[(w - first) % workers :: workers]:
                 poll()
-                totals[k] += run(k, lo)
+                run_group(g, lo, totals)
         return totals
 
     return [sum(run_totals) for run_totals in zip(*_fork_shares(share, workers))]
@@ -407,7 +429,7 @@ def run_pairs(
     if n_trials < 1:
         raise InvalidSpec(f"n_trials must be >= 1, got {n_trials}")
     dtypes = {name: dtype for name, (_header, dtype) in _COLUMNS.items()}
-    lam, _lam_angle = source_arrays(spec, seed, np.empty(0, dtype=np.uint64))
+    lam, _lam_angle = spec.source_arrays(seed, np.empty(0, dtype=np.uint64))
     dtypes["lam"] = _lambda_dtype(np.asarray(lam).dtype)
     # Forked workers need the columns in shared memory, whose pages cost more
     # to fault in than private ones: a one-process run allocates them privately.
@@ -457,8 +479,10 @@ def run_sums(
 def run_sums_each(spec: ModelFamily, runs, threads: int | None = None) -> list[np.ndarray]:
     """Each pair's (count, sum of A*B), int64 of shape (len(pairs), 2), for each run
     (pairs, trials, seed) of ``runs`` in order, ``trials`` a range of consecutive trial
-    indices: many short runs, such as the --sweep points or one run's segments. The
-    blocks of all the runs are dealt over one set of workers, so a set of runs forks once."""
+    indices: many short runs, such as the --sweep points or one run's segments, or
+    several experiments over the same trials, such as check's. The blocks of all the
+    runs are dealt over one set of workers, so a set of runs forks once, and runs of the
+    same trials and seed share each block's die and source words (``_run_blocks``)."""
     runs = list(runs)
     for _pairs, trials, _seed in runs:
         if len(trials) < 1:
@@ -551,6 +575,21 @@ def three_setting_statistic(
     return BellStatistic(lhs=lhs, rhs=rhs, margin=rhs - lhs, std_error=std_error)
 
 
+def three_setting_pairs(a: Setting, b: Setting, c: Setting) -> list[tuple[Setting, Setting]]:
+    """The three-setting inequality's pairs (a, b), (a, c) and (b, c), in pair_id order."""
+    return [(a, b), (a, c), (b, c)]
+
+
+def require_anticorrelation(spec: ModelFamily, a: Setting, b: Setting, c: Setting, seed: int) -> None:
+    """The three-setting inequality's premise: an equal-settings pilot of
+    ``_PILOT_TRIALS`` trials over a, b and c must show A = -B on every trial, or this
+    raises ``AnticorrelationViolated`` (an instrument law that reads the setting pair,
+    which the pilot does not have, raises ``InvalidSpec``)."""
+    pilot = check_anticorrelation(spec, [a, b, c], _PILOT_TRIALS, int(rng.hash_words(seed, "pilot", 0)))
+    if pilot.violations > 0:
+        raise AnticorrelationViolated(pilot.violations, pilot.trials)
+
+
 def bell_statistic(
     spec: ModelFamily,
     a: Setting,
@@ -562,15 +601,12 @@ def bell_statistic(
 ) -> BellStatistic:
     """Three-setting inequality estimate |E(a,b) - E(a,c)| <= 1 - E(A_b A_c).
 
-    A pilot equal-settings run must show perfect anticorrelation first: the
-    inequality's derivation presupposes A = -B at equal settings, which also
-    licenses the A-only rewrite E(A_x A_y) = -E(A_x B_y). In measured form
-    lhs = |E(A_a B_b) - E(A_a B_c)| and rhs = 1 + E(A_b B_c). ``spec`` may be
-    a shipped ModelSpec or a custom model family.
+    A pilot equal-settings run must show perfect anticorrelation first
+    (``require_anticorrelation``): the inequality's derivation presupposes A = -B at
+    equal settings, which also licenses the A-only rewrite E(A_x A_y) = -E(A_x B_y).
+    In measured form lhs = |E(A_a B_b) - E(A_a B_c)| and rhs = 1 + E(A_b B_c).
+    ``spec`` may be a shipped ModelSpec or a custom model family.
     """
-    pilot_seed = int(rng.hash_words(seed, "pilot", 0))
-    pilot = check_anticorrelation(spec, [a, b, c], _PILOT_TRIALS, pilot_seed)
-    if pilot.violations > 0:
-        raise AnticorrelationViolated(pilot.violations, pilot.trials)
-    sums = run_sums(spec, [(a, b), (a, c), (b, c)], n_trials, seed, threads=threads)
+    require_anticorrelation(spec, a, b, c, seed)
+    sums = run_sums(spec, three_setting_pairs(a, b, c), n_trials, seed, threads=threads)
     return three_setting_statistic(*estimate_correlations(sums[-1]))

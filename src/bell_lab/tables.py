@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import CHSH_SIGNS
 from .errors import ContinuousLambdaUnorderable
-from .simulate import TrialLog
+from .simulate import _BLOCK_TRIALS, TrialLog
 
 
 class KeyMode(enum.Enum):
@@ -165,7 +165,14 @@ def lln_balance_check(log: TrialLog) -> BalanceReport:
         )
     _require_four_columns(log)
     p = 1.0 / log.n_pairs
-    values, _group, counts = _lambda_pair_counts(log)
+    # Counted a block at a time against the distinct values: no temporary is as long
+    # as the log, and the counts are as many as the values, whatever their size.
+    cuts = [slice(lo, lo + _BLOCK_TRIALS) for lo in range(0, len(log), _BLOCK_TRIALS)]
+    values = np.unique(np.concatenate([log.lam[:0], *(np.unique(log.lam[c]) for c in cuts)]))
+    counts = np.zeros(4 * len(values), dtype=np.int64)
+    for c in cuts:
+        counts += np.bincount(4 * np.searchsorted(values, log.lam[c]) + log.pair_id[c], minlength=len(counts))
+    counts = counts.reshape(-1, 4)
     n_lam = counts.sum(axis=1, keepdims=True)
     z = np.abs(counts - n_lam * p) / np.sqrt(n_lam * p * (1.0 - p))
     per_key = {v: tuple(c) for v, c in zip(values.tolist(), counts.tolist())}

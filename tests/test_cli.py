@@ -468,6 +468,74 @@ def test_check_quantum_reference_negative_side_violates(tmp_path, capsys):
     assert "four-term bound <= 2: VIOLATION" in capsys.readouterr().out
 
 
+def _separate_runs(spec, runs, threads=None):
+    """check's runs as the parent ran them: one ``run_sums`` call, one pass, per run."""
+    from bell_lab import simulate
+
+    return [simulate.run_sums(spec, pairs, len(trials), seed, threads)[-1] for pairs, trials, seed in runs]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("source", ["", "model.source.kind = discrete\nmodel.source.size = 16\n"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_check_shared_pass_equals_separate_runs(tmp_path, capsys, monkeypatch, family, source, threads):
+    # check evaluates its three-pair and four-pair runs in one pass over shared blocks;
+    # its report, stdout, stderr and exit code are those of two separate runs.
+    from bell_lab import cli
+
+    text = MINIMAL.replace("bell_deterministic", family).replace("n_trials = 1000", "n_trials = 20001") + source
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+
+    def check() -> tuple:
+        code = main(["check", "--config", cfg, "--out", str(out), "--threads", str(threads)])
+        report = out / "check.json"
+        return code, capsys.readouterr(), report.read_bytes() if report.exists() else None
+
+    shared = check()
+    with monkeypatch.context() as m:
+        m.setattr(cli, "run_sums_each", _separate_runs)
+        assert check() == shared
+    assert shared[0] == (3 if family == "setting_pair_dependent" else 0)
+
+
+@pytest.mark.parametrize("family", ["bell_deterministic", "factorizable_instrument", "time_tagged_anticorrelated"])
+def test_check_hashes_each_die_and_source_word_once(tmp_path, capsys, monkeypatch, family):
+    # One pass: every trial's die and source words are hashed once, although two runs
+    # read them; the instrument words are those of two separate runs.
+    from bell_lab import cli, rng
+
+    n = 20001
+    cfg = write_cfg(tmp_path, MINIMAL.replace("bell_deterministic", family).replace("n_trials = 1000", f"n_trials = {n}"))
+    hash_words = rng.hash_words
+
+    def traced() -> tuple[Counter, Counter]:
+        per_label, per_word = Counter(), Counter()
+
+        def counting(seed, label, indices, draw=0):
+            words = hash_words(seed, label, indices, draw)
+            per_label[label] += words.size
+            if seed == 7 and label in ("die", "source"):
+                per_word.update((label, i) for i in np.ravel(indices).tolist())
+            return words
+
+        with monkeypatch.context() as m:
+            m.setattr(rng, "hash_words", counting)
+            assert main(["check", "--config", cfg, "--threads", "1"]) == 0
+        return per_label, per_word
+
+    per_label, per_word = traced()
+    assert per_word == Counter((label, i) for label in ("die", "source") for i in range(n))
+    with monkeypatch.context() as m:
+        m.setattr(cli, "run_sums_each", _separate_runs)
+        separate, _ = traced()
+    assert separate["die"] == separate["source"] - 1000 == 2 * n  # the pilot draws 1000 source words
+    assert {k: v for k, v in per_label.items() if k not in ("die", "source")} == {
+        k: v for k, v in separate.items() if k not in ("die", "source")
+    }
+    capsys.readouterr()
+
+
 def test_tables_command_discrete(tmp_path, capsys):
     text = MINIMAL + "\nmodel.source.kind = discrete\nmodel.source.size = 4\n"
     cfg = write_cfg(tmp_path, text)

@@ -2,6 +2,7 @@
 
 import errno
 import inspect
+import json
 import math
 import os
 import pickle
@@ -31,6 +32,7 @@ from bell_lab.models import (
     FactorizableInstrument,
     Station,
     UniformAngleSource,
+    source_arrays,
     trial_arrays,
 )
 from bell_lab.simulate import (
@@ -415,7 +417,8 @@ def test_one_pair_runs_equal_runs_that_draw_the_die():
     for family in FAMILIES.values():
         pid = np.minimum((rng.uniforms(11, "die", idx) * 1).astype(np.int64), 0)
         theta1, theta2 = np.full(len(idx), pair[0].angle)[pid], np.full(len(idx), pair[1].angle)[pid]
-        _lam, _ip1, _ip2, a, b = trial_arrays(family(), 11, idx, theta1, theta2, pid)
+        _lam, lam_angle = source_arrays(family(), 11, idx)
+        _ip1, _ip2, a, b = trial_arrays(family(), 11, idx, lam_angle, theta1, theta2, pid)
         drawn = [[len(idx), int(np.sum(a * b, dtype=np.int64))]]
         assert simulate.run_sums(family(), [pair], len(idx), 11, threads=1)[-1].tolist() == drawn, family.name
 
@@ -436,6 +439,41 @@ def test_block_buffered_stdout_is_written_once(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "bell-lab check: time_tagged_anticorrelated"
     assert lines.count(lines[0]) == 1 and len(lines) == 3
+
+
+_FAULTS_SCRIPT = """
+import json, resource
+from bell_lab import simulate
+from bell_lab.core import SettingQuad
+from bell_lab.models import FAMILIES
+
+quad = SettingQuad.from_degrees(0, 45, 135, 90)
+three = [(quad.a, quad.b), (quad.a, quad.c), (quad.b, quad.c)]
+n = 10**6
+
+def faults(spec, pairs):
+    simulate.run_sums_each(spec, [(p, range(10**5), 5) for p in pairs], 1)  # the heap's first growth
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    simulate.run_sums_each(spec, [(p, range(n), 7) for p in pairs], 1)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+found = {name: faults(family(), [simulate.experiment_pairs(quad)]) for name, family in FAMILIES.items()}
+found["check"] = faults(FAMILIES["time_tagged_anticorrelated"](), [three, simulate.experiment_pairs(quad)])
+print(json.dumps({"blocks": -(-n // simulate._BLOCK_TRIALS), "faults": found}))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor page faults")
+def test_blocks_fault_in_no_fresh_pages():
+    # At 2**14 trials a float64 temporary is 128 KiB, glibc's mmap threshold, and each
+    # block of a 10**6-trial run faulted in 190-320 fresh pages; the runner's blocks
+    # reuse the heap's pages, each family's and check's shared pair of runs alike.
+    env = {k: v for k, v in os.environ.items() if k != "BELL_LAB_THREADS"}
+    env["PYTHONPATH"] = str(Path(__file__).parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert all(f <= 8 * result["blocks"] for f in result["faults"].values()), result
 
 
 def test_pair_choice_uniformity():
