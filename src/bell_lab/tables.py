@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import CHSH_SIGNS
 from .errors import ContinuousLambdaUnorderable
-from .simulate import _BLOCK_TRIALS, TrialLog
+from .simulate import _BLOCK_TRIALS, TrialLog, _distinct
 
 
 class KeyMode(enum.Enum):
@@ -168,7 +168,7 @@ def lln_balance_check(log: TrialLog) -> BalanceReport:
     # Counted a block at a time against the distinct values: no temporary is as long
     # as the log, and the counts are as many as the values, whatever their size.
     cuts = [slice(lo, lo + _BLOCK_TRIALS) for lo in range(0, len(log), _BLOCK_TRIALS)]
-    values = np.unique(np.concatenate([log.lam[:0], *(np.unique(log.lam[c]) for c in cuts)]))
+    values = np.unique(np.concatenate([log.lam[:0], *(_distinct(log.lam[c]) for c in cuts)]))
     counts = np.zeros(4 * len(values), dtype=np.int64)
     for c in cuts:
         counts += np.bincount(4 * np.searchsorted(values, log.lam[c]) + log.pair_id[c], minlength=len(counts))
