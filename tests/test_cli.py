@@ -469,7 +469,7 @@ def test_check_quantum_reference_negative_side_violates(tmp_path, capsys):
 
 
 def _separate_runs(spec, runs, threads=None):
-    """check's runs as the parent ran them: one ``run_sums`` call, one pass, per run."""
+    """check's runs evaluated apart: one ``run_sums`` call, and one pass, per run."""
     from bell_lab import simulate
 
     return [simulate.run_sums(spec, pairs, len(trials), seed, threads)[-1] for pairs, trials, seed in runs]
@@ -515,7 +515,7 @@ def test_check_hashes_each_die_and_source_word_once(tmp_path, capsys, monkeypatc
         def counting(seed, label, indices, draw=0):
             words = hash_words(seed, label, indices, draw)
             per_label[label] += words.size
-            if seed == 7 and label in ("die", "source"):
+            if seed == 7 and label in ("die", "source"):  # the config's seed, not the pilot's
                 per_word.update((label, i) for i in np.ravel(indices).tolist())
             return words
 
@@ -533,7 +533,6 @@ def test_check_hashes_each_die_and_source_word_once(tmp_path, capsys, monkeypatc
     assert {k: v for k, v in per_label.items() if k not in ("die", "source")} == {
         k: v for k, v in separate.items() if k not in ("die", "source")
     }
-    capsys.readouterr()
 
 
 def test_tables_command_discrete(tmp_path, capsys):
