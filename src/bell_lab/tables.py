@@ -79,31 +79,34 @@ def _require_four_columns(log: TrialLog) -> None:
         raise ValueError(f"outcome tables need a four-pair log, got {log.n_pairs} pairs")
 
 
-def _lambda_pair_counts(log: TrialLog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct lambda values, each trial's (lambda index * 4 + pair) group, and group counts."""
-    values, lam_idx = np.unique(log.lam, return_inverse=True)
-    group = lam_idx * 4 + log.pair_id
-    counts = np.bincount(group, minlength=4 * len(values)).reshape(-1, 4)
-    return values, group, counts
+def _lambda_pair_counts(log: TrialLog) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct lambda values and each (lambda, pair) group's trial count as a
+    (values, 4) array, counted a block at a time: no temporary is as long as the log."""
+    cuts = [slice(lo, lo + _BLOCK_TRIALS) for lo in range(0, len(log), _BLOCK_TRIALS)]
+    values = _distinct(np.concatenate([log.lam[:0], *(_distinct(log.lam[c]) for c in cuts)]))
+    counts = np.zeros(4 * len(values), dtype=np.int64)
+    for c in cuts:
+        np.add.at(counts, 4 * np.searchsorted(values, log.lam[c]) + log.pair_id[c], 1)
+    return values, counts.reshape(-1, 4)
 
 
 def build_reordered_table(log: TrialLog, key_mode: KeyMode) -> OutcomeTable:
     """Greedily regroup trials into four-column rows by the chosen key.
 
-    Lambda-only keys require a discrete source: a continuous lambda never
-    repeats, so regrouping by equal value would be vacuous, and binning it
-    would manufacture the very argument under test. Matching is greedy
-    first-fit in trial-index order, which makes leftover counts reproducible.
+    Lambda-only keys require a discrete source: a continuous lambda never repeats, so
+    regrouping by equal value would be vacuous, and binning it would manufacture the very
+    argument under test. Matching is greedy first-fit in trial-index order, which makes
+    leftover counts reproducible. Lambda mode counts and places the trials a block at a
+    time: beyond the log and the table it holds no array as long as the log.
     """
     _require_four_columns(log)
     n = len(log)
     signs = np.asarray(CHSH_SIGNS, dtype=np.int8)
-    signed = signs[log.pair_id] * log.a * log.b
 
     if key_mode is KeyMode.LAMBDA_TIME:
         # (lambda, t) is unique per trial: no key can ever fill four columns.
         rows = np.zeros((n, 4), dtype=np.int8)
-        rows[np.arange(n), log.pair_id] = signed
+        rows[np.arange(n), log.pair_id] = signs[log.pair_id] * log.a * log.b
         return OutcomeTable(key_mode, log.lam, log.t, rows, leftover_trials=n, n_trials=n)
 
     if log.lambda_kind != "discrete":
@@ -114,17 +117,21 @@ def build_reordered_table(log: TrialLog, key_mode: KeyMode) -> OutcomeTable:
 
     # The j-th trial (in index order) of each (lambda, pair) group fills row j
     # of that lambda; a lambda has as many rows as its rarest pair has trials.
-    values, group, counts = _lambda_pair_counts(log)
-    order = np.argsort(group, kind="stable")
-    sorted_group = group[order]
-    flat = counts.ravel()
-    rank = np.arange(n) - (np.cumsum(flat) - flat)[sorted_group]
+    values, counts = _lambda_pair_counts(log)
     rows_per_lam = counts.min(axis=1)
-    lam_sorted = sorted_group // 4
-    used = rank < rows_per_lam[lam_sorted]
-    row_index = (np.cumsum(rows_per_lam) - rows_per_lam)[lam_sorted[used]] + rank[used]
+    first_row = np.cumsum(rows_per_lam) - rows_per_lam
     rows = np.zeros((int(rows_per_lam.sum()), 4), dtype=np.int8)
-    rows[row_index, sorted_group[used] % 4] = signed[order[used]]
+    placed = np.zeros(counts.size, dtype=np.int64)  # each group's trials in earlier blocks
+    for c in (slice(lo, lo + _BLOCK_TRIALS) for lo in range(0, n, _BLOCK_TRIALS)):
+        # in the narrowest type that holds the groups: up to 2**16 groups argsort by radix
+        group = (4 * np.searchsorted(values, log.lam[c]) + log.pair_id[c]).astype(np.min_scalar_type(counts.size))
+        order = np.argsort(group, kind="stable")
+        group = group[order]
+        rank = placed[group] + np.arange(len(group)) - np.searchsorted(group, group)
+        np.add.at(placed, group, 1)
+        used = rank < rows_per_lam[group // 4]
+        signed = signs[log.pair_id[c]] * log.a[c] * log.b[c]
+        rows[first_row[group[used] // 4] + rank[used], group[used] % 4] = signed[order[used]]
     lam = np.repeat(values, rows_per_lam)
     return OutcomeTable(key_mode, lam, None, rows, leftover_trials=n - 4 * len(rows), n_trials=n)
 
@@ -165,14 +172,7 @@ def lln_balance_check(log: TrialLog) -> BalanceReport:
         )
     _require_four_columns(log)
     p = 1.0 / log.n_pairs
-    # Counted a block at a time against the distinct values: no temporary is as long
-    # as the log, and the counts are as many as the values, whatever their size.
-    cuts = [slice(lo, lo + _BLOCK_TRIALS) for lo in range(0, len(log), _BLOCK_TRIALS)]
-    values = np.unique(np.concatenate([log.lam[:0], *(_distinct(log.lam[c]) for c in cuts)]))
-    counts = np.zeros(4 * len(values), dtype=np.int64)
-    for c in cuts:
-        counts += np.bincount(4 * np.searchsorted(values, log.lam[c]) + log.pair_id[c], minlength=len(counts))
-    counts = counts.reshape(-1, 4)
+    values, counts = _lambda_pair_counts(log)
     n_lam = counts.sum(axis=1, keepdims=True)
     z = np.abs(counts - n_lam * p) / np.sqrt(n_lam * p * (1.0 - p))
     per_key = {v: tuple(c) for v, c in zip(values.tolist(), counts.tolist())}

@@ -877,6 +877,37 @@ def test_csv_largest_discrete_lambda_round_trips(tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
+class _LambdaAtTrial2:
+    """A custom family: bell_deterministic over four values, whose source law returns
+    ``lam`` as trial 2's lambda."""
+
+    def __init__(self, lam):
+        self.spec, self.lam = BellDeterministic(DISCRETE_4), lam
+
+    def source_arrays(self, seed, indices):
+        index, angle = self.spec.source_arrays(seed, indices)
+        return np.where(indices == 2, self.lam, index), angle
+
+    def instrument_arrays(self, *args, **kwargs):
+        return self.spec.instrument_arrays(*args, **kwargs)
+
+    def outcome_arrays(self, *args):
+        return self.spec.outcome_arrays(*args)
+
+
+@pytest.mark.parametrize("lam", [-1, 2**53], ids=["negative", "2**53"])
+def test_csv_writer_refuses_a_discrete_lambda_the_reader_refuses(tmp_path, lam):
+    log = run_experiment(_LambdaAtTrial2(lam), QUAD, 5, seed=1)
+    assert log.lambda_kind == "discrete" and log.lam[2] == lam
+    path = tmp_path / "log.csv"
+    with pytest.raises(ValueError, match=re.escape("trial log line 4: a discrete lambda must be a whole number")):
+        log.to_csv(path)
+    assert not path.exists()
+    # the largest lambda the reader takes is written
+    run_experiment(_LambdaAtTrial2(2**53 - 1), QUAD, 5, seed=1).to_csv(path)
+    assert TrialLog.from_csv(path).lam[2] == 2**53 - 1
+
+
 def test_csv_header_only_loads_as_empty_log(tmp_path):
     path = tmp_path / "log.csv"
     path.write_text(",".join(simulate.CSV_COLUMNS) + "\n")

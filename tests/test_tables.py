@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from bell_lab.models import (
     SettingPairDependent,
     TimeTaggedAnticorrelated,
 )
-from bell_lab.simulate import TrialLog, chsh_statistic, estimate_correlations, run_experiment
+from bell_lab.simulate import _BLOCK_TRIALS, TrialLog, chsh_statistic, estimate_correlations, run_experiment
 from bell_lab.tables import (
     KeyMode,
     Sum,
@@ -142,6 +143,74 @@ def test_leftover_count_matches_counting_oracle():
         counts = [int(np.count_nonzero((lam == v) & (log.pair_id == k))) for k in range(4)]
         expected_leftover += sum(counts) - 4 * min(counts)
     assert table.leftover_trials == expected_leftover
+
+
+def _whole_log_placement(log):
+    """Reference lambda-mode table, placed by one stable sort of the whole log: each
+    trial's (lambda index * 4 + pair) group, and its rank among its group's trials."""
+    signed = np.asarray(CHSH_SIGNS, dtype=np.int8)[log.pair_id] * log.a * log.b
+    values, lam_idx = np.unique(log.lam, return_inverse=True)
+    group = lam_idx * 4 + log.pair_id
+    counts = np.bincount(group, minlength=4 * len(values)).reshape(-1, 4)
+    order = np.argsort(group, kind="stable")
+    sorted_group = group[order]
+    flat = counts.ravel()
+    rank = np.arange(len(log)) - (np.cumsum(flat) - flat)[sorted_group]
+    rows_per_lam = counts.min(axis=1)
+    lam_sorted = sorted_group // 4
+    used = rank < rows_per_lam[lam_sorted]
+    row_index = (np.cumsum(rows_per_lam) - rows_per_lam)[lam_sorted[used]] + rank[used]
+    rows = np.zeros((int(rows_per_lam.sum()), 4), dtype=np.int8)
+    rows[row_index, sorted_group[used] % 4] = signed[order[used]]
+    return np.repeat(values, rows_per_lam), rows, len(log) - 4 * len(rows)
+
+
+@pytest.mark.parametrize("n", [_BLOCK_TRIALS - 1, _BLOCK_TRIALS, _BLOCK_TRIALS + 1, 3 * _BLOCK_TRIALS + 1])
+@pytest.mark.parametrize(
+    "source", [DiscreteSource((0.25, 0.0, 0.75)), DiscreteSource.uniform(5_000)], ids=["zero-weight", "5000"]
+)
+def test_block_wise_placement_matches_whole_log_sort(n, source):
+    # Across the block edges, and with lambda values that get no rows (5,000 values
+    # hold about n / 5,000 trials each), the block-wise table is the whole-log one.
+    log = run_experiment(FactorizableInstrument(source, epsilon=0.5), MIXED_QUAD, n, seed=59)
+    table = build_reordered_table(log, KeyMode.LAMBDA_ONLY)
+    lam, rows, leftover = _whole_log_placement(log)
+    assert table.lam.dtype == lam.dtype and np.array_equal(table.lam, lam)
+    assert np.array_equal(table.rows, rows) and table.leftover_trials == leftover
+    # each lambda has as many rows as its rarest pair has trials in the balance counts
+    report = lln_balance_check(log)
+    rarest = {v: min(c) for v, c in report.per_key_pair_counts.items()}
+    assert (0 in rarest.values()) == (len(source.weights) == 5_000)
+    held = dict(zip(*(a.tolist() for a in np.unique(table.lam, return_counts=True))))
+    assert {v: held.get(v, 0) for v in rarest} == rarest
+
+
+def test_block_wise_placement_matches_whole_log_sort_past_2_16_groups():
+    # Half the trials take one of four values and fill rows; the other half each take
+    # their own value, out to the ends of int64, so the groups outnumber 2**16.
+    gen = np.random.default_rng(67)
+    n = 5 * _BLOCK_TRIALS + 1
+    lams = gen.integers(0, 4, n)
+    lams[1::2] = np.concatenate(([-(2**62), 2**62], gen.integers(-(2**40), 2**40, n // 2 - 2)))
+    log = _hand_log(gen.integers(0, 4, n), lams, gen.choice([-1, 1], n), gen.choice([-1, 1], n))
+    table = build_reordered_table(log, KeyMode.LAMBDA_ONLY)
+    lam, rows, leftover = _whole_log_placement(log)
+    assert len(lln_balance_check(log).per_key_pair_counts) > 2**14 and len(rows) > 0
+    assert np.array_equal(table.lam, lam) and np.array_equal(table.rows, rows) and table.leftover_trials == leftover
+
+
+def test_lambda_table_build_holds_no_trial_long_array():
+    # The table itself is about 3 B/trial (a row of four int8 cells and an int64 lambda
+    # per four trials); a trial-long int64 temporary alone would add 8 B/trial.
+    n = 1 << 20
+    log = run_experiment(BellDeterministic(DiscreteSource.uniform(16)), QUAD, n, seed=61)
+    tracemalloc.start()
+    try:
+        build_reordered_table(log, KeyMode.LAMBDA_ONLY)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n, f"{peak / n:.1f} B/trial"
 
 
 def test_row_sums_pm2_for_deterministic_model():
