@@ -307,6 +307,7 @@ def check_anticorrelation(
     if not settings:
         raise InvalidSpec("need at least one setting")
     indices = np.arange(n_trials, dtype=np.uint64)
+    indices.flags.writeable = False  # as in the runner, so that draws of one label share a hash base
     theta = np.asarray([s.angle for s in settings])[np.arange(n_trials) % len(settings)]
     _lam, lam_angle = source_arrays(spec, seed, indices)
     *_, a, b = trial_arrays(spec, seed, indices, lam_angle, theta, theta, None)
@@ -321,7 +322,10 @@ class ModelFamily(Protocol):
     """What the experiment runner needs from a model family: its three laws. The
     logged lambda takes its type from what ``source_arrays`` returns (int64 for
     integers, float64 for floats); the shipped ``ModelSpec`` subclasses and any
-    other object with these methods run through the same code path."""
+    other object with these methods run through the same code path. The index
+    arrays that the laws receive (``indices`` and ``t``) are read-only: a law that
+    writes one in place gets numpy's ValueError, because the draws that hash the
+    same array with the same seed and label share its hash base (``rng.hash_words``)."""
 
     def source_arrays(self, seed: int, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]: ...
 

@@ -1,15 +1,23 @@
 """Counter-based random substreams.
 
 Every draw is a pure function of (seed, stream label, trial index, draw
-counter): a 64-bit mix of the four keys, finalized twice, with no sequential
-state crossing trials. Trials can therefore be evaluated in any order, in any
-number of blocks, and still produce bit-identical results.
+counter), with no sequential state crossing trials. Trials can therefore be
+evaluated in any order, in any number of blocks, and still produce
+bit-identical results.
 
 The mixer is the splitmix64 finalizer, applied to xor-combined keys. Each
-finalizer pass is a bijection on 64-bit words; two chained passes with
-distinct key material between them give output streams that pass the
-frequency checks this package needs (everything downstream is tested against
-4-sigma binomial/multinomial bounds).
+finalizer pass is a bijection on 64-bit words. A word takes three chained
+passes with distinct key material between them: the base, two passes over the
+index with the label's key and then the seed mixed in, and the draw pass, one
+more over the base xor the draw's tweak. The streams pass the frequency checks
+this package needs (everything downstream is tested against 4-sigma
+binomial/multinomial bounds).
+
+The base depends only on (seed, label, index), so draws that differ only in
+their draw counter can share it. ``hash_words`` keeps the last base it computed
+for a read-only index array and reuses it while the same array comes back with
+the same seed and label: the runner marks each block's trial indices read-only,
+so the instrument draws of one block that share a label share one base.
 """
 
 from __future__ import annotations
@@ -30,16 +38,16 @@ _DRAW_SALT = np.uint64(0xD1B54A32D192ED03)
 def _finalize(x: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer, vectorized over uint64 arrays.
 
-    Works in place: ``x`` must be a fresh array that the caller owns. uint64
-    wraparound is the point; errstate silences the scalar-path warning.
+    Works in place: ``x`` must be a fresh array that the caller owns, a 0-d one for
+    a scalar. Array arithmetic wraps around silently, which is the point; numpy
+    scalars would warn of the overflow.
     """
-    with np.errstate(over="ignore"):
-        x += _GAMMA
-        x ^= x >> np.uint64(30)
-        x *= _MIX1
-        x ^= x >> np.uint64(27)
-        x *= _MIX2
-        x ^= x >> np.uint64(31)
+    x += _GAMMA
+    x ^= x >> np.uint64(30)
+    x *= _MIX1
+    x ^= x >> np.uint64(27)
+    x *= _MIX2
+    x ^= x >> np.uint64(31)
     return x
 
 
@@ -50,22 +58,40 @@ def stream_key(label: str) -> int:
     return int.from_bytes(digest, "little")
 
 
+def _base(seed: int, label: str, idx: np.ndarray) -> np.ndarray:
+    """The base of each index's words: the first two finalizer passes, which depend
+    only on (seed, label, index). A fresh array, 0-d for a 0-d ``idx``."""
+    x = np.asarray(idx ^ np.uint64(stream_key(label)))
+    _finalize(x)
+    x ^= np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    return _finalize(x)
+
+
+# (indices, (seed, label), base) of the last base computed for a read-only index array.
+_last_base: tuple = (None, None, None)
+
+
 def hash_words(seed: int, label: str, indices, draw=0) -> np.ndarray:
     """Pseudorandom uint64 words, one per index.
 
     ``indices`` may be a scalar or an integer array; the result always has
     array shape (scalars become shape-() arrays). ``draw`` selects independent
     words for the same index and may itself be an array (broadcast against
-    ``indices``).
+    ``indices``). The base of a read-only uint64 index array is kept, and reused while
+    the same array comes back with the same seed and label, so no other view of it
+    may change it.
     """
+    global _last_base
     idx = np.asarray(indices, dtype=np.uint64)
-    x = _finalize(idx ^ np.uint64(stream_key(label)))
-    x ^= np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-    x = _finalize(x)
-    with np.errstate(over="ignore"):
-        tweak = np.asarray(draw, dtype=np.uint64) * _DRAW_SALT + _GAMMA
-    x = _finalize(x ^ tweak)
-    return x
+    held, key, base = _last_base
+    if idx is not held or key != (seed, label) or idx.flags.writeable:
+        base = _base(seed, label, idx)
+        if not idx.flags.writeable:
+            _last_base = (idx, (seed, label), base)
+    tweak = np.array(draw, dtype=np.uint64)  # a copy that the in-place steps may change
+    tweak *= _DRAW_SALT
+    tweak += _GAMMA
+    return _finalize(np.asarray(base ^ tweak))  # a fresh array: the kept base stays as it was
 
 
 def uniforms(seed: int, label: str, indices, draw=0) -> np.ndarray:

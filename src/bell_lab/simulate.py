@@ -11,15 +11,15 @@ runner evaluates one run (``run_pairs``) or a list of runs (``run_sums_each``, w
 four-pair experiments). Runs of the same range and seed share one pass: each block
 hashes their die word and draws their source values once. With w = min(threads, cores),
 the runner cuts every run into near-equal blocks of at most min(8,192, ceil(total trials
-/ w)) trials and numbers the blocks of all its runs in run order; W = min(w, blocks)
-worker processes deal them round-robin: this process evaluates blocks 0, W, 2W, ...,
-and W - 1 children made by ``os.fork`` the others, each sending back one sum per run
-through a pipe (a forking ``run_pairs`` puts its columns in shared memory, so the
-children write the log in place). A call forks nothing when W = 1, where ``os.fork``
-does not exist, or while another Python thread is running. Every random quantity is a
-pure function of (seed, trial index, stream label), so the log for a given (spec, quad,
-n_trials, seed) is bit-identical no matter how many workers evaluate it or which
-evaluates which block.
+/ w)) trials, numbers the blocks of all its runs in run order and puts one ticket per
+chunk of them into a pipe; W = min(w, blocks) worker processes, this one and W - 1
+children made by ``os.fork``, claim the tickets until none is left, and each child
+sends back one sum per run through a pipe of its own (a forking ``run_pairs`` puts its
+columns in shared memory, so the children write the log in place). A call forks nothing
+when W = 1, where ``os.fork`` does not exist, or while another Python thread is running.
+Every random quantity is a pure function of (seed, trial index, stream label), so the
+log for a given (spec, quad, n_trials, seed) is bit-identical no matter how many workers
+evaluate it or which evaluates which block.
 
 Logs are stored column-wise (numpy arrays), one array per logged column: 51 bytes per
 trial. A report reads only each pair's trial count n and the sum s of its outcome
@@ -36,7 +36,9 @@ platform and numpy version.
 
 from __future__ import annotations
 
+import bisect
 import ctypes
+import functools
 import itertools
 import math
 import mmap
@@ -235,13 +237,39 @@ def _reject_rows(bad: np.ndarray, what: str) -> None:
 # fresh pages (200-300 minor faults a block). At 2**13 the heap keeps them.
 _BLOCK_TRIALS = 1 << 13
 
+# Most tickets of one call of the runner: each is four bytes, so that all of them
+# fit in one page, which a pipe always holds.
+_TICKETS = 1 << 10
+
 # prctl(PR_SET_PDEATHSIG, signal): the kernel sends the signal to this process
 # when its parent ends.
 _PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
+
 if sys.platform.startswith("linux"):
-    _PRCTL = ctypes.CDLL(None, use_errno=True).prctl
+    _LIBC = ctypes.CDLL(None, use_errno=True)
+    _PRCTL = _LIBC.prctl
     _PRCTL.argtypes = [ctypes.c_int, ctypes.c_ulong]
     _PRCTL.restype = ctypes.c_int
+
+# A block's temporaries take at most about 0.8 MB. glibc gives the free memory at the
+# top of its heap back to the system once it exceeds the trim threshold, 128 KiB at
+# first, and whether a block's frees end at the top depends on the heap's layout: in
+# some layouts each block of a 10**6-trial check faulted its pages in afresh, 15,000
+# faults in all. When glibc frees a chunk that it had mapped, it raises its mmap
+# threshold to the chunk's size and the trim threshold to twice that (mallopt(3)).
+# Freeing one chunk of this size puts the trim threshold above a block's temporaries;
+# a mallopt call would do it too, but would also stop glibc adjusting its thresholds
+# for larger arrays, which then fault their pages in on every allocation.
+_HEAP_PRIMER_BYTES = 1 << 20
+
+
+@functools.cache
+def _raise_the_trim_threshold() -> None:
+    """Free one mapped chunk of _HEAP_PRIMER_BYTES, once, under glibc; elsewhere do nothing."""
+    if sys.platform.startswith("linux") and hasattr(_LIBC, "gnu_get_libc_version"):
+        _LIBC.malloc.restype = ctypes.c_void_p
+        _LIBC.free.argtypes = [ctypes.c_void_p]
+        _LIBC.free(_LIBC.malloc(_HEAP_PRIMER_BYTES))
 
 
 def _workers(threads: int | None, tasks: int) -> int:
@@ -363,11 +391,14 @@ def _run_blocks(spec: ModelFamily, runs, workers: int, reduce) -> list:
     die to its own pairs (``rng.words_below``) and evaluates its trials on that source.
     A group of n trials is cut into ceil(n / size) blocks, size = min(_BLOCK_TRIALS,
     ceil(total trials of the groups / workers)), so that a short run uses every worker;
-    all but the last are ceil(n / blocks) trials long, so that a deal of many equal runs
-    gives no one worker all their short last blocks. The blocks of all groups are
-    numbered in group order, and W = min(workers, blocks) workers deal them round-robin:
-    worker w evaluates blocks w, w + W, ..., worker 0 in this process and the others
-    forked (``_fork_shares``)."""
+    all but the last are ceil(n / blocks) trials long. The blocks of all groups are
+    numbered in group order and cut into at most _TICKETS near-equal chunks, one ticket
+    each, which go into a pipe before W = min(workers, blocks) workers start: this
+    process and W - 1 forked ones (``_fork_shares``). Each worker takes the next ticket
+    and evaluates its chunk until the pipe is empty, so a worker that runs slower
+    evaluates fewer blocks and the workers end within about one chunk of each other.
+    A block's trial indices are read-only, so its instrument draws of one label share
+    one hash base (``rng.hash_words``)."""
     shared: dict[tuple[range, int], list[int]] = {}
     for k, (_pairs, trials, seed) in enumerate(runs):
         shared.setdefault((trials, seed), []).append(k)
@@ -375,8 +406,11 @@ def _run_blocks(spec: ModelFamily, runs, workers: int, reduce) -> list:
     size = min(_BLOCK_TRIALS, -(-sum(len(trials) for (trials, _seed), _ks in groups) // workers))
     starts = [trials[:: -(-len(trials) // -(-len(trials) // size))] for (trials, _seed), _ks in groups]
     firsts = list(itertools.accumulate(map(len, starts), initial=0))  # each group's first block, then the count
-    workers = min(workers, max(firsts[-1], 1))
+    blocks = firsts[-1]
+    workers = min(workers, max(blocks, 1))
+    tickets = min(blocks, _TICKETS)
     angles = [tuple(np.asarray([pair[i].angle for pair in pairs]) for i in (0, 1)) for pairs, _n, _seed in runs]
+    _raise_the_trim_threshold()
 
     def run(k: int, lo: int, idx, die, lrep, lam_angle):
         # A function of its own, so that run k's temporaries are freed before the next
@@ -386,24 +420,36 @@ def _run_blocks(spec: ModelFamily, runs, workers: int, reduce) -> list:
         i1, i2, a, b = models.trial_arrays(spec, runs[k][2], idx, lam_angle, th1, th2, pid)
         return reduce(k, lo, dict(t=idx, pair_id=pid, setting_1=th1, setting_2=th2, lam=lrep, ip_1=i1, ip_2=i2, a=a, b=b))
 
-    def run_group(g: int, lo: int, totals: list) -> None:
+    def run_block(b: int, totals: list) -> None:
+        g = bisect.bisect_right(firsts, b) - 1
         (trials, seed), ks = groups[g]
+        lo = starts[g][b - firsts[g]]
         idx = np.arange(lo, min(lo + starts[g].step, trials.stop), dtype=np.uint64)
+        idx.flags.writeable = False
         # words_below gives a one-pair run zeros whatever it reads, so such runs hash no die
         die = rng.hash_words(seed, "die", idx) if any(len(runs[k][0]) > 1 for k in ks) else idx
         lrep, lam_angle = models.source_arrays(spec, seed, idx)
         for k in ks:
             totals[k] += run(k, lo, idx, die, lrep, lam_angle)
 
-    def share(w: int, poll) -> list:
+    def share(_w: int, poll) -> list:
         totals = [0] * len(runs)
-        for g, (first, group_starts) in enumerate(zip(firsts, starts)):
-            for lo in group_starts[(w - first) % workers :: workers]:
+        while ticket := os.read(read_end, 4):  # empty once every ticket is taken
+            j = int.from_bytes(ticket, "little")
+            for b in range(j * blocks // tickets, (j + 1) * blocks // tickets):
                 poll()
-                run_group(g, lo, totals)
+                run_block(b, totals)
         return totals
 
-    return [sum(run_totals) for run_totals in zip(*_fork_shares(share, workers))]
+    read_end, write_end = os.pipe()
+    try:
+        # At most a page of tickets, which a pipe always holds, so this write returns at
+        # once; the write end closes before the fork, so the pipe reads empty once drained.
+        with open(write_end, "wb", buffering=0) as pipe:
+            pipe.write(b"".join(j.to_bytes(4, "little") for j in range(tickets)))
+        return [sum(run_totals) for run_totals in zip(*_fork_shares(share, workers))]
+    finally:
+        os.close(read_end)
 
 
 def _pair_sums(pair_id: np.ndarray, a: np.ndarray, b: np.ndarray, n_pairs: int) -> np.ndarray:
@@ -493,7 +539,7 @@ def run_sums_each(spec: ModelFamily, runs, threads: int | None = None) -> list[n
     (pairs, trials, seed) of ``runs`` in order, ``trials`` a range of consecutive trial
     indices: many short runs, such as the --sweep points or one run's segments, or
     several experiments over the same trials, such as check's. The blocks of all the
-    runs are dealt over one set of workers, so a set of runs forks once, and runs of the
+    runs are claimed by one set of workers, so a set of runs forks once, and runs of the
     same trials and seed share each block's die and source words (``_run_blocks``)."""
     runs = list(runs)
     for _pairs, trials, _seed in runs:

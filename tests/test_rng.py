@@ -1,9 +1,12 @@
 """Counter-based substreams: determinism, stream separation, uniformity."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bell_lab import rng
 
@@ -102,3 +105,77 @@ def test_frozen_reference_words():
         0.47506164243554716,
         0.5385271118391676,
     ]
+
+
+# --- hash_words against a pure-Python reference -----------------------------
+
+_MASK = 2**64 - 1
+
+
+def _splitmix64(x: int) -> int:
+    """The splitmix64 finalizer on a Python int, wrapping at 64 bits by masking."""
+    x = (x + 0x9E3779B97F4A7C15) & _MASK
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+    return x ^ (x >> 31)
+
+
+def _reference_word(seed: int, label: str, index: int, draw: int) -> int:
+    """One word of the chain: two passes over the index with the label's key and then
+    the seed mixed in, and one over that xor the draw's tweak."""
+    key = int.from_bytes(hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest(), "little")
+    base = _splitmix64(_splitmix64(index ^ key) ^ (seed & _MASK))
+    return _splitmix64(base ^ ((draw * 0xD1B54A32D192ED03 + 0x9E3779B97F4A7C15) & _MASK))
+
+
+def _reference_words(seed: int, label: str, indices, draw) -> list:
+    index, draw = np.broadcast_arrays(np.asarray(indices, dtype=np.uint64), np.asarray(draw, dtype=np.uint64))
+    return [_reference_word(seed, label, int(i), int(d)) for i, d in zip(index.ravel(), draw.ravel())]
+
+
+_words = st.integers(0, _MASK)
+_labels = st.sampled_from(["source", "die", "ttac.flip", "ip.s1", "x"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_words, label=_labels, index=_words, draw=_words)
+def test_hash_words_of_a_scalar_index_is_the_reference_chain(seed, label, index, draw):
+    want = _reference_word(seed, label, index, draw)
+    for indices in (index, np.uint64(index), np.array(index, dtype=np.uint64)):
+        got = rng.hash_words(seed, label, indices, draw)
+        assert got.shape == () and int(got) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_words, label=_labels, indices=st.lists(_words, max_size=12), data=st.data())
+def test_hash_words_broadcasts_draws_against_indices(seed, label, indices, data):
+    idx = np.array(indices, dtype=np.uint64)
+    draws = [
+        data.draw(_words),
+        np.array(data.draw(st.lists(_words, min_size=len(idx), max_size=len(idx))), dtype=np.uint64),
+    ]
+    for draw in draws:
+        got = rng.hash_words(seed, label, idx, draw)
+        assert got.shape == idx.shape and got.tolist() == _reference_words(seed, label, idx, draw)
+    # A scalar index against an array of draws: one word per draw.
+    if len(idx):
+        got = rng.hash_words(seed, label, int(idx[0]), draws[1])
+        assert got.shape == idx.shape and got.tolist() == _reference_words(seed, label, idx[0], draws[1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    keys=st.lists(st.tuples(_words, _labels), min_size=2, max_size=2, unique=True),
+    order=st.lists(st.integers(0, 1), min_size=1, max_size=8),
+    indices=st.lists(_words, min_size=1, max_size=12),
+    draw=_words,
+)
+def test_hash_words_of_a_read_only_array_under_alternating_keys(keys, order, indices, draw):
+    # hash_words keeps the base of a read-only index array for the next call with the
+    # same array, seed and label: a run of equal keys hits it, a change of key misses.
+    idx = np.array(indices, dtype=np.uint64)
+    idx.flags.writeable = False
+    for k in order:
+        seed, label = keys[k]
+        assert rng.hash_words(seed, label, idx, draw).tolist() == _reference_words(seed, label, idx, draw)
+    assert idx.tolist() == indices

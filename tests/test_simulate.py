@@ -32,6 +32,7 @@ from bell_lab.models import (
     FactorizableInstrument,
     Station,
     UniformAngleSource,
+    check_anticorrelation,
     source_arrays,
     trial_arrays,
 )
@@ -116,23 +117,27 @@ def test_run_shorter_than_a_block_per_worker_is_split_over_the_workers(monkeypat
 
 class _WritesItsBlocks(FactorizableInstrument):
     """A family that appends "<process id> <seed> <first trial>" to ``path`` for each
-    block it evaluates."""
+    block it evaluates, and sleeps for 0.1 s in each block of process ``slow``."""
 
     path = None
+    slow = None
 
     def instrument_arrays(self, seed, t, theta_local, station, pair_id=None):
         if station is Station.S1:
             with open(self.path, "a") as fh:
                 fh.write(f"{os.getpid()} {seed} {t[0]}\n")
+            if os.getpid() == self.slow:
+                time.sleep(0.1)
         return super().instrument_arrays(seed, t, theta_local, station, pair_id)
 
 
 @pytest.mark.parametrize("block", [simulate._BLOCK_TRIALS, 1_000])
 def test_runs_of_a_set_share_one_set_of_workers(monkeypatch, forks, tmp_path, block):
-    # The blocks of all the runs are dealt over one set of workers, which the set
+    # The blocks of all the runs are claimed by one set of workers, which the set
     # forks once. At 1,000-trial blocks each run has several, of near-equal
-    # length, and the blocks of one run are evaluated by different workers. A run
-    # is a range of trial indices, and all but the first start after trial 0.
+    # length. A run is a range of trial indices, and all but the first start after
+    # trial 0. Workers claim blocks as they go: this process, slowed by the family,
+    # evaluates fewer blocks than the two children do on average.
     spec = FactorizableInstrument(epsilon=0.3)
     runs = [([(Setting(0.0), Setting(0.1 * k))], range(5 * k, 5 * k + 3_000 + k), 40 + k) for k in range(7)]
     serial = []
@@ -142,6 +147,7 @@ def test_runs_of_a_set_share_one_set_of_workers(monkeypatch, forks, tmp_path, bl
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
     monkeypatch.setattr(simulate, "_BLOCK_TRIALS", block)
     monkeypatch.setattr(_WritesItsBlocks, "path", tmp_path / "blocks.txt")
+    monkeypatch.setattr(_WritesItsBlocks, "slow", os.getpid())
     got = simulate.run_sums_each(_WritesItsBlocks(epsilon=0.3), runs, threads=4)
     assert len(forks) == 2
     assert [g.tolist() for g in got] == serial
@@ -154,18 +160,34 @@ def test_runs_of_a_set_share_one_set_of_workers(monkeypatch, forks, tmp_path, bl
         for _pairs, trials, seed in runs
         for lo in trials[:: -(-len(trials) // count[seed])]
     }
+    # Every block runs exactly once.
     assert sorted((int(seed), int(lo)) for _pid, seed, lo in blocks) == sorted(lengths)
     for seed in count:
         run_lengths = [n for (s, _lo), n in lengths.items() if s == seed]
         assert max(run_lengths) - min(run_lengths) < count[seed]  # only the last is short, and by little
-    if block == 1_000:
-        for _pairs, _trials, seed in runs:
-            assert len({pid for pid, s, _lo in blocks if int(s) == seed}) > 1
-        # No worker is given a whole block more than another.
-        by_worker = {}
-        for pid, seed, lo in blocks:
-            by_worker[pid] = by_worker.get(pid, 0) + lengths[int(seed), int(lo)]
-        assert len(by_worker) == 3 and max(by_worker.values()) - min(by_worker.values()) < 1_000
+    by_worker = {}
+    for pid, _seed, _lo in blocks:
+        by_worker[int(pid)] = by_worker.get(int(pid), 0) + 1
+    assert set(by_worker) <= {os.getpid(), *forks}
+    assert 2 * by_worker.get(os.getpid(), 0) < len(blocks) - by_worker.get(os.getpid(), 0)
+
+
+def test_runs_of_more_blocks_than_tickets_claim_chunks_of_blocks(monkeypatch, forks):
+    # 10,000 trials in blocks of 7 are 1,429 blocks, more than the runner's 1,024
+    # tickets: a ticket stands for a chunk of one or two blocks, and a chunk may
+    # end in a segment other than the one it starts in.
+    spec = FactorizableInstrument(epsilon=0.3)
+    pairs = simulate.experiment_pairs(QUAD)
+    checkpoints = [16, 4_999, 10_000]
+    serial_log = run_experiment(spec, QUAD, 10_000, seed=5, threads=1)
+    serial_sums = simulate.run_sums(spec, pairs, 10_000, 5, 1, checkpoints)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(simulate, "_BLOCK_TRIALS", 7)
+    assert -(-10_000 // 7) > simulate._TICKETS
+    assert np.array_equal(simulate.run_sums(spec, pairs, 10_000, 5, 2, checkpoints), serial_sums)
+    assert run_experiment(spec, QUAD, 10_000, seed=5, threads=2) == serial_log
+    assert len(forks) == 2
+    _no_child_left()
 
 
 @pytest.mark.parametrize("why", ["a running thread", "a thread that ends before the blocks run", "no os.fork"])
@@ -201,35 +223,42 @@ class _TwoArgumentError(Exception):
         super().__init__(f"{what} in {where}")
 
 
-# The error that _FailsInBlock1 raises in block 1, by the name of its class.
-_BLOCK_1_ERRORS = {
-    "InvalidSpec": lambda: InvalidSpec(f"block 1 failed in process {os.getpid()}"),
+# The error that _FailsInAChild raises, by the name of its class.
+_CHILD_ERRORS = {
+    "InvalidSpec": lambda: InvalidSpec(f"a block failed in process {os.getpid()}"),
     "InsufficientData": lambda: InsufficientData(1, 1),
     "AnticorrelationViolated": lambda: AnticorrelationViolated(3, 1_000),
-    "_TwoArgumentError": lambda: _TwoArgumentError("block 1 failed", "a child"),
+    "_TwoArgumentError": lambda: _TwoArgumentError("a block failed", "a child"),
 }
 
 
-class _FailsInBlock1(FactorizableInstrument):
-    """A family whose instrument law fails in the block of trials 100 to 199,
-    which the first child owns when two workers share blocks of 100 trials: it
-    raises an error of _BLOCK_1_ERRORS, or is killed by SIGKILL."""
+class _FailsInAChild(FactorizableInstrument):
+    """A family whose instrument law fails in every block that a process other than
+    ``spared`` evaluates: it raises an error of _CHILD_ERRORS, or is killed by SIGKILL.
+    The spared process sleeps in each of its blocks, so that a child claims a block
+    before the spared process has claimed them all. With ``spared`` None, every
+    block fails, as it must in a run at one worker."""
 
     how = "InvalidSpec"
-    parent = None  # the test's process, which must never run the SIGKILL
+    spared = None  # the test's process in a forked run
 
     def instrument_arrays(self, seed, t, theta_local, station, pair_id=None):
-        if t[0] == 100:
-            if self.how != "sigkill":
-                raise _BLOCK_1_ERRORS[self.how]()
-            assert os.getpid() != self.parent, "block 1 ran in the parent"
+        if os.getpid() == self.spared:
+            if station is Station.S1:
+                time.sleep(0.05)
+        elif self.how != "sigkill":
+            raise _CHILD_ERRORS[self.how]()
+        else:
+            assert self.spared is not None, "the test's process would kill itself"
             os.kill(os.getpid(), signal.SIGKILL)
         return super().instrument_arrays(seed, t, theta_local, station, pair_id)
 
 
 def _simulate(monkeypatch, tmp_path, capsys, threads: str) -> tuple[int, str]:
-    """Exit code and stderr of a 1,000-trial ``simulate`` of _FailsInBlock1."""
-    monkeypatch.setitem(FAMILIES, "factorizable_instrument", _FailsInBlock1)
+    """Exit code and stderr of a 1,000-trial ``simulate`` of _FailsInAChild, which spares
+    this process at two workers and fails in it at one."""
+    monkeypatch.setitem(FAMILIES, "factorizable_instrument", _FailsInAChild)
+    monkeypatch.setattr(_FailsInAChild, "spared", os.getpid() if threads != "1" else None)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("model.kind = factorizable_instrument\nmodel.epsilon = 0.3\nquad.a_deg = 0\nquad.b_deg = 45\n"
                    "quad.c_deg = 135\nquad.d_deg = 90\nn_trials = 1000\nseed = 5\n")
@@ -242,18 +271,19 @@ def _simulate(monkeypatch, tmp_path, capsys, threads: str) -> tuple[int, str]:
 def test_a_failing_worker_ends_the_run_with_an_error(monkeypatch, forks, tmp_path, capsys, how):
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(simulate, "_BLOCK_TRIALS", 100)
-    monkeypatch.setattr(_FailsInBlock1, "how", how)
-    monkeypatch.setattr(_FailsInBlock1, "parent", os.getpid())
-    spec = _FailsInBlock1(epsilon=0.3)
+    monkeypatch.setattr(_FailsInAChild, "how", how)
+    spec = _FailsInAChild(epsilon=0.3)
     pairs = simulate.experiment_pairs(QUAD)
     if how == "sigkill":
+        monkeypatch.setattr(_FailsInAChild, "spared", os.getpid())
         with pytest.raises(WorkerFailed, match=r"^a worker process ended without its result \(killed by SIGKILL\)$"):
             run_experiment(spec, QUAD, 1_000, seed=5, threads=2)
     else:
         # A child's error is raised here with its own type, message and attributes.
-        expected = _BLOCK_1_ERRORS[how]()
+        expected = _CHILD_ERRORS[how]()
         for threads in (2, 1):
-            match = r"^block 1 failed in process \d+$" if how == "InvalidSpec" else None
+            monkeypatch.setattr(_FailsInAChild, "spared", os.getpid() if threads == 2 else None)
+            match = r"^a block failed in process \d+$" if how == "InvalidSpec" else None
             with pytest.raises(type(expected), match=match) as exc:
                 simulate.run_sums(spec, pairs, 1_000, 5, threads=threads)
             if how == "InvalidSpec":  # raised in the child at two workers, here at one
@@ -270,7 +300,7 @@ def test_a_failing_worker_ends_the_run_with_an_error(monkeypatch, forks, tmp_pat
             assert code == 2
             assert err == "worker error: a worker process ended without its result (killed by SIGKILL)\n"
         elif how == "InvalidSpec":
-            assert code == 3 and re.fullmatch(r"model error: block 1 failed in process \d+\n", err)
+            assert code == 3 and re.fullmatch(r"model error: a block failed in process \d+\n", err)
         elif how == "InsufficientData":
             assert (code, err) == (3, f"model error: {expected}\n")
         else:
@@ -283,11 +313,12 @@ def test_a_failing_worker_ends_the_run_with_an_error(monkeypatch, forks, tmp_pat
 def test_an_error_that_cannot_cross_the_pipe_ends_the_run_with_a_worker_error(monkeypatch, forks, tmp_path, capsys):
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(simulate, "_BLOCK_TRIALS", 100)
-    monkeypatch.setattr(_FailsInBlock1, "how", "_TwoArgumentError")
+    monkeypatch.setattr(_FailsInAChild, "how", "_TwoArgumentError")
+    monkeypatch.setattr(_FailsInAChild, "spared", os.getpid())
     pairs = simulate.experiment_pairs(QUAD)
-    sent = r"^a worker process could not send _TwoArgumentError: block 1 failed in a child \(.+\)$"
+    sent = r"^a worker process could not send _TwoArgumentError: a block failed in a child \(.+\)$"
     with pytest.raises(WorkerFailed, match=sent):
-        simulate.run_sums(_FailsInBlock1(epsilon=0.3), pairs, 1_000, 5, threads=2)
+        simulate.run_sums(_FailsInAChild(epsilon=0.3), pairs, 1_000, 5, threads=2)
     assert len(forks) == 1
     code, err = _simulate(monkeypatch, tmp_path, capsys, "2")
     assert code == 2
@@ -346,8 +377,8 @@ def test_every_error_crosses_the_pipe_unchanged(cls):
 
 
 def test_a_failing_child_ends_the_run_before_the_parent_share_is_done(monkeypatch):
-    # The parent's 1,000 blocks of 100 trials take at least 2 s; the child fails
-    # in its first block, and the parent notices before its next block.
+    # The run's 2,000 blocks of 100 trials take the parent at least 2 ms each; the
+    # child fails in its first block, and the parent notices before its next block.
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(simulate, "_BLOCK_TRIALS", 100)
     parent, parent_blocks = os.getpid(), []
@@ -357,11 +388,11 @@ def test_a_failing_child_ends_the_run_before_the_parent_share_is_done(monkeypatc
             if os.getpid() == parent and station is Station.S1:
                 parent_blocks.append(int(t[0]))
                 time.sleep(0.002)
-            elif os.getpid() != parent and t[0] == 100:
-                raise InvalidSpec("block 1 failed in a child")
+            elif os.getpid() != parent:
+                raise InvalidSpec("a block failed in a child")
             return super().instrument_arrays(seed, t, theta_local, station, pair_id)
 
-    with pytest.raises(InvalidSpec, match="block 1 failed in a child"):
+    with pytest.raises(InvalidSpec, match="a block failed in a child"):
         simulate.run_sums(SlowParentFailingChild(epsilon=0.3), simulate.experiment_pairs(QUAD), 200_000, 5, 2)
     assert 0 < len(parent_blocks) < 500
     _no_child_left()
@@ -421,6 +452,46 @@ def test_one_pair_runs_equal_runs_that_draw_the_die():
         _ip1, _ip2, a, b = trial_arrays(family(), 11, idx, lam_angle, theta1, theta2, pid)
         drawn = [[len(idx), int(np.sum(a * b, dtype=np.int64))]]
         assert simulate.run_sums(family(), [pair], len(idx), 11, threads=1)[-1].tolist() == drawn, family.name
+
+
+def test_a_check_block_computes_three_hash_bases(monkeypatch):
+    # check's two experiments share each block's die and source words, and the
+    # block's trial indices are read-only: the four "ttac.flip" draws (two stations
+    # of two experiments) share one base, so a block computes the die's, the
+    # source's and the flips' bases, where it computed six when each draw hashed
+    # its own.
+    computed = []
+    real_base = rng._base
+
+    def counting_base(seed, label, idx):
+        computed.append(label)
+        return real_base(seed, label, idx)
+
+    spec = FAMILIES["time_tagged_anticorrelated"]()
+    three = simulate.three_setting_pairs(QUAD.a, QUAD.b, QUAD.c)
+    runs = [(pairs, range(3 * simulate._BLOCK_TRIALS), 7) for pairs in (three, simulate.experiment_pairs(QUAD))]
+    expected = simulate.run_sums_each(spec, runs, threads=1)
+    monkeypatch.setattr(rng, "_base", counting_base)
+    assert [s.tolist() for s in simulate.run_sums_each(spec, runs, threads=1)] == [s.tolist() for s in expected]
+    assert computed == ["die", "source", "ttac.flip"] * 3
+
+
+class _WritesItsTicks(FactorizableInstrument):
+    """A family whose instrument law writes its ticks in place."""
+
+    def instrument_arrays(self, seed, t, theta_local, station, pair_id=None):
+        t += 0
+        return super().instrument_arrays(seed, t, theta_local, station, pair_id)
+
+
+def test_a_law_that_writes_its_indices_gets_a_value_error():
+    # The runner's and the pilot's index arrays are read-only, so a law cannot change
+    # the indices whose hash base rng.hash_words keeps for the next draw.
+    spec = _WritesItsTicks(epsilon=0.3)
+    with pytest.raises(ValueError, match="read-only"):
+        simulate.run_sums(spec, simulate.experiment_pairs(QUAD), 1_000, 5, threads=1)
+    with pytest.raises(ValueError, match="read-only"):
+        check_anticorrelation(spec, [QUAD.a, QUAD.b], 100, 5)
 
 
 def test_block_buffered_stdout_is_written_once(tmp_path):
