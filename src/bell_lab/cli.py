@@ -272,7 +272,7 @@ def parse_config_file(path: str) -> ExperimentConfig:
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
     return parse_config_text(text)
 

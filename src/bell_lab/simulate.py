@@ -94,6 +94,11 @@ class TrialLog:
     all as long as ``t``. ``lam``'s dtype is the log's kind: int64 for a discrete
     source's index, float64 for an angle. Equality compares every column, the kind
     and the pair count — exactly what the CSV round-trips.
+
+    Every log passes one validator, whether the runner, ``from_csv`` or a caller
+    made it: each ``pair_id`` is in [0, n_pairs), A and B are -1 or 1 and the float
+    columns are finite, or a ValueError names the CSV line (row + 2) of the first
+    bad row.
     """
 
     t: np.ndarray = _column(np.int64)
@@ -108,13 +113,17 @@ class TrialLog:
     n_pairs: int
 
     def __post_init__(self):
-        for name, (_header, dtype) in _COLUMNS.items():
+        for name, (header, dtype) in _COLUMNS.items():
             column = np.asarray(getattr(self, name))
             if name == "lam":
                 dtype = _lambda_dtype(column.dtype)
             setattr(self, name, np.ascontiguousarray(column, dtype=dtype))
             if len(column) != len(self.t):
                 raise ValueError(f"column {name} has {len(column)} rows, t has {len(self.t)}")
+            if dtype.kind == "f":
+                _reject_rows(~np.isfinite(getattr(self, name)), f"{header} must be finite")
+        _reject_rows((self.pair_id < 0) | (self.pair_id >= self.n_pairs), f"pair_id must be from 0 to {self.n_pairs - 1}")
+        _reject_rows((np.abs(self.a) != 1) | (np.abs(self.b) != 1), "A and B must be -1 or 1")
 
     @property
     def lambda_kind(self) -> str:
@@ -141,8 +150,10 @@ class TrialLog:
     # -- serialization --------------------------------------------------
 
     def to_csv(self, path) -> None:
-        """Write the frozen CSV schema; floats use shortest round-trip repr. A discrete
-        lambda that ``from_csv`` would refuse raises ValueError before the file is opened."""
+        """Write the frozen CSV schema; floats use shortest round-trip repr. A row that
+        the CSV cannot hold, a discrete lambda outside [0, 2**53) or a pair_id above 3
+        (``from_csv`` reads four pairs), raises ValueError before the file is opened."""
+        _reject_rows(self.pair_id > 3, "pair_id must be from 0 to 3")
         if self.lambda_kind == "discrete":
             _reject_rows((self.lam < 0) | (self.lam >= 2**53), "a discrete lambda must be a whole number in [0, 2**53)")
         columns = [getattr(self, name) for name in _COLUMNS]
@@ -157,7 +168,8 @@ class TrialLog:
 
     @classmethod
     def from_csv(cls, path) -> "TrialLog":
-        """Read a log that ``to_csv`` wrote; a malformed row raises ValueError.
+        """Read a log that ``to_csv`` wrote; a malformed row raises ValueError, here for
+        its text and in the constructor for its values.
 
         ``pair_id`` indexes the four canonical pairs, so the log has
         ``n_pairs = 4`` whichever of them its trials drew.
@@ -176,18 +188,15 @@ class TrialLog:
                 fh.seek(body)
                 rows = np.loadtxt(fh, delimiter=",", dtype=_CSV_DTYPE, comments=None, ndmin=1)
         _reject_rows(rows["index"] != np.arange(len(rows)), "index must count the rows from 0")
-        _reject_rows((rows["pair_id"] < 0) | (rows["pair_id"] > 3), "pair_id must be 0, 1, 2 or 3")
-        _reject_rows((np.abs(rows["A"]) != 1) | (np.abs(rows["B"]) != 1), "A and B must be -1 or 1")
-        columns = {name: rows[header] for name, (header, _dtype) in _COLUMNS.items()}
-        if len(rows) > 0 and not any(ch in first[CSV_COLUMNS.index("lambda")] for ch in ".e"):
+        # The constructor takes these copies as they are, and the parsed rows are freed
+        # before its checks make their temporaries.
+        columns = {name: rows[header].copy() for name, (header, _dtype) in _COLUMNS.items()}
+        del rows
+        if first != [""] and not any(ch in first[CSV_COLUMNS.index("lambda")] for ch in ".e"):
             # Parsed as float64, a whole number is exact below 2**53 and may be rounded above.
             lam = columns["lam"]
-            whole = (lam >= 0.0) & (lam < 2.0**53) & (lam == np.floor(lam))
-            _reject_rows(~whole, "a discrete lambda must be a whole number in [0, 2**53)")
+            _reject_rows((lam < 0) | (lam >= 2**53) | (lam != np.floor(lam)), "a discrete lambda must be a whole number in [0, 2**53)")
             columns["lam"] = lam.astype(np.int64)
-        for header, dtype in _COLUMNS.values():
-            if dtype.kind == "f":
-                _reject_rows(~np.isfinite(rows[header]), f"{header} must be finite")
         return cls(**columns, n_pairs=4)
 
 

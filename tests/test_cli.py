@@ -248,6 +248,15 @@ def test_missing_config_file_exit_two(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 2
 
 
+@pytest.mark.parametrize("command", ["simulate", "check", "tables"])
+def test_config_file_that_is_not_text_exit_two(tmp_path, capsys, command):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"model.kind = bell_deterministic\nquad.a_deg = 0\xff\n")
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config file {str(cfg)!r}: ") and len(err.splitlines()) == 1, err
+
+
 def test_check_premise_failure_exit_three(tmp_path, capsys, monkeypatch):
     # The pilot runs before any run of the model's trials, so a model that fails it
     # costs no run however long n_trials is.

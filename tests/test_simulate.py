@@ -979,6 +979,92 @@ def test_csv_writer_refuses_a_discrete_lambda_the_reader_refuses(tmp_path, lam):
     assert TrialLog.from_csv(path).lam[2] == 2**53 - 1
 
 
+class _OutcomeZero(BellDeterministic):
+    """A custom family whose outcome law returns 0, which is not an outcome."""
+
+    def outcome_arrays(self, station, theta_local, lam_angle, ip):
+        return np.zeros(np.shape(ip), dtype=np.int8)
+
+
+class _InstrumentNaN(BellDeterministic):
+    """A custom family whose instrument law returns NaN."""
+
+    def instrument_arrays(self, seed, t, theta_local, station, pair_id=None):
+        return np.full(np.shape(t), np.nan)
+
+
+@pytest.mark.parametrize(
+    "spec, what",
+    [(_OutcomeZero(), "A and B must be -1 or 1"), (_InstrumentNaN(), "ip_1 must be finite")],
+    ids=["outcome-0", "instrument-nan"],
+)
+def test_the_runner_refuses_a_row_the_csv_reader_refuses(spec, what):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'trial log line 2: {what}')}$"):
+        run_experiment(spec, QUAD, 5, seed=1)
+
+
+@pytest.mark.parametrize(
+    "column, values, what",
+    [
+        ("pair_id", [0, 0, 1], "pair_id must be from 0 to 0"),
+        ("a", [1, -1, 0], "A and B must be -1 or 1"),
+        ("b", [1, 2], "A and B must be -1 or 1"),
+        ("setting_2", [0.0, 0.0, -np.inf], "setting_2 must be finite"),
+        ("lam", [0.0, np.nan], "lambda must be finite"),
+    ],
+)
+def test_trial_log_refuses_a_bad_row_from_a_caller(column, values, what):
+    # the last of ``values`` is the first bad row
+    log = _one_pair_log(np.ones(4, dtype=np.int8))
+    bad = getattr(log, column).astype(np.asarray(values).dtype)
+    bad[: len(values)] = values
+    line = 1 + len(values)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'trial log line {line}: {what}')}$"):
+        replace(log, **{column: bad})
+
+
+def test_csv_writer_refuses_a_pair_id_the_reader_refuses(tmp_path):
+    pairs = [*simulate.experiment_pairs(QUAD), (Setting(0.0), Setting(0.0))]
+    log = run_pairs(BellDeterministic(), pairs, 50, seed=1)
+    assert log.n_pairs == 5 and len(estimate_correlations(log)) == 5
+    path = tmp_path / "log.csv"
+    line = int(np.argmax(log.pair_id == 4)) + 2
+    with pytest.raises(ValueError, match=f"^trial log line {line}: pair_id must be from 0 to 3$"):
+        log.to_csv(path)
+    assert not path.exists()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _valid_logs(draw) -> TrialLog:
+    """A log the constructor accepts, of one to four pairs, with at least one row (a
+    header-only CSV loads as an angle log) and a discrete lambda in [0, 2**53) or an
+    angle one."""
+    n, n_pairs = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+
+    def column(elements):
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)))
+
+    lam = st.integers(0, 2**53 - 1) if draw(st.booleans()) else _FINITE
+    signs = st.sampled_from([-1, 1])
+    return TrialLog(
+        t=column(st.integers(-(2**63), 2**63 - 1)), pair_id=column(st.integers(0, n_pairs - 1)),
+        setting_1=column(_FINITE), setting_2=column(_FINITE), lam=column(lam),
+        ip_1=column(_FINITE), ip_2=column(_FINITE), a=column(signs), b=column(signs), n_pairs=n_pairs,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(log=_valid_logs())
+def test_every_valid_log_round_trips_through_the_csv(tmp_path_factory, log):
+    path = tmp_path_factory.mktemp("round-trip") / "log.csv"
+    log.to_csv(path)
+    # a reloaded log covers the four canonical pairs
+    assert TrialLog.from_csv(path) == replace(log, n_pairs=4)
+
+
 def test_csv_header_only_loads_as_empty_log(tmp_path):
     path = tmp_path / "log.csv"
     path.write_text(",".join(simulate.CSV_COLUMNS) + "\n")
