@@ -4,6 +4,11 @@ Settings are planar angles: every statistic in this laboratory depends only
 on relative angles, so full 3-vectors would add nothing. Outcomes are the
 signed integers +1/-1 (never booleans) because products and sums of outcomes
 appear in every downstream statistic.
+
+A setting's identity is its normalized angle's point on a 1e-9 rad grid
+(``quantize_angle``): settings compare and hash by it, the time-tagged instrument
+law keys its draws on it, and the exact oracle finds detector columns by it. So
+1 deg and 361 deg are one setting although their normalized floats differ.
 """
 
 from __future__ import annotations
@@ -12,11 +17,16 @@ import math
 import numbers
 from dataclasses import dataclass
 
+import numpy as np
+
 TAU = 2.0 * math.pi
 
 # Canonical four-term sign pattern: +E(a,c) - E(a,b) - E(d,b) - E(d,c).
 # Every statistic, table column, and report in the package uses this order.
 CHSH_SIGNS = (1, -1, -1, -1)
+
+# The setting grid: a setting is its angle rounded to a multiple of this.
+_ANGLE_QUANTUM = 1e-9
 
 
 def normalize_angle(theta: float) -> float:
@@ -31,14 +41,27 @@ def normalize_angle(theta: float) -> float:
     return a
 
 
-@dataclass(frozen=True)
+def quantize_angle(theta: np.ndarray) -> np.ndarray:
+    """Angles as integer multiples of the 1e-9 rad quantum: the identity of a setting."""
+    return np.round(np.asarray(theta, dtype=np.float64) / _ANGLE_QUANTUM).astype(np.uint64)
+
+
+@dataclass(frozen=True, eq=False)
 class Setting:
-    """A measurement direction: one station's macroscopic knob."""
+    """A measurement direction: one station's macroscopic knob. It keeps its
+    normalized angle, and equals and hashes as its grid point (``quantize_angle``)."""
 
     angle: float
 
     def __post_init__(self):
         object.__setattr__(self, "angle", normalize_angle(self.angle))
+        object.__setattr__(self, "_point", int(quantize_angle(self.angle)))  # its identity
+
+    def __eq__(self, other) -> bool:
+        return self._point == other._point if isinstance(other, Setting) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._point)
 
     @classmethod
     def from_degrees(cls, degrees: float) -> "Setting":

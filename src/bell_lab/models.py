@@ -22,15 +22,10 @@ from typing import ClassVar, Protocol
 import numpy as np
 
 from . import rng
-from .core import TAU, Setting
+from .core import TAU, Setting, quantize_angle
 from .errors import InvalidSpec
 
 WEIGHT_TOLERANCE = 1e-12
-
-# Setting angles are quantized to this grid when they key a hash or look up a
-# finite model's detector table; equal normalized angles always collide, which
-# is all correctness requires.
-_ANGLE_QUANTUM = 1e-9
 
 
 class Station(enum.Enum):
@@ -234,11 +229,6 @@ def sign_law(station: Station, theta_local: np.ndarray, lam_angle: np.ndarray) -
 # and the trial kernel that calls them: every family, shipped or custom,
 # reaches its laws through these. bench/layers.py wraps the three dispatchers
 # by name, so renaming one is a benchmark change.
-
-
-def quantize_angle(theta: np.ndarray) -> np.ndarray:
-    """Angles as integer multiples of the 1e-9 rad quantum: the identity of a setting."""
-    return np.round(np.asarray(theta, dtype=np.float64) / _ANGLE_QUANTUM).astype(np.uint64)
 
 
 def source_arrays(spec: ModelFamily, seed: int, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

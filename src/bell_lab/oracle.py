@@ -27,7 +27,6 @@ from .models import (
     UniformAngleSource,
     check_weights,
     midpoint_angles,
-    quantize_angle,
     sign_law,
 )
 
@@ -77,19 +76,12 @@ class FiniteModel:
         return len(self.lambda_weights)
 
 
-def _detector_column(table: dict[Setting, np.ndarray], setting: Setting) -> np.ndarray:
-    """The table's entry for ``setting``, matched on the angle quantum so that
-    361 deg finds the column built at 1 deg despite float rounding."""
-    key = quantize_angle(setting.angle)
-    for s, arr in table.items():
-        if quantize_angle(s.angle) == key:
-            return arr
-    raise UnknownSetting(f"no detector column for setting {setting.degrees:.6g} deg")
-
-
 def _mean_responses(table: dict[Setting, np.ndarray], ip_weights, setting: Setting) -> list[float]:
-    arr = _detector_column(table, setting)
-    return [math.fsum(w * int(v) for w, v in zip(weights, row)) for weights, row in zip(ip_weights, arr)]
+    """Each lambda's mean detector output at ``setting``: its column is ``table[setting]``,
+    so 361 deg finds the column built at 1 deg (settings are equal by grid point)."""
+    if setting not in table:
+        raise UnknownSetting(f"no detector column for setting {setting.degrees:.6g} deg")
+    return [math.fsum(w * int(v) for w, v in zip(weights, row)) for weights, row in zip(ip_weights, table[setting])]
 
 
 def exact_correlation(fm: FiniteModel, pair: tuple[Setting, Setting]) -> float:
@@ -292,14 +284,12 @@ def finite_model_from_json_obj(obj: dict) -> FiniteModel:
     schema = obj.get("schema") if isinstance(obj, dict) else None
     if schema != "bell-lab.finite-model.v1":
         raise ValueError(f"unexpected finite-model schema {schema!r}")
-    a_table = {
-        Setting(angle): np.asarray(rows, dtype=np.int8)
-        for angle, rows in zip(obj["a_settings_rad"], obj["a_table"])
-    }
-    b_table = {
-        Setting(angle): np.asarray(rows, dtype=np.int8)
-        for angle, rows in zip(obj["b_settings_rad"], obj["b_table"])
-    }
+    a_table, b_table = {}, {}
+    for name, table in (("a", a_table), ("b", b_table)):
+        for angle, rows in zip(obj[f"{name}_settings_rad"], obj[f"{name}_table"]):
+            if Setting(angle) in table:  # one key, so one column would be dropped silently
+                raise InvalidSpec(f"{name}_settings_rad has two columns at {Setting(angle).degrees:.6g} deg")
+            table[Setting(angle)] = np.asarray(rows, dtype=np.int8)
     return FiniteModel(
         lambda_weights=tuple(obj["lambda_weights"]),
         ip1_weights=tuple(tuple(r) for r in obj["ip1_weights"]),

@@ -98,7 +98,8 @@ class TrialLog:
     Every log passes one validator, whether the runner, ``from_csv`` or a caller
     made it: each ``pair_id`` is in [0, n_pairs), A and B are -1 or 1 and the float
     columns are finite, or a ValueError names the CSV line (row + 2) of the first
-    bad row.
+    bad row. ``pair_id``, A and B are checked as given, before the int8 cast could
+    wrap a value such as 257 into range.
     """
 
     t: np.ndarray = _column(np.int64)
@@ -113,8 +114,9 @@ class TrialLog:
     n_pairs: int
 
     def __post_init__(self):
+        given = {}  # each column as given; one that has its logged dtype is not copied
         for name, (header, dtype) in _COLUMNS.items():
-            column = np.asarray(getattr(self, name))
+            column = given[name] = np.asarray(getattr(self, name))
             if name == "lam":
                 dtype = _lambda_dtype(column.dtype)
             setattr(self, name, np.ascontiguousarray(column, dtype=dtype))
@@ -122,8 +124,9 @@ class TrialLog:
                 raise ValueError(f"column {name} has {len(column)} rows, t has {len(self.t)}")
             if dtype.kind == "f":
                 _reject_rows(~np.isfinite(getattr(self, name)), f"{header} must be finite")
-        _reject_rows((self.pair_id < 0) | (self.pair_id >= self.n_pairs), f"pair_id must be from 0 to {self.n_pairs - 1}")
-        _reject_rows((np.abs(self.a) != 1) | (np.abs(self.b) != 1), "A and B must be -1 or 1")
+        pair_id = given["pair_id"]
+        _reject_rows((pair_id < 0) | (pair_id >= self.n_pairs), f"pair_id must be from 0 to {self.n_pairs - 1}")
+        _reject_outcomes(given["a"], given["b"])
 
     @property
     def lambda_kind(self) -> str:
@@ -231,9 +234,16 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return ordered[first]
 
 
-def _reject_rows(bad: np.ndarray, what: str) -> None:
+def _reject_rows(bad: np.ndarray, what: str, first: int = 0) -> None:
+    """Raise ValueError naming the CSV line (trial index + 2) of the first true row of
+    ``bad``, whose rows are the trials first, first + 1, ..."""
     if bad.any():
-        raise ValueError(f"trial log line {int(np.argmax(bad)) + 2}: {what}")
+        raise ValueError(f"trial log line {first + int(np.argmax(bad)) + 2}: {what}")
+
+
+def _reject_outcomes(a, b, first: int = 0) -> None:
+    """The outcome rule of every trial log and every run: A and B are -1 or 1."""
+    _reject_rows((np.abs(a) != 1) | (np.abs(b) != 1), "A and B must be -1 or 1", first)
 
 
 # --- Running experiments ----------------------------------------------------
@@ -407,7 +417,8 @@ def _run_blocks(spec: ModelFamily, runs, workers: int, reduce) -> list:
     and evaluates its chunk until the pipe is empty, so a worker that runs slower
     evaluates fewer blocks and the workers end within about one chunk of each other.
     A block's trial indices are read-only, so its instrument draws of one label share
-    one hash base (``rng.hash_words``)."""
+    one hash base (``rng.hash_words``). Every block's outcomes pass the trial log's
+    A/B rule (``_reject_outcomes``) before ``reduce`` sees them."""
     shared: dict[tuple[range, int], list[int]] = {}
     for k, (_pairs, trials, seed) in enumerate(runs):
         shared.setdefault((trials, seed), []).append(k)
@@ -427,6 +438,7 @@ def _run_blocks(spec: ModelFamily, runs, workers: int, reduce) -> list:
         pid = rng.words_below(die, len(runs[k][0]))
         th1, th2 = angles[k][0][pid], angles[k][1][pid]
         i1, i2, a, b = models.trial_arrays(spec, runs[k][2], idx, lam_angle, th1, th2, pid)
+        _reject_outcomes(a, b, lo)  # before a reduction counts or casts an outcome
         return reduce(k, lo, dict(t=idx, pair_id=pid, setting_1=th1, setting_2=th2, lam=lrep, ip_1=i1, ip_2=i2, a=a, b=b))
 
     def run_block(b: int, totals: list) -> None:

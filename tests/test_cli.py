@@ -751,6 +751,22 @@ def test_oracle_exact_matches_settings_modulo_full_turn(tmp_path, capsys):
     assert values[0] == values[1]
 
 
+def test_oracle_exact_refuses_a_model_file_with_two_columns_on_one_setting(tmp_path, capsys):
+    from bell_lab.core import SettingQuad
+    from bell_lab.oracle import discretize_model, finite_model_to_json_obj
+
+    quad = SettingQuad.from_degrees(1, 45, 135, 90)
+    obj = finite_model_to_json_obj(discretize_model(BellDeterministic(), [quad.a, quad.b, quad.c, quad.d], grid=8))
+    obj["b_settings_rad"].append(math.radians(405))  # the grid point of 45 deg
+    obj["b_table"].append(obj["b_table"][0])
+    path = tmp_path / "fm.json"
+    path.write_text(json.dumps(obj))
+    assert main(["oracle", "exact", "--model", str(path), "--quad-deg", "1", "45", "135", "90"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(path) in captured.err and "b_settings_rad has two columns at 45 deg" in captured.err
+
+
 def test_plot_data_emission(tmp_path, capsys):
     cfg = write_cfg(tmp_path, MINIMAL.replace("n_trials = 1000", "n_trials = 4000"))
     sweep = tmp_path / "sweep.csv"

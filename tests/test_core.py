@@ -14,6 +14,7 @@ from bell_lab.core import (
     SettingQuad,
     chsh_pairs,
     normalize_angle,
+    quantize_angle,
     require_outcome,
     row_identity,
     row_sum,
@@ -113,6 +114,34 @@ def test_setting_equality_after_normalization():
     assert Setting(0.5) == Setting(0.5 + TAU)
     assert Setting(0.5) == Setting(0.5 - TAU)
     assert Setting.from_degrees(90.0).angle == pytest.approx(math.pi / 2, abs=0)
+
+
+def test_a_setting_a_full_turn_on_is_the_same_setting():
+    # radians(d + 360) normalizes to a float a few ulps from radians(d) for most d
+    for d in range(360):
+        s, turned = Setting.from_degrees(d), Setting.from_degrees(d + 360)
+        assert s == turned and hash(s) == hash(turned), d
+
+
+_ANGLE = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+@given(_ANGLE, st.one_of(st.integers(-3, 3).map(lambda k: k * TAU), st.floats(-2e-9, 2e-9), _ANGLE))
+def test_settings_are_equal_exactly_when_their_grid_points_are(x, shift):
+    # x and x + k * 2pi usually share a grid point, but a normalized angle within
+    # ~1e-15 of a half-point may round either way, so the test compares grid points
+    s, t = Setting(x), Setting(x + shift)
+    same = quantize_angle(normalize_angle(x)) == quantize_angle(normalize_angle(x + shift))
+    assert (s == t) == same and (s != t) != same
+    if same:
+        assert hash(s) == hash(t)
+
+
+def test_a_setting_keeps_its_normalized_angle():
+    turned = Setting.from_degrees(361.0)
+    assert turned == Setting.from_degrees(1.0)
+    assert turned.angle == normalize_angle(math.radians(361.0))
+    assert Setting(0.5) != 0.5 and Setting(0.5) != (0.5,)
 
 
 def test_require_outcome():

@@ -82,6 +82,14 @@ def test_exact_correlation_unknown_setting():
         exact_correlation(_tiny_model(), (Setting(1.0), Setting(0.0)))
 
 
+def test_exact_correlation_finds_a_column_a_full_turn_on():
+    degrees = range(0, 360, 7)
+    fm = discretize_model(BellDeterministic(DiscreteSource.uniform(8)), [Setting.from_degrees(d) for d in degrees])
+    for d1, d2 in zip(degrees, reversed(degrees)):
+        turned = (Setting.from_degrees(d1 + 360), Setting.from_degrees(d2 + 360))
+        assert exact_correlation(fm, turned) == exact_correlation(fm, (Setting.from_degrees(d1), Setting.from_degrees(d2)))
+
+
 def test_exact_correlation_factorizes_instrument_noise():
     # coin replacement with prob eps shrinks the deterministic correlation
     # by (1-eps)^2: the cross terms have mean zero.
@@ -281,3 +289,13 @@ def test_finite_model_json_round_trip():
         assert np.array_equal(again.a_table[s], fm.a_table[s])
     # evaluation agrees bit for bit after the round trip
     assert exact_chsh(again, QUAD) == exact_chsh(fm, QUAD)
+
+
+def test_finite_model_file_with_two_columns_on_one_setting_is_refused():
+    fm = discretize_model(BellDeterministic(DiscreteSource.uniform(4)), [Setting.from_degrees(1.0), QUAD.b])
+    obj = finite_model_to_json_obj(fm)
+    # 361 deg is a float a few ulps from 1 deg, but the same setting
+    obj["a_settings_rad"].append(math.radians(361.0))
+    obj["a_table"].append(obj["a_table"][0])
+    with pytest.raises(InvalidSpec, match="a_settings_rad has two columns at 1 deg"):
+        finite_model_from_json_obj(obj)

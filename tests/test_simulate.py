@@ -13,7 +13,7 @@ import sys
 import threading
 import time
 import warnings
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -1003,6 +1003,62 @@ def test_the_runner_refuses_a_row_the_csv_reader_refuses(spec, what):
         run_experiment(spec, QUAD, 5, seed=1)
 
 
+@dataclass(frozen=True)
+class _OutcomeAtTrial(BellDeterministic):
+    """A custom family whose station-1 outcome is ``value`` (int64) at trial ``trial``
+    and 1 elsewhere: its instrument value is the trial index."""
+
+    trial: int = 0
+    value: int = 1
+
+    def instrument_arrays(self, seed, t, theta_local, station, pair_id=None):
+        return np.asarray(t, dtype=np.float64)
+
+    def outcome_arrays(self, station, theta_local, lam_angle, ip):
+        if station is Station.S2:
+            return np.ones(np.shape(ip), dtype=np.int8)
+        return np.where(np.asarray(ip) == self.trial, self.value, 1).astype(np.int64)
+
+
+_CHECK_RUNS = [
+    (simulate.three_setting_pairs(QUAD.a, QUAD.b, QUAD.c), range(50_000), 9),
+    (simulate.experiment_pairs(QUAD), range(50_000), 9),
+]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("value", [0, 257, -255], ids=["0", "257", "minus-255"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda spec, threads: simulate.run_sums(spec, simulate.experiment_pairs(QUAD), 50_000, 9, threads, [10, 50_000]),
+        lambda spec, threads: simulate.run_sums_each(spec, _CHECK_RUNS, threads),
+        lambda spec, threads: run_experiment(spec, QUAD, 50_000, 9, threads),
+    ],
+    ids=["run_sums", "run_sums_each-check", "run_experiment"],
+)
+def test_every_runner_path_refuses_an_outcome_at_the_trial_that_made_it(call, value, threads):
+    # an int8 cast would wrap 257 and -255 to 1, and a count of A == B would take them as outcomes
+    with pytest.raises(ValueError, match="^trial log line 40002: A and B must be -1 or 1$"):
+        call(_OutcomeAtTrial(trial=40_000, value=value), threads)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sums_refuse_an_outcome_law_that_returns_zero(threads):
+    # at two workers the first bad block that a worker meets names its first trial
+    with pytest.raises(ValueError, match=r"^trial log line (\d+): A and B must be -1 or 1$") as info:
+        simulate.run_sums(_OutcomeZero(), simulate.experiment_pairs(QUAD), 1_000, 5, threads)
+    line = int(re.search(r"line (\d+)", str(info.value)).group(1))
+    assert line == 2 if threads == 1 else 2 <= line <= 1_001
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_bell_statistic_refuses_an_outcome_law_that_returns_zero(threads):
+    # 0 = -0 at equal settings, so the pilot passes and the run must refuse the outcome
+    with pytest.raises(ValueError, match=r"^trial log line \d+: A and B must be -1 or 1$"):
+        bell_statistic(_OutcomeZero(), QUAD.a, QUAD.b, QUAD.c, 1_000, seed=5, threads=threads)
+
+
 @pytest.mark.parametrize(
     "column, values, what",
     [
@@ -1011,6 +1067,10 @@ def test_the_runner_refuses_a_row_the_csv_reader_refuses(spec, what):
         ("b", [1, 2], "A and B must be -1 or 1"),
         ("setting_2", [0.0, 0.0, -np.inf], "setting_2 must be finite"),
         ("lam", [0.0, np.nan], "lambda must be finite"),
+        # int64 values that an int8 cast would wrap into range: 257 -> 1, -255 -> 1, 256 -> 0
+        ("a", np.array([-1, 1, 257], dtype=np.int64), "A and B must be -1 or 1"),
+        ("b", np.array([1, -255], dtype=np.int64), "A and B must be -1 or 1"),
+        ("pair_id", np.array([0, 256], dtype=np.int64), "pair_id must be from 0 to 0"),
     ],
 )
 def test_trial_log_refuses_a_bad_row_from_a_caller(column, values, what):
