@@ -286,10 +286,10 @@ def finite_model_from_json_obj(obj: dict) -> FiniteModel:
         raise ValueError(f"unexpected finite-model schema {schema!r}")
     a_table, b_table = {}, {}
     for name, table in (("a", a_table), ("b", b_table)):
-        for angle, rows in zip(obj[f"{name}_settings_rad"], obj[f"{name}_table"]):
-            if Setting(angle) in table:  # one key, so one column would be dropped silently
-                raise InvalidSpec(f"{name}_settings_rad has two columns at {Setting(angle).degrees:.6g} deg")
-            table[Setting(angle)] = np.asarray(rows, dtype=np.int8)
+        for setting, rows in zip(map(Setting, obj[f"{name}_settings_rad"]), obj[f"{name}_table"]):
+            if setting in table:  # one key, so one column would be dropped silently
+                raise InvalidSpec(f"{name}_settings_rad has two columns at {setting.degrees:.6g} deg")
+            table[setting] = np.asarray(rows, dtype=np.int8)
     return FiniteModel(
         lambda_weights=tuple(obj["lambda_weights"]),
         ip1_weights=tuple(tuple(r) for r in obj["ip1_weights"]),
