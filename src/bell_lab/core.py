@@ -2,8 +2,10 @@
 
 Settings are planar angles: every statistic in this laboratory depends only
 on relative angles, so full 3-vectors would add nothing. Outcomes are the
-signed integers +1/-1 (never booleans) because products and sums of outcomes
-appear in every downstream statistic.
+signed integers +1/-1 (never booleans or floats) because products and sums of
+outcomes appear in every downstream statistic. ``bad_outcomes`` is the one
+test of what an outcome is: the runner, every trial log, the equal-settings
+pilot and the exact oracle's tables all apply it.
 
 A setting's identity is its normalized angle's point on a 1e-9 rad grid
 (``quantize_angle``): settings compare and hash by it, the time-tagged instrument
@@ -14,7 +16,6 @@ law keys its draws on it, and the exact oracle finds detector columns by it. So
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,9 +105,17 @@ def chsh_pairs(quad: SettingQuad) -> list[tuple[Setting, Setting, int]]:
     ]
 
 
+def bad_outcomes(values) -> np.ndarray:
+    """The outcome rule, as a mask: True where a value is not an outcome. Only an
+    integer array holds outcomes, the values -1 and 1; an array of booleans, floats
+    or objects fails as a whole, whatever its values."""
+    values = np.asarray(values)
+    return np.abs(values) != 1 if values.dtype.kind in "iu" else np.ones(values.shape, dtype=bool)
+
+
 def require_outcome(value: int) -> int:
-    """Validate a detector outcome: must be the integer +1 or -1, not a bool or a float."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value not in (-1, 1):
+    """Validate one detector outcome by ``bad_outcomes``: the integer +1 or -1, not a bool or a float."""
+    if bad_outcomes(value):
         raise ValueError(f"outcome must be +1 or -1, got {value!r}")
     return value
 

@@ -22,7 +22,7 @@ from typing import ClassVar, Protocol
 import numpy as np
 
 from . import rng
-from .core import TAU, Setting, quantize_angle
+from .core import TAU, Setting, bad_outcomes, quantize_angle
 from .errors import InvalidSpec
 
 WEIGHT_TOLERANCE = 1e-12
@@ -290,7 +290,9 @@ def check_anticorrelation(
     """Count trials where A != -B with equal settings and a shared tick.
 
     Settings cycle deterministically over the supplied list, one per trial. The
-    trials have no setting pair, so an instrument law that reads one raises.
+    trials have no setting pair, so an instrument law that reads one raises. An
+    outcome that fails ``core.bad_outcomes`` (0 = -0 and 2 = -(-2) would count as
+    anticorrelated) raises InvalidSpec naming the first pilot trial that made one.
     """
     if n_trials < 1:
         raise InvalidSpec(f"n_trials must be >= 1, got {n_trials}")
@@ -301,8 +303,9 @@ def check_anticorrelation(
     theta = np.asarray([s.angle for s in settings])[np.arange(n_trials) % len(settings)]
     _lam, lam_angle = source_arrays(spec, seed, indices)
     *_, a, b = trial_arrays(spec, seed, indices, lam_angle, theta, theta, None)
-    violations = int(np.count_nonzero(a != -b))
-    return AnticorrelationReport(trials=n_trials, violations=violations)
+    if (bad := bad_outcomes(a) | bad_outcomes(b)).any():
+        raise InvalidSpec(f"equal-settings pilot trial {int(np.argmax(bad))}: A and B must be -1 or 1")
+    return AnticorrelationReport(trials=n_trials, violations=int(np.count_nonzero(a != -b)))
 
 
 # --- Model family interface --------------------------------------------------
@@ -315,7 +318,10 @@ class ModelFamily(Protocol):
     other object with these methods run through the same code path. The index
     arrays that the laws receive (``indices`` and ``t``) are read-only: a law that
     writes one in place gets numpy's ValueError, because the draws that hash the
-    same array with the same seed and label share its hash base (``rng.hash_words``)."""
+    same array with the same seed and label share its hash base (``rng.hash_words``).
+    ``outcome_arrays`` returns an integer array of -1 and 1 (``core.bad_outcomes``): a
+    float or bool array, even of +-1 values, raises ValueError in the runner and
+    InvalidSpec in the equal-settings pilot."""
 
     def source_arrays(self, seed: int, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]: ...
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CHSH_SIGNS, Setting, SettingQuad, chsh_pairs
+from .core import CHSH_SIGNS, Setting, SettingQuad, bad_outcomes, chsh_pairs
 from .errors import InvalidSpec, TooLarge, UnknownSetting
 from .models import (
     BellDeterministic,
@@ -39,10 +39,10 @@ ENUMERATION_GUARD_BITS = 32
 class FiniteModel:
     """Finite lambda and instrument spaces with total detector tables.
 
-    ``a_table[s]`` has shape (m, n_ip1) with entries +/-1; ``b_table[s]``
-    likewise with n_ip2 columns. ``ip1_weights[lam]`` are the station-1
-    instrument weights conditional on lambda (and ``ip2_weights`` station 2's);
-    the joint instrument distribution is their product.
+    ``a_table[s]`` is an integer array of shape (m, n_ip1) with entries +/-1 (it
+    passes ``core.bad_outcomes``); ``b_table[s]`` likewise with n_ip2 columns.
+    ``ip1_weights[lam]`` are the station-1 instrument weights conditional on lambda
+    (and ``ip2_weights`` station 2's); the joint instrument distribution is their product.
     """
 
     lambda_weights: tuple[float, ...]
@@ -68,7 +68,7 @@ class FiniteModel:
                 arr = np.asarray(arr)
                 if arr.shape != (m, n_ip):
                     raise InvalidSpec(f"{name}[{s}] must have shape ({m}, {n_ip}), got {arr.shape}")
-                if not np.all(np.isin(arr, (-1, 1))):
+                if bad_outcomes(arr).any():
                     raise InvalidSpec(f"{name}[{s}] entries must be +1 or -1")
 
     @property
@@ -281,15 +281,25 @@ def finite_model_to_json_obj(fm: FiniteModel) -> dict:
 
 
 def finite_model_from_json_obj(obj: dict) -> FiniteModel:
+    """A FiniteModel from parsed finite-model JSON. Its cells reach ``FiniteModel`` as
+    parsed, so a float such as 1.9 fails the outcome rule there instead of being cast
+    to 1. A JSON boolean anywhere in the file raises InvalidSpec: numpy and ``Setting``
+    would read true as 1, among integer cells, weights or angles alike."""
     schema = obj.get("schema") if isinstance(obj, dict) else None
     if schema != "bell-lab.finite-model.v1":
         raise ValueError(f"unexpected finite-model schema {schema!r}")
+    # One pass over the parsed values, a nesting level at a time, with no numpy call per cell
+    level = list(obj.values())
+    while level and bool not in set(map(type, level)):
+        level = [item for value in level if type(value) is list for item in value]
+    if level:
+        raise InvalidSpec("the file holds a boolean (true or false) where a number belongs")
     a_table, b_table = {}, {}
     for name, table in (("a", a_table), ("b", b_table)):
         for setting, rows in zip(map(Setting, obj[f"{name}_settings_rad"]), obj[f"{name}_table"]):
             if setting in table:  # one key, so one column would be dropped silently
                 raise InvalidSpec(f"{name}_settings_rad has two columns at {setting.degrees:.6g} deg")
-            table[setting] = np.asarray(rows, dtype=np.int8)
+            table[setting] = np.asarray(rows)
     return FiniteModel(
         lambda_weights=tuple(obj["lambda_weights"]),
         ip1_weights=tuple(tuple(r) for r in obj["ip1_weights"]),

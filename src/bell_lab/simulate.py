@@ -53,7 +53,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import models, rng
-from .core import CHSH_SIGNS, Setting, SettingQuad, chsh_pairs
+from .core import CHSH_SIGNS, Setting, SettingQuad, bad_outcomes, chsh_pairs
 from .errors import AnticorrelationViolated, InsufficientData, InvalidSpec, WorkerFailed
 from .models import ModelFamily, check_anticorrelation
 
@@ -96,10 +96,12 @@ class TrialLog:
     and the pair count — exactly what the CSV round-trips.
 
     Every log passes one validator, whether the runner, ``from_csv`` or a caller
-    made it: each ``pair_id`` is in [0, n_pairs), A and B are -1 or 1 and the float
-    columns are finite, or a ValueError names the CSV line (row + 2) of the first
-    bad row. ``pair_id``, A and B are checked as given, before the int8 cast could
-    wrap a value such as 257 into range.
+    made it: ``t`` and ``pair_id`` are integer arrays, each ``pair_id`` is in
+    [0, n_pairs), A and B pass ``core.bad_outcomes`` (integer arrays of -1 and 1) and
+    the float columns are finite, or a ValueError names the CSV line (row + 2) of the
+    first bad row; a column of the wrong dtype is bad from its first row. These
+    columns are checked as given, before a cast could truncate 1.9 to 1, read True as
+    1 or wrap 257 into range.
     """
 
     t: np.ndarray = _column(np.int64)
@@ -119,6 +121,8 @@ class TrialLog:
             column = given[name] = np.asarray(getattr(self, name))
             if name == "lam":
                 dtype = _lambda_dtype(column.dtype)
+            elif name in ("t", "pair_id") and column.dtype.kind not in "iu":
+                _reject_rows(np.ones(len(column), dtype=bool), f"{header} must be integers")
             setattr(self, name, np.ascontiguousarray(column, dtype=dtype))
             if len(column) != len(self.t):
                 raise ValueError(f"column {name} has {len(column)} rows, t has {len(self.t)}")
@@ -242,8 +246,8 @@ def _reject_rows(bad: np.ndarray, what: str, first: int = 0) -> None:
 
 
 def _reject_outcomes(a, b, first: int = 0) -> None:
-    """The outcome rule of every trial log and every run: A and B are -1 or 1."""
-    _reject_rows((np.abs(a) != 1) | (np.abs(b) != 1), "A and B must be -1 or 1", first)
+    """Every trial log's and every run's A and B pass the outcome rule, ``core.bad_outcomes``."""
+    _reject_rows(bad_outcomes(a) | bad_outcomes(b), "A and B must be -1 or 1", first)
 
 
 # --- Running experiments ----------------------------------------------------

@@ -767,6 +767,43 @@ def test_oracle_exact_refuses_a_model_file_with_two_columns_on_one_setting(tmp_p
     assert str(path) in captured.err and "b_settings_rad has two columns at 45 deg" in captured.err
 
 
+_BOOLEAN = "the file holds a boolean (true or false) where a number belongs"
+
+
+def _set_first_a_cell(value):
+    return lambda obj: obj["a_table"][0][0].__setitem__(0, value)
+
+
+@pytest.mark.parametrize(
+    "edit, what",
+    [
+        (_set_first_a_cell(1.9), "a_table[Setting(angle=0.0)] entries must be +1 or -1"),
+        (_set_first_a_cell(-1.5), "a_table[Setting(angle=0.0)] entries must be +1 or -1"),
+        (_set_first_a_cell(True), _BOOLEAN),
+        (lambda obj: obj.__setitem__("lambda_weights", [True, False]), _BOOLEAN),
+        (lambda obj: obj.__setitem__("ip1_weights", [[True], [True]]), _BOOLEAN),
+        (lambda obj: obj["a_settings_rad"].__setitem__(1, True), _BOOLEAN),
+    ],
+    ids=["cell-1.9", "cell-minus-1.5", "cell-true", "lambda-weights-true-false", "ip1-weights-true", "setting-true"],
+)
+def test_oracle_exact_refuses_a_model_file_with_a_float_cell_or_a_boolean(tmp_path, capsys, edit, what):
+    from bell_lab.core import SettingQuad
+    from bell_lab.oracle import discretize_model, finite_model_to_json_obj
+
+    # two lambda values, so that [true, false] sums to 1 as weights; the 45 deg column
+    # of a_table, which station 1 never reads, is the one whose angle becomes true
+    quad = SettingQuad.from_degrees(0, 45, 135, 90)
+    fm = discretize_model(BellDeterministic(DiscreteSource.uniform(2)), [quad.a, quad.b, quad.c, quad.d])
+    obj = finite_model_to_json_obj(fm)
+    edit(obj)
+    path = tmp_path / "fm.json"
+    path.write_text(json.dumps(obj))
+    assert main(["oracle", "exact", "--model", str(path), "--quad-deg", "0", "45", "135", "90"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(path) in captured.err and what in captured.err
+
+
 def test_plot_data_emission(tmp_path, capsys):
     cfg = write_cfg(tmp_path, MINIMAL.replace("n_trials = 1000", "n_trials = 4000"))
     sweep = tmp_path / "sweep.csv"

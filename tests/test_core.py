@@ -12,6 +12,7 @@ from bell_lab.core import (
     TAU,
     Setting,
     SettingQuad,
+    bad_outcomes,
     chsh_pairs,
     normalize_angle,
     quantize_angle,
@@ -149,6 +150,42 @@ def test_require_outcome():
     assert require_outcome(-1) == -1
     for bad in (0, 2, -2):
         with pytest.raises(ValueError):
+            require_outcome(bad)
+
+
+def _is_outcome(value) -> bool:
+    """The outcome rule in pure Python: an int that is not a bool, equal to -1 or 1."""
+    return isinstance(value, int) and not isinstance(value, bool) and value in (-1, 1)
+
+
+@st.composite
+def _arrays_around_pm1(draw) -> np.ndarray:
+    """An int8, int64, uint8, bool, float64 or object array of values around +-1: the
+    integers -3..3 (uint8 holds -1 as 255), or their halves as floats. An object array
+    holds the Python floats or bools of such an array; one of Python ints is tested below."""
+    ints = np.array(draw(st.lists(st.integers(-3, 3), max_size=8)), dtype=np.int64)
+    dtype = draw(st.sampled_from([np.int8, np.int64, np.uint8, np.bool_, np.float64, object]))
+    halves = draw(st.booleans())
+    if dtype is object:
+        return (ints / 2 if halves else ints.astype(bool)).astype(object)
+    return (ints / 2 if halves and dtype is np.float64 else ints).astype(dtype)
+
+
+@given(_arrays_around_pm1())
+def test_bad_outcomes_flags_what_the_pure_python_rule_refuses(values):
+    assert bad_outcomes(values).tolist() == [not _is_outcome(v) for v in values.tolist()]
+
+
+def test_an_array_of_objects_holds_no_outcomes_whatever_its_values():
+    assert bad_outcomes(np.array([1, -1], dtype=object)).tolist() == [True, True]
+    assert bad_outcomes(np.array([[1, -1], [0, 1]], dtype=np.int8)).tolist() == [[False, False], [True, False]]
+
+
+def test_require_outcome_is_the_scalar_form_of_the_rule():
+    for good in (1, -1, np.int8(-1), np.uint8(1), np.int64(1)):
+        assert require_outcome(good) == good
+    for bad in (True, False, np.True_, 1.0, np.float64(-1.0), np.uint8(255), 2**64, "1", None):
+        with pytest.raises(ValueError, match=r"^outcome must be \+1 or -1, got "):
             require_outcome(bad)
 
 

@@ -1,6 +1,7 @@
 """Model families: detector laws, anticorrelation, factorization witnesses."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -334,6 +335,39 @@ def test_check_anticorrelation_validates_inputs():
         check_anticorrelation(BellDeterministic(), EIGHT_SETTINGS, 0, seed=1)
     with pytest.raises(InvalidSpec):
         check_anticorrelation(BellDeterministic(), [], 10, seed=1)
+
+
+@dataclass(frozen=True)
+class _PilotOutcomes(BellDeterministic):
+    """A custom family whose outcomes are ``values`` (int64) at trial ``trial`` and
+    anticorrelated +1/-1 elsewhere: its instrument value is the trial index."""
+
+    trial: int = 0
+    values: tuple[int, int] = (0, 0)
+
+    def instrument_arrays(self, seed, t, theta_local, station, pair_id=None):
+        return np.asarray(t, dtype=np.float64)
+
+    def outcome_arrays(self, station, theta_local, lam_angle, ip):
+        value, other = (self.values[0], 1) if station is Station.S1 else (self.values[1], -1)
+        return np.where(np.asarray(ip) == self.trial, value, other).astype(np.int64)
+
+
+@pytest.mark.parametrize("values", [(0, 0), (2, -2)], ids=["0-0", "plus2-minus2"])
+def test_the_pilot_refuses_an_outcome_instead_of_counting_it(values):
+    # A = -B holds for 0/0 and +2/-2, so a pilot that only counted A != -B found no violation
+    with pytest.raises(InvalidSpec, match="^equal-settings pilot trial 37: A and B must be -1 or 1$"):
+        check_anticorrelation(_PilotOutcomes(trial=37, values=values), EIGHT_SETTINGS, 1_000, seed=1)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.bool_], ids=["float64", "bool"])
+def test_the_pilot_refuses_outcomes_that_are_not_integers(dtype):
+    class Cast(BellDeterministic):
+        def outcome_arrays(self, station, theta_local, lam_angle, ip):
+            return super().outcome_arrays(station, theta_local, lam_angle, ip).astype(dtype)
+
+    with pytest.raises(InvalidSpec, match="^equal-settings pilot trial 0: A and B must be -1 or 1$"):
+        check_anticorrelation(Cast(), EIGHT_SETTINGS, 1_000, seed=1)
 
 
 # --- one trial through the kernels agrees with the vectorized runner -------------

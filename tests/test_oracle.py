@@ -279,6 +279,14 @@ def test_finite_model_validation():
         )
 
 
+@pytest.mark.parametrize("cell", [True, 1.0, -1.0], ids=["bool", "float-1", "float-minus-1"])
+def test_finite_model_refuses_tables_that_are_not_integers(cell):
+    # True == 1 and 1.0 == 1, so a test of membership in (-1, 1) took both
+    table = np.full((1, 1), cell)
+    with pytest.raises(InvalidSpec, match=r"entries must be \+1 or -1$"):
+        FiniteModel((1.0,), ((1.0,),), ((1.0,),), a_table={Setting(0.0): table})
+
+
 def test_finite_model_json_round_trip():
     gen = np.random.default_rng(13)
     fm = random_finite_model(gen, m=3, n_ip1=2, n_ip2=2, quad=QUAD)

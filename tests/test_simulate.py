@@ -1043,6 +1043,36 @@ def test_every_runner_path_refuses_an_outcome_at_the_trial_that_made_it(call, va
         call(_OutcomeAtTrial(trial=40_000, value=value), threads)
 
 
+@dataclass(frozen=True)
+class _OutcomeCast(BellDeterministic):
+    """A custom family whose outcome law returns its +-1 signs cast to ``dtype``: float64
+    -1.0 and 1.0, or bool, where both signs are True."""
+
+    dtype: type = np.float64
+
+    def outcome_arrays(self, station, theta_local, lam_angle, ip):
+        return super().outcome_arrays(station, theta_local, lam_angle, ip).astype(self.dtype)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("spec", [_OutcomeCast(), _OutcomeCast(dtype=np.bool_)], ids=["float64", "bool"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda spec, threads: simulate.run_sums(spec, simulate.experiment_pairs(QUAD), 50_000, 9, threads),
+        lambda spec, threads: simulate.run_sums_each(spec, _CHECK_RUNS, threads),
+        lambda spec, threads: run_experiment(spec, QUAD, 50_000, 9, threads),
+    ],
+    ids=["run_sums", "run_sums_each-check", "run_experiment"],
+)
+def test_every_runner_path_refuses_outcomes_that_are_not_integers(call, spec, threads):
+    # +-1.0 and True pass a test of |A| == 1; the rule takes outcomes from integer arrays only
+    with pytest.raises(ValueError, match=r"^trial log line (\d+): A and B must be -1 or 1$") as info:
+        call(spec, threads)
+    line = int(re.search(r"line (\d+)", str(info.value)).group(1))
+    assert line == 2 if threads == 1 else 2 <= line <= 50_001
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_sums_refuse_an_outcome_law_that_returns_zero(threads):
     # at two workers the first bad block that a worker meets names its first trial
@@ -1054,8 +1084,8 @@ def test_sums_refuse_an_outcome_law_that_returns_zero(threads):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_bell_statistic_refuses_an_outcome_law_that_returns_zero(threads):
-    # 0 = -0 at equal settings, so the pilot passes and the run must refuse the outcome
-    with pytest.raises(ValueError, match=r"^trial log line \d+: A and B must be -1 or 1$"):
+    # 0 = -0 at equal settings, so a pilot that only counted A != -B would pass; it refuses the outcome
+    with pytest.raises(InvalidSpec, match=r"^equal-settings pilot trial 0: A and B must be -1 or 1$"):
         bell_statistic(_OutcomeZero(), QUAD.a, QUAD.b, QUAD.c, 1_000, seed=5, threads=threads)
 
 
@@ -1071,6 +1101,14 @@ def test_bell_statistic_refuses_an_outcome_law_that_returns_zero(threads):
         ("a", np.array([-1, 1, 257], dtype=np.int64), "A and B must be -1 or 1"),
         ("b", np.array([1, -255], dtype=np.int64), "A and B must be -1 or 1"),
         ("pair_id", np.array([0, 256], dtype=np.int64), "pair_id must be from 0 to 0"),
+        # a column that is not an integer array is bad from its first row: an int8 or int64
+        # cast would truncate 0.5 to 0 and read True as 1, and |True| == 1
+        ("pair_id", [0.5], "pair_id must be integers"),
+        ("pair_id", [0.0], "pair_id must be integers"),
+        ("pair_id", [True], "pair_id must be integers"),
+        ("t", [0.5], "t must be integers"),
+        ("a", [True], "A and B must be -1 or 1"),
+        ("b", [-1.0], "A and B must be -1 or 1"),
     ],
 )
 def test_trial_log_refuses_a_bad_row_from_a_caller(column, values, what):
