@@ -306,7 +306,7 @@ def config_digest(cfg: ExperimentConfig) -> str:
 def _model_json(model: ModelSpec) -> dict:
     source: dict = {"kind": "uniform_angle"}
     if isinstance(model.source, DiscreteSource):
-        source = {"kind": "discrete", "weights": list(model.source.weights)}
+        source = {"kind": "discrete", "weights": np.asarray(model.source.weights)}
     params = {name: getattr(model, name) for name in model.parameters()}
     return {"kind": model.name, "source": source, **params}
 
@@ -346,54 +346,59 @@ def _make_parent(path: str) -> None:
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
 
 
-# Stands in for each numpy array in the compact text; json.dumps writes it as "\u0000ndarray\u0000".
+# Stands in for each numpy array in the text; json.dumps writes it as "\u0000ndarray\u0000".
 _ARRAY_MARK = "\0ndarray\0"
 
 
 def _write_json(path: str, obj: dict, compact: bool = False) -> None:
-    """Write ``obj`` with sorted keys, indented, or on one line without spaces if ``compact``.
+    """Write ``obj`` with sorted keys, indented by two spaces, or on one line without
+    spaces if ``compact``: the text of ``json.dumps`` with ``sort_keys=True`` and
+    ``indent=2`` or ``separators=(",", ":")``.
 
-    A compact file may hold numpy arrays of integers or finite floats (1-D, or 2-D as a
-    list of rows): each is written a block of rows at a time, as the text ``json.dumps``
-    gives its ``tolist()``.
+    The object may hold numpy arrays of integers or finite floats, 1-D in either layout
+    and 2-D (a list of rows) in a compact file: ``json.dumps`` writes a mark for each,
+    and ``_write_json_array`` writes the array in its place, a block of rows at a time,
+    as the text ``json.dumps`` gives its ``tolist()``. So no array becomes a list of
+    Python numbers, which the pure-Python encoder that ``indent`` runs would write one
+    at a time.
     """
+    arrays = []
+
+    def mark(value):
+        if not isinstance(value, np.ndarray):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        arrays.append(value)
+        return _ARRAY_MARK
+
+    layout = {"separators": (",", ":")} if compact else {"indent": 2}
+    pieces = json.dumps(obj, sort_keys=True, default=mark, **layout).split(json.dumps(_ARRAY_MARK))
+    if len(pieces) != len(arrays) + 1:
+        raise ValueError(f"a string of the object equals the array mark {_ARRAY_MARK!r}")
     _make_parent(path)
     with open(path, "w") as fh:
-        if compact:
-            arrays = []
-
-            def mark(value):
-                if not isinstance(value, np.ndarray):
-                    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-                arrays.append(value)
-                return _ARRAY_MARK
-
-            # json.dumps without indent runs the C encoder; json.dump never does.
-            text = json.dumps(obj, separators=(",", ":"), sort_keys=True, default=mark)
-            pieces = text.split(json.dumps(_ARRAY_MARK))
-            if len(pieces) != len(arrays) + 1:
-                raise ValueError(f"a string of the object equals the array mark {_ARRAY_MARK!r}")
-            fh.write(pieces[0])
-            for array, piece in zip(arrays, pieces[1:]):
-                _write_json_array(fh, array)
-                fh.write(piece)
-        else:
-            json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write(pieces[0])
+        for array, before, after in zip(arrays, pieces, pieces[1:]):
+            line = before.rpartition("\n")[2]  # the mark's line, up to the mark
+            _write_json_array(fh, array, None if compact else len(line) - len(line.lstrip(" ")))
+            fh.write(after)
         fh.write("\n")
 
 
-def _write_json_array(fh, array: np.ndarray) -> None:
+def _write_json_array(fh, array: np.ndarray, indent: int | None = None) -> None:
     """Write a 1-D array as a JSON list, or a 2-D one as a list of row lists, a block of
     rows at a time. Each value's text is its CSV text (``_cell_texts``), which is its JSON
-    text for integers and finite floats."""
-    fh.write("[")
+    text for integers and finite floats. With an ``indent``, the indent of the line that
+    holds the list, a non-empty 1-D list puts each item on its own line ``indent + 2``
+    spaces in and its closing bracket on one of its own, as ``json.dumps(indent=2)``."""
+    pad = "" if indent is None or not len(array) else "\n" + " " * (indent + 2)
+    fh.write("[" + pad)
     for lo in range(0, len(array), _CSV_BLOCK_ROWS):
         block = array[lo : lo + _CSV_BLOCK_ROWS]
         texts = _cell_texts(block.ravel())
         if block.ndim == 2:
             texts = ["[" + ",".join(row) + "]" for row in zip(*[iter(texts)] * block.shape[1])]
-        fh.write(("," if lo else "") + ",".join(texts))
-    fh.write("]")
+        fh.write(("," + pad if lo else "") + ("," + pad).join(texts))
+    fh.write(pad[:-2] + "]")  # the closing bracket's line is ``indent`` spaces in
 
 
 def _resolve_output(cfg: ExperimentConfig, out_dir: str | None, name: str, default: str | None) -> str | None:

@@ -88,6 +88,10 @@ def _column(dtype, header: str | None = None):
     return field(metadata={"dtype": np.dtype(dtype), "header": header})
 
 
+# Most setting pairs of one log: its pair_id column is int8.
+_MAX_PAIRS = np.iinfo(np.int8).max + 1
+
+
 @dataclass(kw_only=True, eq=False)
 class TrialLog:
     """Column-oriented log of an experiment: one numpy array per logged column,
@@ -96,12 +100,13 @@ class TrialLog:
     and the pair count — exactly what the CSV round-trips.
 
     Every log passes one validator, whether the runner, ``from_csv`` or a caller
-    made it: ``t`` and ``pair_id`` are integer arrays, each ``pair_id`` is in
-    [0, n_pairs), A and B pass ``core.bad_outcomes`` (integer arrays of -1 and 1) and
-    the float columns are finite, or a ValueError names the CSV line (row + 2) of the
-    first bad row; a column of the wrong dtype is bad from its first row. These
-    columns are checked as given, before a cast could truncate 1.9 to 1, read True as
-    1 or wrap 257 into range.
+    made it: ``n_pairs`` is at most 128, ``t`` and ``pair_id`` are integer arrays,
+    each ``t`` fits int64, each ``pair_id`` is in [0, n_pairs), A and B pass
+    ``core.bad_outcomes`` (integer arrays of -1 and 1) and the float columns are
+    finite, or a ValueError names the CSV line (row + 2) of the first bad row; a
+    column of the wrong dtype is bad from its first row. These columns are checked
+    as given, before a cast could truncate 1.9 to 1, read True as 1, or wrap 257 or
+    a uint64 2**63 into range.
     """
 
     t: np.ndarray = _column(np.int64)
@@ -116,6 +121,8 @@ class TrialLog:
     n_pairs: int
 
     def __post_init__(self):
+        if self.n_pairs > _MAX_PAIRS:
+            raise ValueError(f"a trial log holds at most {_MAX_PAIRS} pairs, got {self.n_pairs}")
         given = {}  # each column as given; one that has its logged dtype is not copied
         for name, (header, dtype) in _COLUMNS.items():
             column = given[name] = np.asarray(getattr(self, name))
@@ -123,6 +130,8 @@ class TrialLog:
                 dtype = _lambda_dtype(column.dtype)
             elif name in ("t", "pair_id") and column.dtype.kind not in "iu":
                 _reject_rows(np.ones(len(column), dtype=bool), f"{header} must be integers")
+            elif name == "t" and column.dtype == np.uint64:
+                _reject_rows(column > np.iinfo(np.int64).max, "t must be below 2**63")
             setattr(self, name, np.ascontiguousarray(column, dtype=dtype))
             if len(column) != len(self.t):
                 raise ValueError(f"column {name} has {len(column)} rows, t has {len(self.t)}")
@@ -507,10 +516,13 @@ def run_pairs(
 
     ``spec`` is a ModelSpec or any other object satisfying the ModelFamily
     protocol; both run through the same calls. The lambda column takes its type
-    from the source law's output for no trials (``_lambda_dtype``).
+    from the source law's output for no trials (``_lambda_dtype``). A log holds at
+    most 128 pairs (``TrialLog``): more raise InvalidSpec before any block runs.
     """
     if n_trials < 1:
         raise InvalidSpec(f"n_trials must be >= 1, got {n_trials}")
+    if len(pairs) > _MAX_PAIRS:
+        raise InvalidSpec(f"a trial log holds at most {_MAX_PAIRS} pairs, got {len(pairs)}")
     dtypes = {name: dtype for name, (_header, dtype) in _COLUMNS.items()}
     lam, _lam_angle = spec.source_arrays(seed, np.empty(0, dtype=np.uint64))
     dtypes["lam"] = _lambda_dtype(np.asarray(lam).dtype)

@@ -653,6 +653,34 @@ def test_compact_json_writes_each_array_as_the_dump_of_its_list(tmp_path):
         _write_json(str(path), {"s": {1, 2}}, compact=True)
 
 
+def test_indented_json_writes_each_array_as_the_dump_of_its_list(tmp_path):
+    rows = 2 * _CSV_BLOCK_ROWS + 3
+    floats = np.array([0.1, -0.0, 0.0, 1e300, 2.5, 5e-324, 1 / 3])
+    obj = {
+        "e": "text",
+        "floats": floats,
+        "ints": np.arange(-3, 4, dtype=np.int64),
+        "empty": np.zeros(0),
+        "long": np.tile(floats, rows),
+        "nested": [np.arange(5, dtype=np.int64), {"deeper": {"floats": floats, "empty": np.zeros(0, dtype=np.int64)}}],
+    }
+    path = tmp_path / "obj.json"
+    _write_json(str(path), obj)
+    assert path.read_text() == json.dumps(obj, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["model.source.weights = -0 1", "model.source.weights = 0.25 0 0.75", "model.source.size = 100000"],
+)
+@pytest.mark.parametrize("command, report", [("simulate", "report.json"), ("check", "check.json")])
+def test_reports_are_the_indented_dump_of_their_own_text(tmp_path, capsys, command, report, source):
+    cfg = write_cfg(tmp_path, MINIMAL + "model.source.kind = discrete\n" + source + "\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+    text = (tmp_path / report).read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
 def test_oracle_enumerate_certificate(capsys):
     assert main(["oracle", "enumerate", "--m", "4"]) == 0
     record = json.loads(capsys.readouterr().out)

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bell_lab import cli, errors, rng, simulate
+from bell_lab import cli, errors, models, rng, simulate
 from bell_lab.core import Setting, SettingQuad, chsh_pairs
 from bell_lab.errors import AnticorrelationViolated, ConfigError, InsufficientData, InvalidSpec, WorkerFailed
 from bell_lab.models import (
@@ -1109,6 +1109,8 @@ def test_bell_statistic_refuses_an_outcome_law_that_returns_zero(threads):
         ("t", [0.5], "t must be integers"),
         ("a", [True], "A and B must be -1 or 1"),
         ("b", [-1.0], "A and B must be -1 or 1"),
+        # a uint64 t that an int64 cast would wrap to -2**63
+        ("t", np.array([0, 1, 2**63], dtype=np.uint64), "t must be below 2**63"),
     ],
 )
 def test_trial_log_refuses_a_bad_row_from_a_caller(column, values, what):
@@ -1119,6 +1121,27 @@ def test_trial_log_refuses_a_bad_row_from_a_caller(column, values, what):
     line = 1 + len(values)
     with pytest.raises(ValueError, match=f"^{re.escape(f'trial log line {line}: {what}')}$"):
         replace(log, **{column: bad})
+
+
+def test_trial_log_holds_at_most_128_pairs():
+    log = _one_pair_log(np.ones(4, dtype=np.int8))
+    assert replace(log, n_pairs=128).n_pairs == 128
+    # an int8 cast would store pair_id 130 and 199 as -126 and -57
+    with pytest.raises(ValueError, match=r"^a trial log holds at most 128 pairs, got 200$"):
+        replace(log, pair_id=np.array([0, 130, 199, 5]), n_pairs=200)
+
+
+def test_run_pairs_refuses_more_pairs_than_a_log_holds_before_its_first_block(monkeypatch):
+    blocks = []
+    trial_arrays = models.trial_arrays
+    monkeypatch.setattr(models, "trial_arrays", lambda *args: blocks.append(args) or trial_arrays(*args))
+    pairs = simulate.experiment_pairs(QUAD) * 32
+    log = run_pairs(BellDeterministic(), pairs, 1_000, 3, threads=1)
+    assert log.n_pairs == 128 and set(log.pair_id.tolist()) <= set(range(128)) and blocks
+    blocks.clear()
+    with pytest.raises(InvalidSpec, match=r"^a trial log holds at most 128 pairs, got 129$"):
+        run_pairs(BellDeterministic(), [*pairs, pairs[0]], 1_000, 3, threads=1)
+    assert blocks == []
 
 
 def test_csv_writer_refuses_a_pair_id_the_reader_refuses(tmp_path):
