@@ -1,6 +1,7 @@
 """CLI: config schema, exit codes, frozen output formats."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bell_lab.cli import (
     _ARRAY_MARK,
@@ -140,6 +143,37 @@ def test_round_trip_is_fixed_point():
         assert cfg2 == cfg
         assert serialize_config(cfg2) == serialize_config(cfg)
         assert config_digest(cfg2) == config_digest(cfg)
+
+
+_SOURCES = st.one_of(
+    st.just(UniformAngleSource()),
+    st.integers(1, 64).map(DiscreteSource.uniform),
+    st.lists(st.integers(0, 9), min_size=1, max_size=8)
+    .filter(any)
+    .map(lambda counts: DiscreteSource(tuple(k / sum(counts) for k in counts))),
+)
+_MODELS = st.builds(
+    lambda family, source, epsilon: family(source, **{name: epsilon for name in family.parameters()}),
+    st.sampled_from([FAMILIES[name] for name in sorted(FAMILIES)]),
+    _SOURCES,
+    st.floats(0.0, 1.0),
+)
+_CONFIGS = st.builds(
+    ExperimentConfig,
+    model=_MODELS,
+    quad_deg=st.tuples(*[st.floats(-720.0, 720.0)] * 4),
+    n_trials=st.integers(1, 10**9),
+    seed=st.integers(0, 2**64 - 1),
+    outputs=st.dictionaries(st.sampled_from(["trial_log", "report", "table"]), st.text("abc._-/", min_size=1)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_CONFIGS)
+def test_config_digest_is_the_sha256_of_the_config_text(cfg):
+    # hashlib is the oracle here: the package hashes with CPython's built-in sha256
+    expected = hashlib.sha256(serialize_config(cfg).encode("utf-8")).hexdigest()
+    assert config_digest(cfg) == "sha256:" + expected
 
 
 @pytest.mark.parametrize(
@@ -429,6 +463,49 @@ def test_bad_threads_and_oracle_files_exit_two_without_traceback(tmp_path, case)
 
 
 # --- command outputs -----------------------------------------------------------------
+
+
+_NO_OPENSSL_SCRIPT = """
+import json, sys
+from bell_lab.cli import main
+
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    loaded = sorted({"_hashlib", "_ssl", "ssl"} & sys.modules.keys())
+    assert not loaded, f"{argv} loaded {loaded}"
+"""
+
+
+def test_no_command_loads_openssl(tmp_path):
+    from bell_lab.core import SettingQuad
+    from bell_lab.oracle import discretize_model, finite_model_to_json_obj
+
+    quad = SettingQuad.from_degrees(0, 45, 135, 90)
+    model = tmp_path / "model.json"
+    fm = discretize_model(BellDeterministic(), [quad.a, quad.b, quad.c, quad.d], grid=8)
+    model.write_text(json.dumps(finite_model_to_json_obj(fm)))
+    # more trials than one runner block, so --threads 2 forks
+    text = MINIMAL.replace("n_trials = 1000", "n_trials = 20000")
+    cfg = write_cfg(tmp_path, text + "model.source.kind = discrete\nmodel.source.size = 16\noutputs.trial_log = t.csv\n")
+    check_cfg = write_cfg(tmp_path, MINIMAL.replace("bell_deterministic", "time_tagged_anticorrelated"), "check.cfg")
+    quad_args = ["--quad-deg", "0", "45", "135", "90"]
+    commands = [
+        *(
+            ["simulate", "--config", cfg, "--out", str(tmp_path / f"s{threads}"), "--threads", str(threads),
+             "--sweep", str(tmp_path / f"sweep{threads}.csv"), "--convergence", str(tmp_path / f"conv{threads}.csv")]
+            for threads in (1, 2)
+        ),
+        ["check", "--config", check_cfg, "--out", str(tmp_path / "c")],
+        *(["tables", "--config", cfg, "--out", str(tmp_path / mode), "--key-mode", mode]
+          for mode in ("lambda", "lambda-time")),
+        ["oracle", "enumerate", "--m", "2"],
+        ["oracle", "quantum", *quad_args],
+        ["oracle", "exact", "--model", str(model), *quad_args],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    argv = [sys.executable, "-c", _NO_OPENSSL_SCRIPT, json.dumps(commands)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_setting_pair_dependent_report(tmp_path):

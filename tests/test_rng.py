@@ -128,6 +128,13 @@ def _reference_word(seed: int, label: str, index: int, draw: int) -> int:
     return _splitmix64(base ^ ((draw * 0xD1B54A32D192ED03 + 0x9E3779B97F4A7C15) & _MASK))
 
 
+@given(st.text(max_size=40))
+def test_stream_key_is_the_8_byte_blake2b_of_the_label(label):
+    # hashlib is the oracle here: rng hashes with CPython's built-in blake2b
+    expected = hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest()
+    assert rng.stream_key(label) == int.from_bytes(expected, "little")
+
+
 def _reference_words(seed: int, label: str, indices, draw) -> list:
     index, draw = np.broadcast_arrays(np.asarray(indices, dtype=np.uint64), np.asarray(draw, dtype=np.uint64))
     return [_reference_word(seed, label, int(i), int(d)) for i, d in zip(index.ravel(), draw.ravel())]
