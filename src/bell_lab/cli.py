@@ -19,11 +19,13 @@ Exit codes are fixed and scriptable:
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 # CPython's built-in sha256: importing hashlib maps OpenSSL's libcrypto, 3.7 MB of
 # every command's peak RSS.
@@ -38,7 +40,7 @@ except ImportError:
 import numpy as np
 
 from . import __version__, rng
-from .core import Setting, SettingQuad, chsh_pairs
+from .core import KeyMode, Setting, SettingQuad, chsh_pairs
 from .errors import (
     AnticorrelationViolated,
     BellLabError,
@@ -56,15 +58,6 @@ from .models import (
     ModelSpec,
     UniformAngleSource,
 )
-from .oracle import (
-    FiniteModel,
-    enumerate_deterministic_strategies,
-    exact_chsh,
-    finite_model_from_json_obj,
-    finite_model_to_json_obj,
-    singlet_chsh,
-    singlet_correlation,
-)
 from .simulate import (
     _CSV_BLOCK_ROWS,
     CorrelationEstimate,
@@ -81,13 +74,11 @@ from .simulate import (
     three_setting_pairs,
     three_setting_statistic,
 )
-from .tables import (
-    KeyMode,
-    build_reordered_table,
-    lln_balance_check,
-    render_table,
-    table_to_json_obj,
-)
+
+# ``oracle`` and ``tables`` are imported inside the commands that use them, so that
+# ``simulate`` and ``check`` never compile or run them.
+if TYPE_CHECKING:
+    from .oracle import FiniteModel
 
 CHSH_LOCAL_BOUND = 2.0
 SIGMA_BAND = 4.0
@@ -552,6 +543,8 @@ def cmd_check(args) -> int:
     print(f"bell-lab check: {'quantum reference' if args.quantum_reference else cfg.model.name}")
 
     if args.quantum_reference:
+        from .oracle import singlet_correlation
+
         # Exact singlet reference: no sampling, zero standard error.
         def exact(pairs):
             return [CorrelationEstimate(i, singlet_correlation(s1, s2), 0.0, 0) for i, (s1, s2) in enumerate(pairs)]
@@ -624,6 +617,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_tables(args) -> int:
+    from .tables import build_reordered_table, lln_balance_check, render_table, table_to_json_obj
+
     if args.max_rows < 0:
         raise ConfigError(f"--max-rows must be >= 0, got {args.max_rows}")
     cfg = parse_config_file(args.config)
@@ -688,6 +683,8 @@ def _emit_certificate(args, record: dict) -> None:
 
 def _load_finite_model(path: str) -> FiniteModel:
     """Read a finite-model JSON file; a missing, malformed or invalid file is a ConfigError naming it."""
+    from .oracle import finite_model_from_json_obj
+
     try:
         with open(path) as fh:
             return finite_model_from_json_obj(json.load(fh))
@@ -696,6 +693,14 @@ def _load_finite_model(path: str) -> FiniteModel:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import (
+        enumerate_deterministic_strategies,
+        exact_chsh,
+        finite_model_to_json_obj,
+        singlet_chsh,
+        singlet_correlation,
+    )
+
     if args.oracle_op == "enumerate":
         try:
             result = enumerate_deterministic_strategies(args.settings1, args.settings2, args.m)
@@ -869,5 +874,18 @@ def main(argv=None) -> int:
         return 3
 
 
+def entry() -> int:
+    """The command entry of ``python -m bell_lab.cli`` and the ``bell-lab`` script.
+
+    It moves every object alive after the imports, numpy's included, into the
+    collector's permanent generation (``gc.freeze``) and then runs ``main``. No later
+    collection walks those objects: not this process's, its final one at exit
+    included, and not a forked worker's, which so leaves their pages shared with the
+    parent. ``main`` itself never freezes: called in process, a freeze would make its
+    caller's garbage permanent."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -15,6 +15,7 @@ law keys its draws on it, and the exact oracle finds detector columns by it. So
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 
@@ -103,6 +104,15 @@ def chsh_pairs(quad: SettingQuad) -> list[tuple[Setting, Setting, int]]:
         (quad.d, quad.b, CHSH_SIGNS[2]),
         (quad.d, quad.c, CHSH_SIGNS[3]),
     ]
+
+
+class KeyMode(enum.Enum):
+    """The row key of an outcome table (``tables.build_reordered_table``). It lives here,
+    not in ``tables``, so that the CLI lists the ``--key-mode`` choices without loading
+    the table code."""
+
+    LAMBDA_ONLY = "lambda"
+    LAMBDA_TIME = "lambda-time"
 
 
 def bad_outcomes(values) -> np.ndarray:

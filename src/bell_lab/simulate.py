@@ -172,14 +172,18 @@ class TrialLog:
         _reject_rows(self.pair_id > 3, "pair_id must be from 0 to 3")
         if self.lambda_kind == "discrete":
             _reject_rows((self.lam < 0) | (self.lam >= 2**53), "a discrete lambda must be a whole number in [0, 2**53)")
-        columns = [getattr(self, name) for name in _COLUMNS]
+        columns = [getattr(self, name) for name in _COLUMNS if name != "t"]  # t is the first
         with open(path, "w", newline="") as fh:
             fh.write(",".join(CSV_COLUMNS) + "\n")
             # str of a Python float is its shortest round-trip repr. Formatting
             # a block of rows at a time bounds the text held in memory.
             for lo in range(0, len(self), _CSV_BLOCK_ROWS):
                 hi = min(lo + _CSV_BLOCK_ROWS, len(self))
-                cells = [map(str, range(lo, hi))] + [_cell_texts(col[lo:hi]) for col in columns]
+                index = list(map(str, range(lo, hi)))
+                # A runner's log ticks t = index: its t texts are the index texts.
+                t = self.t[lo:hi]
+                t_texts = index if np.array_equal(t, np.arange(lo, hi)) else _cell_texts(t)
+                cells = [index, t_texts] + [_cell_texts(col[lo:hi]) for col in columns]
                 fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
     @classmethod

@@ -19,19 +19,13 @@ and no numeric coercion, so nothing downstream can total it up by accident.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CHSH_SIGNS
+from .core import CHSH_SIGNS, KeyMode
 from .errors import ContinuousLambdaUnorderable
 from .simulate import _BLOCK_TRIALS, TrialLog, _distinct
-
-
-class KeyMode(enum.Enum):
-    LAMBDA_ONLY = "lambda"
-    LAMBDA_TIME = "lambda-time"
 
 
 @dataclass(frozen=True, eq=False)

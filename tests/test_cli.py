@@ -1,6 +1,7 @@
 """CLI: config schema, exit codes, frozen output formats."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -506,6 +507,110 @@ def test_no_command_loads_openssl(tmp_path):
     argv = [sys.executable, "-c", _NO_OPENSSL_SCRIPT, json.dumps(commands)]
     proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+_MODULES_SCRIPT = """
+import json, os, sys, traceback
+from bell_lab.cli import main
+
+lazy = {"bell_lab.oracle", "bell_lab.tables"}
+assert not lazy & sys.modules.keys(), sorted(lazy & sys.modules.keys())
+failed = []
+for argv, expected in json.loads(sys.argv[1]):
+    pid = os.fork()  # each command starts from the modules that importing cli loaded
+    if pid == 0:
+        code = 1
+        try:
+            rc = main(argv)
+            loaded = sorted(lazy & sys.modules.keys())
+            if rc == 0 and loaded == expected:
+                code = 0
+            else:
+                print(f"{argv}: exit {rc}, loaded {loaded}, expected {expected}", file=sys.stderr)
+        except BaseException:
+            traceback.print_exc()
+        finally:
+            sys.stdout.flush()
+            sys.stderr.flush()
+            os._exit(code)
+    _pid, status = os.waitpid(pid, 0)
+    if os.waitstatus_to_exitcode(status):
+        failed.append(argv)
+assert not failed, failed
+"""
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    from bell_lab.core import SettingQuad
+    from bell_lab.oracle import discretize_model, finite_model_to_json_obj
+
+    quad = SettingQuad.from_degrees(0, 45, 135, 90)
+    model = tmp_path / "model.json"
+    fm = discretize_model(BellDeterministic(), [quad.a, quad.b, quad.c, quad.d], grid=8)
+    model.write_text(json.dumps(finite_model_to_json_obj(fm)))
+    # more trials than one runner block, so --threads 2 forks
+    text = MINIMAL.replace("n_trials = 1000", "n_trials = 20000")
+    cfg = write_cfg(tmp_path, text + "model.source.kind = discrete\nmodel.source.size = 16\noutputs.trial_log = t.csv\n")
+    check_cfg = write_cfg(tmp_path, MINIMAL.replace("bell_deterministic", "time_tagged_anticorrelated"), "check.cfg")
+    quad_args = ["--quad-deg", "0", "45", "135", "90"]
+    oracle, tables = ["bell_lab.oracle"], ["bell_lab.tables"]
+    commands = [
+        *(
+            (["simulate", "--config", cfg, "--out", str(tmp_path / f"s{threads}"), "--threads", str(threads),
+              "--sweep", str(tmp_path / f"sweep{threads}.csv"), "--convergence", str(tmp_path / f"conv{threads}.csv")],
+             [])
+            for threads in (1, 2)
+        ),
+        (["check", "--config", check_cfg, "--out", str(tmp_path / "c")], []),
+        (["check", "--config", check_cfg, "--out", str(tmp_path / "q"), "--quantum-reference"], oracle),
+        *((["tables", "--config", cfg, "--out", str(tmp_path / mode), "--key-mode", mode], tables)
+          for mode in ("lambda", "lambda-time")),
+        (["oracle", "enumerate", "--m", "2"], oracle),
+        (["oracle", "quantum", *quad_args], oracle),
+        (["oracle", "exact", "--model", str(model), *quad_args], oracle),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    argv = [sys.executable, "-c", _MODULES_SCRIPT, json.dumps(commands)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.fixture
+def unfreeze():
+    yield
+    gc.unfreeze()
+
+
+def test_command_entry_freezes_the_heap_before_main(monkeypatch, unfreeze):
+    from bell_lab import cli
+
+    counts = []
+
+    def main(argv=None):
+        counts.append(gc.get_freeze_count())
+        return 7
+
+    monkeypatch.setattr(cli, "main", main)
+    assert cli.entry() == 7
+    assert len(counts) == 1 and counts[0] > 0
+
+
+def test_main_never_freezes_the_heap(tmp_path, capsys):
+    before = gc.get_freeze_count()
+    assert main(["oracle", "quantum", "--quad-deg", "0", "45", "135", "90"]) == 0
+    assert main(["simulate", "--config", write_cfg(tmp_path, MINIMAL), "--out", str(tmp_path / "out")]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_module_entry_runs_cli_once():
+    # runpy warns, and runs cli's body a second time, if importing the package has already imported cli
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "bell_lab.cli", "oracle", "quantum",
+            "--quad-deg", "0", "45", "135", "90"]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["operation"] == "quantum"
 
 
 def test_setting_pair_dependent_report(tmp_path):

@@ -864,6 +864,24 @@ def test_csv_header_frozen(tmp_path):
     assert header == "index,t,pair_id,setting_1,setting_2,lambda,ip_1,ip_2,A,B"
 
 
+def test_csv_writes_a_t_that_is_not_the_row_index(tmp_path):
+    # A runner's log has t = index, and the writer then reuses the index texts for t.
+    # Here t is the index in the first block only: off by one in the last row of the
+    # second, and reversed and beyond 2**32 in the partial third.
+    block = simulate._CSV_BLOCK_ROWS
+    log = run_experiment(BellDeterministic(DISCRETE_4), QUAD, 2 * block + 3, seed=3)
+    t = np.arange(len(log), dtype=np.int64)
+    t[2 * block - 1] += 1
+    t[2 * block :] = [2**40 + 2, 2**40 + 1, 2**40]
+    moved = replace(log, t=t)
+    path = tmp_path / "log.csv"
+    moved.to_csv(path)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == [str(i) for i in range(len(log))]
+    assert [row[1] for row in rows] == [str(v) for v in t.tolist()]
+    assert TrialLog.from_csv(path) == moved
+
+
 def test_csv_reload_keeps_four_pairs_when_one_is_never_drawn(tmp_path):
     # pair 3 is never drawn in these eight trials (pair counts 2, 3, 3, 0)
     log = run_experiment(BellDeterministic(DiscreteSource.uniform(4)), QUAD, 8, seed=16)
