@@ -61,8 +61,6 @@ from .models import (
 from .simulate import (
     _CSV_BLOCK_ROWS,
     CorrelationEstimate,
-    _cell_texts,
-    _distinct,
     chsh_statistic,
     estimate_correlations,
     experiment_pairs,
@@ -262,6 +260,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
     for name in ("trial_log", "report", "table"):
         got = entries.get(f"outputs.{name}")
         if got is not None:
+            if "\0" in got[0]:  # no file system takes a NUL byte in a path
+                raise ConfigError("an output path must not contain a NUL byte", key=f"outputs.{name}", line=got[1])
             outputs[name] = got[0]
 
     return ExperimentConfig(
@@ -283,7 +283,9 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     lines = [f"model.kind = {cfg.model.name}"]
     if isinstance(cfg.model.source, DiscreteSource):
         lines.append("model.source.kind = discrete")
-        lines.append("model.source.weights = " + " ".join(_cell_texts(cfg.model.source.weight_array)))
+        from . import text  # the number text kernel, loaded where an array is written
+
+        lines.append("model.source.weights = " + text.join(text.cells(cfg.model.source.weight_array), b" ").decode())
     else:
         lines.append("model.source.kind = uniform_angle")
     for name in cfg.model.parameters():
@@ -387,32 +389,35 @@ def _write_json(path: str, obj: dict, compact: bool = False) -> None:
 
 def _write_json_array(fh, array: np.ndarray, indent: int | None = None) -> None:
     """Write a 1-D array as a JSON list, or a 2-D one as a list of row lists, a block of
-    rows at a time. Each value's text is its CSV text (``_cell_texts``), which is its JSON
-    text for integers and finite floats. With an ``indent``, the indent of the line that
-    holds the list, a non-empty 1-D list puts each item on its own line ``indent + 2``
-    spaces in and its closing bracket on one of its own, as ``json.dumps(indent=2)``."""
+    rows at a time. Each value's text is ``str`` of its value (``text.cells``), which is
+    its JSON text for integers and finite floats. With an ``indent``, the indent of the
+    line that holds the list, a non-empty 1-D list puts each item on its own line
+    ``indent + 2`` spaces in and its closing bracket on one of its own, as
+    ``json.dumps(indent=2)``."""
+    from . import text  # the number text kernel, loaded where an array is written
+
     pad = "" if indent is None or not len(array) else "\n" + " " * (indent + 2)
     fh.write("[" + pad)
     for lo in range(0, len(array), _CSV_BLOCK_ROWS):
         block = array[lo : lo + _CSV_BLOCK_ROWS]
-        texts = _cell_texts(block) if block.ndim == 1 else _row_texts(block)
-        fh.write(("," + pad if lo else "") + ("," + pad).join(texts))
+        cells = text.cells(block) if block.ndim == 1 else _row_cells(block)
+        fh.write(("," + pad if lo else "") + text.join(cells, ("," + pad).encode()).decode())
     fh.write(pad[:-2] + "]")  # the closing bracket's line is ``indent`` spaces in
 
 
-def _row_texts(block: np.ndarray) -> list[str]:
-    """The JSON text of each row of a 2-D array, its cells' texts in brackets. Each
-    distinct row is formatted once and indexed, as ``_cell_texts`` does for values: rows
+def _row_cells(block: np.ndarray) -> np.ndarray:
+    """The JSON text matrix of each row of a 2-D array: its cells in brackets. Each
+    distinct row is formatted once and indexed, as ``text.cells`` does for values: rows
     are told apart by their bytes, viewed as one unsigned integer per row where a row is
-    1, 2, 4 or 8 bytes wide (an int8 table row of 4 cells is a ``u4``). A table has at
-    most 3**4 distinct rows: joining each row's cells took 30 ms per 10**5 of them, this
-    4.3 ms (numpy 2.4.6, a 2-vCPU Xeon)."""
+    1, 2, 4 or 8 bytes wide (an int8 table row of 4 cells is a ``u4``)."""
+    from . import text
+
     width = block.shape[1] * block.itemsize
     keys = np.ascontiguousarray(block).view(f"u{width}" if width in (1, 2, 4, 8) else f"V{width}").ravel()
-    distinct = _distinct(keys)
-    rows = distinct.view(block.dtype).reshape(len(distinct), block.shape[1]).tolist()
-    texts = np.array(["[" + ",".join(map(str, row)) + "]" for row in rows], dtype=object)
-    return texts[np.searchsorted(distinct, keys)].tolist()
+    distinct = text._distinct(keys)
+    rows = distinct.view(block.dtype).reshape(len(distinct), block.shape[1])
+    matrix = text.rows([text.cells(column) for column in rows.T], start=b"[", end=b"]")
+    return matrix[np.searchsorted(distinct, keys)]
 
 
 def _resolve_output(cfg: ExperimentConfig, out_dir: str | None, name: str, default: str | None) -> str | None:

@@ -25,7 +25,8 @@ import numpy as np
 
 from .core import CHSH_SIGNS, KeyMode
 from .errors import ContinuousLambdaUnorderable
-from .simulate import _BLOCK_TRIALS, TrialLog, _distinct
+from .simulate import _BLOCK_TRIALS, TrialLog
+from .text import _distinct
 
 
 @dataclass(frozen=True, eq=False)

@@ -292,6 +292,23 @@ def test_config_file_that_is_not_text_exit_two(tmp_path, capsys, command):
     assert err.startswith(f"config error: cannot read config file {str(cfg)!r}: ") and len(err.splitlines()) == 1, err
 
 
+@pytest.mark.parametrize("key", ["trial_log", "report", "table"])
+def test_a_nul_byte_in_an_output_path_is_a_config_error(key):
+    with pytest.raises(ConfigError, match=f"NUL byte .key 'outputs.{key}', line 9"):
+        parse_config_text(MINIMAL + f"outputs.{key} = a\0b.out\n")
+
+
+@pytest.mark.parametrize("command", ["simulate", "check", "tables"])
+def test_a_nul_byte_in_an_output_path_exits_two_without_traceback(tmp_path, command):
+    cfg = tmp_path / "nul.cfg"
+    cfg.write_text(MINIMAL + "outputs.report = a\0b.json\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    argv = [sys.executable, "-m", "bell_lab.cli", command, "--config", str(cfg), "--out", str(tmp_path / command)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "config error: an output path must not contain a NUL byte (key 'outputs.report', line 9)\n"
+
+
 def test_check_premise_failure_exit_three(tmp_path, capsys, monkeypatch):
     # The pilot runs before any run of the model's trials, so a model that fails it
     # costs no run however long n_trials is.
