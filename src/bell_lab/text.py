@@ -73,8 +73,7 @@ def rows(columns: list[np.ndarray], sep: bytes = b",", start: bytes = b"", end: 
 
 def text(matrix: np.ndarray) -> bytes:
     """The text a matrix holds: its bytes in row order, NUL bytes dropped."""
-    flat = matrix.ravel()
-    return np.compress(flat != 0, flat).tobytes()
+    return matrix[matrix != 0].tobytes()  # a mask: np.compress would make an index per byte
 
 
 def join(matrix: np.ndarray, sep: bytes) -> bytes:
@@ -143,6 +142,64 @@ def _keep_last(matrix: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 def _float_cells(x: np.ndarray) -> np.ndarray:
     bits = x.view(_U64)
+    q, places, ok = _shortest(bits)
+    # The integer part, NUL in front; the point; the fraction's places digits, right-aligned.
+    step = _POW10.take(np.clip(places, 0, 19))
+    high = q // step
+    whole = np.where(places > 0, high, q * _POW10.take(np.clip(-places, 0, 19)))
+    width = int(places.max()) if len(x) else 1
+    parts = [_digits(whole), np.full((len(x), 1), _DOT), _keep_last(_digits(q - high * step, max(width, 1)), places)]
+    matrix = _signed((bits >> _U64(63)).astype(bool) & ok, np.concatenate(parts, axis=1))
+    slow = np.flatnonzero(~ok)
+    if len(slow):
+        texts = _str_cells(x[slow])
+        width = max(texts.shape[1], matrix.shape[1])
+        matrix = np.concatenate([matrix, np.zeros((len(x), width - matrix.shape[1]), dtype=np.uint8)], axis=1)
+        matrix[slow] = 0
+        matrix[slow, : texts.shape[1]] = texts
+    return matrix
+
+
+def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The shortest round-trip digits of each float64 (as its bits): x = q * 10**-places,
+    q without trailing zeros after the point, and whether the fast path found them."""
+    fast, scale, vr, vp, vm, exact, whole_at_scale = _interval(bits)
+    # How many trailing digits can go while a number stays between the bounds: one to
+    # three for nearly every value; the few that lose more go on alone.
+    removed = np.zeros(len(bits), dtype=np.int64)
+    for j in (1, 2, 3):
+        removed += vp // _POW10[j] > vm // _POW10[j]
+    live = np.flatnonzero(removed == 3)
+    for j in range(4, 20):
+        live = live[vp[live] // _POW10[j] > vm[live] // _POW10[j]]
+        if not len(live):
+            break
+        removed[live] += 1
+
+    # The kept number q: the one nearest x at that scale, inside the bounds.
+    unit = _POW10.take(removed)
+    q = vr // unit
+    rest = vr - q * unit
+    half = unit >> _U64(1)
+    low_end, high_end = vm // unit, vp // unit
+    q += (q == low_end) | (rest > half) | ((rest == half) & ~whole_at_scale)
+    tie = (rest == half) & whole_at_scale
+    places = scale - removed
+    point = np.searchsorted(_POW10, q, side="right") - places  # repr's decimal point
+    ok = fast & ~exact & ~tie & (removed > 0) & (q > low_end) & (q <= high_end) & (point >= -3) & (point <= 16)
+    ended = np.flatnonzero(ok & (q % _U64(10) == 0) & (places > 0))  # a rounded-up q may end in 0
+    while len(ended):
+        q[ended] //= _U64(10)
+        places[ended] -= 1
+        ended = ended[(q[ended] % _U64(10) == 0) & (places[ended] > 0)]
+    ok &= places <= 20  # repr's fraction has at most 3 zeros and 17 digits
+    return np.where(ok, q, _U64(0)), np.where(ok, places, 0), ok
+
+
+def _interval(bits: np.ndarray) -> tuple[np.ndarray, ...]:
+    """For each float64 (as its bits): whether the fast path takes it, its scale k, x and
+    its rounding interval's bounds at that scale, floored (vr, vp, vm), whether a bound is
+    exact there, and whether x is."""
     exponent = (bits >> _U64(52)) & _U64(0x7FF)
     fast, scale, five, shift = (table.take(exponent) for table in (_FAST, _SCALE, _FIVE, _SHIFT))
     fraction = bits & _U64((1 << 52) - 1)
@@ -167,55 +224,7 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
 
     below = (_U64(1) << shift) - _U64(1)
     exact = ((lo_up & below) == 0) | ((lo_down & below) == 0)
-    whole_at_scale = (lo & below) == 0
-    vr, vp, vm = scaled(hi, lo), scaled(hi_up, lo_up), scaled(hi_down, lo_down)
-
-    # How many trailing digits can go while a number stays between the bounds: one to
-    # three for nearly every value; the few that lose more go on alone.
-    removed = np.zeros(len(x), dtype=np.int64)
-    for j in (1, 2, 3):
-        removed += vp // _POW10[j] > vm // _POW10[j]
-    live = np.flatnonzero(removed == 3)
-    for j in range(4, 20):
-        live = live[vp[live] // _POW10[j] > vm[live] // _POW10[j]]
-        if not len(live):
-            break
-        removed[live] += 1
-
-    # The kept number q: the one nearest x at that scale, inside the bounds.
-    unit = _POW10.take(removed)
-    q = vr // unit
-    rest = vr - q * unit
-    half = unit >> _U64(1)
-    low_end, high_end = vm // unit, vp // unit
-    q += (q == low_end) | (rest > half) | ((rest == half) & ~whole_at_scale)
-    tie = (rest == half) & whole_at_scale
-    places = scale - removed  # x's shortest digits are q * 10**-places
-    point = np.searchsorted(_POW10, q, side="right") - places  # repr's decimal point
-    ok = fast & ~exact & ~tie & (removed > 0) & (q > low_end) & (q <= high_end) & (point >= -3) & (point <= 16)
-    ended = np.flatnonzero(ok & (q % _U64(10) == 0) & (places > 0))  # a rounded-up q may end in 0
-    while len(ended):
-        q[ended] //= _U64(10)
-        places[ended] -= 1
-        ended = ended[(q[ended] % _U64(10) == 0) & (places[ended] > 0)]
-    ok &= places <= 20  # repr's fraction has at most 3 zeros and 17 digits
-    q, places = np.where(ok, q, _U64(0)), np.where(ok, places, 0)
-
-    # The integer part, NUL in front; the point; the fraction's places digits, right-aligned.
-    step = _POW10.take(np.clip(places, 0, 19))
-    high = q // step
-    whole = np.where(places > 0, high, q * _POW10.take(np.clip(-places, 0, 19)))
-    width = int(places.max()) if len(x) else 1
-    parts = [_digits(whole), np.full((len(x), 1), _DOT), _keep_last(_digits(q - high * step, max(width, 1)), places)]
-    matrix = _signed((bits >> _U64(63)).astype(bool) & ok, np.concatenate(parts, axis=1))
-    slow = np.flatnonzero(~ok)
-    if len(slow):
-        texts = _str_cells(x[slow])
-        width = max(texts.shape[1], matrix.shape[1])
-        matrix = np.concatenate([matrix, np.zeros((len(x), width - matrix.shape[1]), dtype=np.uint8)], axis=1)
-        matrix[slow] = 0
-        matrix[slow, : texts.shape[1]] = texts
-    return matrix
+    return fast, scale, scaled(hi, lo), scaled(hi_up, lo_up), scaled(hi_down, lo_down), exact, (lo & below) == 0
 
 
 def _str_cells(values: np.ndarray) -> np.ndarray:
