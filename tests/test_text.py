@@ -30,14 +30,14 @@ def str_text(values: np.ndarray) -> bytes:
     return "\n".join(map(str, values.tolist())).encode()
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8))
 def test_float_texts_are_str(values):
     x = np.array(values, dtype=np.float64)
     assert kernel_text(x) == str_text(x)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=8))
 def test_int64_texts_are_str(values):
     v = np.array(values, dtype=np.int64)
@@ -47,7 +47,7 @@ def test_int64_texts_are_str(values):
 def test_a_million_floats_are_str():
     rng = np.random.default_rng(20181)
     n = 200_000
-    bits = rng.integers(0, 2**64, n // 4, dtype=np.uint64).view(np.float64)
+    bits = rng.integers(0, 2**64, n // 8, dtype=np.uint64).view(np.float64)
     powers = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)), 10.0 ** np.arange(-30, 31)])
     powers = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
     floats = np.concatenate([
