@@ -353,24 +353,33 @@ def _make_parent(path: str) -> None:
 _ARRAY_MARK = "\0ndarray\0"
 
 
+@dataclass(frozen=True, eq=False)
+class _Keyed:
+    """A JSON object held as two arrays: key ``str(keys[i])``, of an integer array, holds
+    item i of ``values``, a number of a 1-D array or a row of a 2-D one."""
+
+    keys: np.ndarray
+    values: np.ndarray
+
+
 def _write_json(path: str, obj: dict, compact: bool = False) -> None:
     """Write ``obj`` with sorted keys, indented by two spaces, or on one line without
     spaces if ``compact``: the text of ``json.dumps`` with ``sort_keys=True`` and
     ``indent=2`` or ``separators=(",", ":")``.
 
     The object may hold numpy arrays of integers or finite floats, 1-D in either layout
-    and 2-D (a list of rows) in a compact file: ``json.dumps`` writes a mark for each,
-    and ``_write_json_array`` writes the array in its place, a block of rows at a time,
-    as the text ``json.dumps`` gives its ``tolist()``. So no array becomes a list of
-    Python numbers, which the pure-Python encoder that ``indent`` runs would write one
-    at a time.
+    and 2-D (a list of rows) in a compact file, and ``_Keyed`` objects of such arrays:
+    ``json.dumps`` writes a mark for each, and ``_write_json_array`` writes the array, or
+    the object, in its place, a block of rows at a time, as the text ``json.dumps`` gives
+    its ``tolist()`` (or its dict). So no array becomes a list of Python numbers, which
+    the pure-Python encoder that ``indent`` runs would write one at a time.
     """
     arrays = []
 
     def mark(value):
-        if not isinstance(value, np.ndarray):
+        if not isinstance(value, (np.ndarray, _Keyed)):
             raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-        arrays.append(value)
+        arrays.append((value.values, value.keys) if isinstance(value, _Keyed) else (value, None))
         return _ARRAY_MARK
 
     layout = {"separators": (",", ":")} if compact else {"indent": 2}
@@ -380,29 +389,35 @@ def _write_json(path: str, obj: dict, compact: bool = False) -> None:
     _make_parent(path)
     with open(path, "w") as fh:
         fh.write(pieces[0])
-        for array, before, after in zip(arrays, pieces, pieces[1:]):
+        for (array, keys), before, after in zip(arrays, pieces, pieces[1:]):
             line = before.rpartition("\n")[2]  # the mark's line, up to the mark
-            _write_json_array(fh, array, None if compact else len(line) - len(line.lstrip(" ")))
+            _write_json_array(fh, array, None if compact else len(line) - len(line.lstrip(" ")), keys)
             fh.write(after)
         fh.write("\n")
 
 
-def _write_json_array(fh, array: np.ndarray, indent: int | None = None) -> None:
+def _write_json_array(fh, array: np.ndarray, indent: int | None = None, keys: np.ndarray | None = None) -> None:
     """Write a 1-D array as a JSON list, or a 2-D one as a list of row lists, a block of
     rows at a time. Each value's text is ``str`` of its value (``text.cells``), which is
     its JSON text for integers and finite floats. With an ``indent``, the indent of the
     line that holds the list, a non-empty 1-D list puts each item on its own line
     ``indent + 2`` spaces in and its closing bracket on one of its own, as
-    ``json.dumps(indent=2)``."""
+    ``json.dumps(indent=2)``. With ``keys``, it writes the JSON object whose key
+    ``str(keys[i])`` holds item i instead, keys in the order of their text, as
+    ``json.dumps(sort_keys=True)`` orders them: "10" before "2"."""
     from . import text  # the number text kernel, loaded where an array is written
 
     pad = "" if indent is None or not len(array) else "\n" + " " * (indent + 2)
-    fh.write("[" + pad)
+    order = None if keys is None else text.order(keys)
+    fh.write(("[" if keys is None else "{") + pad)
     for lo in range(0, len(array), _CSV_BLOCK_ROWS):
-        block = array[lo : lo + _CSV_BLOCK_ROWS]
+        rows = slice(lo, lo + _CSV_BLOCK_ROWS) if order is None else order[lo : lo + _CSV_BLOCK_ROWS]
+        block = array[rows]
         cells = text.cells(block) if block.ndim == 1 else _row_cells(block)
+        if keys is not None:  # each item as "key":item, or "key": item when indented
+            cells = text.rows([text.cells(keys[rows]), cells], sep=b'":' if indent is None else b'": ', start=b'"')
         fh.write(("," + pad if lo else "") + text.join(cells, ("," + pad).encode()).decode())
-    fh.write(pad[:-2] + "]")  # the closing bracket's line is ``indent`` spaces in
+    fh.write(pad[:-2] + ("]" if keys is None else "}"))  # the closing bracket's line is ``indent`` spaces in
 
 
 def _row_cells(block: np.ndarray) -> np.ndarray:
@@ -632,8 +647,7 @@ def cmd_tables(args) -> int:
     log = run_experiment(cfg.model, cfg.quad, cfg.n_trials, cfg.seed, threads=threads)
     table = build_reordered_table(log, key_mode)
     complete = table.rows.all(axis=1)
-    values, counts = np.unique(table.rows[complete].sum(axis=1, dtype=np.int64), return_counts=True)
-    histogram = dict(zip(values.tolist(), counts.tolist()))
+    sums, sum_counts = np.unique(table.rows[complete].sum(axis=1, dtype=np.int64), return_counts=True)
     undefined = len(complete) - int(np.count_nonzero(complete))
 
     leftover_fraction = table.leftover_trials / table.n_trials if table.n_trials else 0.0
@@ -642,18 +656,15 @@ def cmd_tables(args) -> int:
     print(f"  leftover fraction: {leftover_fraction:.4f}")
     if undefined:
         print(f"  undefined row sums: {undefined} (rows with counterfactual cells)")
-    if histogram:
-        hist_txt = ", ".join(f"{k:+d}: {v}" for k, v in sorted(histogram.items()))
+    if len(sums):
+        hist_txt = ", ".join(f"{k:+d}: {v}" for k, v in zip(sums.tolist(), sum_counts.tolist()))
         print(f"  row-sum histogram: {hist_txt}")
 
     lln_json = None
     if log.lambda_kind == "discrete":
-        balance = lln_balance_check(log)
-        print(f"  balance check: max |z| = {balance.max_abs_z:.3f} over {len(balance.per_key_pair_counts)} lambda values")
-        lln_json = {
-            "max_abs_z": balance.max_abs_z,
-            "per_key_pair_counts": {str(k): list(v) for k, v in balance.per_key_pair_counts.items()},
-        }
+        balance = table.balance or lln_balance_check(log)  # a lambda-mode table holds its counts
+        print(f"  balance check: max |z| = {balance.max_abs_z:.3f} over {len(balance.values)} lambda values")
+        lln_json = {"max_abs_z": balance.max_abs_z, "per_key_pair_counts": _Keyed(balance.values, balance.counts)}
     else:
         print("  balance check: skipped (continuous lambda never repeats)")
 
@@ -662,7 +673,7 @@ def cmd_tables(args) -> int:
         obj = _report_header(cfg)
         obj["schema"] = "bell-lab.table-report.v1"
         obj["table"] = table_to_json_obj(table)
-        obj["row_sum_histogram"] = {str(k): v for k, v in sorted(histogram.items())}
+        obj["row_sum_histogram"] = _Keyed(sums, sum_counts)
         obj["undefined_row_sums"] = undefined
         obj["leftover_fraction"] = leftover_fraction
         obj["lln_balance"] = lln_json

@@ -36,7 +36,8 @@ class OutcomeTable:
     ``lam`` is int64 for a discrete source and float64 for an angle source;
     ``t`` is the int64 tick in lambda-time mode and None in lambda mode.
     ``rows[i, k]`` is the signed product of column k in row i, or 0 where
-    that cell is counterfactual.
+    that cell is counterfactual. ``balance`` is the balance report whose counts a
+    lambda-mode table was cut from, and None in lambda-time mode.
     """
 
     key_mode: KeyMode
@@ -45,6 +46,7 @@ class OutcomeTable:
     rows: np.ndarray
     leftover_trials: int
     n_trials: int
+    balance: BalanceReport | None = None
 
     @property
     def complete_rows(self) -> int:
@@ -74,25 +76,16 @@ def _require_four_columns(log: TrialLog) -> None:
         raise ValueError(f"outcome tables need a four-pair log, got {log.n_pairs} pairs")
 
 
-def _lambda_pair_counts(log: TrialLog) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct lambda values and each (lambda, pair) group's trial count as a
-    (values, 4) array, counted a block at a time: no temporary is as long as the log."""
-    cuts = [slice(lo, lo + _BLOCK_TRIALS) for lo in range(0, len(log), _BLOCK_TRIALS)]
-    values = _distinct(np.concatenate([log.lam[:0], *(_distinct(log.lam[c]) for c in cuts)]))
-    counts = np.zeros(4 * len(values), dtype=np.int64)
-    for c in cuts:
-        np.add.at(counts, 4 * np.searchsorted(values, log.lam[c]) + log.pair_id[c], 1)
-    return values, counts.reshape(-1, 4)
-
-
 def build_reordered_table(log: TrialLog, key_mode: KeyMode) -> OutcomeTable:
     """Greedily regroup trials into four-column rows by the chosen key.
 
     Lambda-only keys require a discrete source: a continuous lambda never repeats, so
     regrouping by equal value would be vacuous, and binning it would manufacture the very
     argument under test. Matching is greedy first-fit in trial-index order, which makes
-    leftover counts reproducible. Lambda mode counts and places the trials a block at a
-    time: beyond the log and the table it holds no array as long as the log.
+    leftover counts reproducible. Lambda mode takes its (lambda, pair) counts from
+    ``lln_balance_check``, keeps that report as the table's ``balance`` and places the
+    trials a block at a time: beyond the log and the table it holds no array as long as
+    the log.
     """
     _require_four_columns(log)
     n = len(log)
@@ -112,7 +105,8 @@ def build_reordered_table(log: TrialLog, key_mode: KeyMode) -> OutcomeTable:
 
     # The j-th trial (in index order) of each (lambda, pair) group fills row j
     # of that lambda; a lambda has as many rows as its rarest pair has trials.
-    values, counts = _lambda_pair_counts(log)
+    balance = lln_balance_check(log)
+    values, counts = balance.values, balance.counts
     rows_per_lam = counts.min(axis=1)
     first_row = np.cumsum(rows_per_lam) - rows_per_lam
     rows = np.zeros((int(rows_per_lam.sum()), 4), dtype=np.int8)
@@ -128,7 +122,7 @@ def build_reordered_table(log: TrialLog, key_mode: KeyMode) -> OutcomeTable:
         signed = signs[log.pair_id[c]] * log.a[c] * log.b[c]
         rows[first_row[group[used] // 4] + rank[used], group[used] % 4] = signed[order[used]]
     lam = np.repeat(values, rows_per_lam)
-    return OutcomeTable(key_mode, lam, None, rows, leftover_trials=n - 4 * len(rows), n_trials=n)
+    return OutcomeTable(key_mode, lam, None, rows, leftover_trials=n - 4 * len(rows), n_trials=n, balance=balance)
 
 
 def row_sums(table: OutcomeTable) -> list[RowSum]:
@@ -146,11 +140,15 @@ def row_sums(table: OutcomeTable) -> list[RowSum]:
     return [Sum(s) if ok else undefined for s, ok in zip(totals, complete)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BalanceReport:
-    """Per-lambda pair counts and the largest standardized deviation."""
+    """Each lambda value's trial count on each setting pair, and the largest standardized
+    deviation: ``counts[i, k]`` is the number of trials with lambda ``values[i]`` on pair
+    k, with ``values`` the sorted distinct lambda values and ``counts`` a (values, 4) int64
+    array."""
 
-    per_key_pair_counts: dict[int, tuple[int, ...]]
+    values: np.ndarray
+    counts: np.ndarray
     max_abs_z: float
 
 
@@ -159,19 +157,24 @@ def lln_balance_check(log: TrialLog) -> BalanceReport:
 
     Under the multinomial null (pair choice independent of lambda, uniform
     over pairs), each count c is Binomial(n_lam, 1/4); z standardizes against
-    that. Returns the worst |z| over all (lambda, pair).
+    that. Returns the counts and the worst |z| over all (lambda, pair). The trials are
+    counted a block at a time: no temporary is as long as the log.
     """
     if log.lambda_kind != "discrete":
         raise ContinuousLambdaUnorderable(
             "the balance check counts repeats of lambda values; a continuous source has none"
         )
     _require_four_columns(log)
+    cuts = [slice(lo, lo + _BLOCK_TRIALS) for lo in range(0, len(log), _BLOCK_TRIALS)]
+    values = _distinct(np.concatenate([log.lam[:0], *(_distinct(log.lam[c]) for c in cuts)]))
+    counts = np.zeros(4 * len(values), dtype=np.int64)
+    for c in cuts:
+        np.add.at(counts, 4 * np.searchsorted(values, log.lam[c]) + log.pair_id[c], 1)
+    counts = counts.reshape(-1, 4)
     p = 1.0 / log.n_pairs
-    values, counts = _lambda_pair_counts(log)
     n_lam = counts.sum(axis=1, keepdims=True)
     z = np.abs(counts - n_lam * p) / np.sqrt(n_lam * p * (1.0 - p))
-    per_key = {v: tuple(c) for v, c in zip(values.tolist(), counts.tolist())}
-    return BalanceReport(per_key_pair_counts=per_key, max_abs_z=float(z.max(initial=0.0)))
+    return BalanceReport(values, counts, max_abs_z=float(z.max(initial=0.0)))
 
 
 # --- Serialization and rendering --------------------------------------------

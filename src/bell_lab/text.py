@@ -81,6 +81,18 @@ def join(matrix: np.ndarray, sep: bytes) -> bytes:
     return text(rows([matrix], end=sep))[: -len(sep) or None]
 
 
+def order(values: np.ndarray) -> np.ndarray:
+    """The indices that sort a 1-D signed integer array by its values' text, as ``sorted``
+    sorts their ``str``: "-1", "-10", "-2", "0", "10", "2". '-' sorts before every digit,
+    and a magnitude's digits sort as its digits padded with zeros to 19 places, except
+    that of a text and its extension by zeros the shorter, the smaller, comes first."""
+    if values.dtype.kind != "i":
+        raise TypeError(f"cannot order an array of dtype {values.dtype} by its text")
+    magnitude = np.abs(values.astype(np.int64, copy=False)).view(_U64)  # -2**63 is 2**63
+    digits = np.maximum(np.searchsorted(_POW10, magnitude, side="right"), 1)
+    return np.lexsort((magnitude, magnitude * _POW10.take(19 - digits), values >= 0))
+
+
 def _constant(n: int, chars: bytes) -> np.ndarray:
     return np.broadcast_to(np.frombuffer(chars, dtype=np.uint8), (n, len(chars)))
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from bell_lab.cli import (
     _ARRAY_MARK,
     ExperimentConfig,
+    _Keyed,
     _write_json,
     config_digest,
     main,
@@ -769,6 +770,24 @@ def test_tables_command_lambda_time(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "source, mode, counts",
+    [("discrete", "lambda", 1), ("discrete", "lambda-time", 1), ("angle", "lambda-time", 0)],
+)
+def test_tables_counts_the_lambda_pair_groups_once(tmp_path, capsys, monkeypatch, source, mode, counts):
+    # lln_balance_check is the one (lambda, pair) counter: a lambda-mode table is cut from
+    # its report, and the command reads the report from the table instead of counting again.
+    from bell_lab import tables
+
+    counted = []
+    balance_check = tables.lln_balance_check
+    monkeypatch.setattr(tables, "lln_balance_check", lambda log: counted.append(len(log)) or balance_check(log))
+    cfg = write_cfg(tmp_path, MINIMAL + _TABLE_SOURCES[source])
+    assert main(["tables", "--config", cfg, "--key-mode", mode, "--out", str(tmp_path)]) == 0
+    assert counted == [1000] * counts
+    assert ("balance check: max |z|" in capsys.readouterr().out) == bool(counts)
+
+
+@pytest.mark.parametrize(
     "name, source, mode",
     [
         (name, source, mode)
@@ -791,6 +810,14 @@ def test_tables_json_counts_are_a_count_over_row_sums(tmp_path, name, source, mo
     assert obj["undefined_row_sums"] == sum(isinstance(s, Undefined) for s in sums)
 
 
+_TABLE_SOURCES = {
+    "angle": "",
+    "discrete": "model.source.kind = discrete\nmodel.source.size = 16\n",
+    "discrete-5000": "model.source.kind = discrete\nmodel.source.size = 5000\n",  # "1000" sorts before "2"
+    "zero-weight": "model.source.kind = discrete\nmodel.source.weights = 0.25 0 0.75\n",  # lambda = 1 never drawn
+}
+
+
 @pytest.mark.parametrize("n_trials", [3, 2 * _CSV_BLOCK_ROWS + 3], ids=["3", "two-blocks-and-3"])
 @pytest.mark.parametrize(
     "name, source, mode",
@@ -800,19 +827,22 @@ def test_tables_json_counts_are_a_count_over_row_sums(tmp_path, name, source, mo
         ("factorizable_instrument", "angle", "lambda-time"),
         ("setting_pair_dependent", "discrete", "lambda"),
         ("setting_pair_dependent", "discrete", "lambda-time"),
+        ("bell_deterministic", "discrete-5000", "lambda"),
+        ("bell_deterministic", "discrete-5000", "lambda-time"),
+        ("bell_deterministic", "zero-weight", "lambda"),
+        ("bell_deterministic", "zero-weight", "lambda-time"),
     ],
 )
 def test_table_json_is_the_compact_dump_of_the_table_lists(tmp_path, name, source, mode, n_trials):
     text = MINIMAL.replace("bell_deterministic", name).replace("n_trials = 1000", f"n_trials = {n_trials}")
-    text += FAMILY_CASES[name][0]
-    if source == "discrete":
-        text += "model.source.kind = discrete\nmodel.source.size = 16\n"
+    text += FAMILY_CASES[name][0] + _TABLE_SOURCES[source]
     out = tmp_path / "out"
     assert main(["tables", "--config", write_cfg(tmp_path, text), "--key-mode", mode, "--out", str(out)]) == 0
     written = (out / "table.json").read_text()
 
     cfg = parse_config_text(text)
-    table = build_reordered_table(run_experiment(cfg.model, cfg.quad, cfg.n_trials, cfg.seed), KeyMode(mode))
+    log = run_experiment(cfg.model, cfg.quad, cfg.n_trials, cfg.seed)
+    table = build_reordered_table(log, KeyMode(mode))
     reference = json.loads(written)
     reference["table"] = {
         "schema": "bell-lab.outcome-table.v2",
@@ -830,10 +860,27 @@ def test_table_json_is_the_compact_dump_of_the_table_lists(tmp_path, name, sourc
         assert '"cells":[]' in written  # no lambda value met all four pairs
     if (name, mode) == ("setting_pair_dependent", "lambda") and n_trials > 3:
         assert reference["row_sum_histogram"] == {"4": table.complete_rows} and table.complete_rows > 0
+    if source != "angle":  # each lambda value's trials on each pair, counted from the log itself
+        groups = Counter(zip(log.lam.tolist(), log.pair_id.tolist()))
+        counts = {str(v): [groups[v, k] for k in range(4)] for v in set(log.lam.tolist())}
+        assert reference["lln_balance"]["per_key_pair_counts"] == counts
+        keys = [int(k) for k in counts]
+        if source == "discrete-5000" and n_trials > 3:
+            assert sorted(keys, key=str) != sorted(keys)  # so the file's key order is not numeric
+        if source == "zero-weight":
+            assert 1 not in keys
+
+
+def _as_lists(value):
+    """What ``_write_json`` writes for an array or a keyed object, as Python lists and dicts."""
+    if isinstance(value, _Keyed):
+        return dict(zip(map(str, value.keys.tolist()), value.values.tolist()))
+    return value.tolist()
 
 
 def test_compact_json_writes_each_array_as_the_dump_of_its_list(tmp_path):
     rows = 2 * _CSV_BLOCK_ROWS + 3
+    keys = np.array([-10, 2, -1, 10, 0, 1000, -(2**63), 2**63 - 1, 7, -2], dtype=np.int64)
     obj = {
         "e": "text",
         "floats": np.array([0.1, -0.0, 0.0, 1e300, 2.5, 5e-324, 1 / 3]),
@@ -841,10 +888,16 @@ def test_compact_json_writes_each_array_as_the_dump_of_its_list(tmp_path):
         "nested": [np.arange(5, dtype=np.int64), {"empty": np.zeros((0, 4), dtype=np.int8)}],
         "cells": np.tile(np.array([[1, -1, 0, 0], [0, 0, -1, 1]], dtype=np.int8), (rows, 1)),
         "lam": np.arange(rows, dtype=np.int64) % 16,
+        # keyed objects: keys in text order, "-1" < "-10" < "-2" < "0" < "10" < "1000" < "2"
+        "keyed rows": _Keyed(keys, np.arange(4 * len(keys), dtype=np.int64).reshape(-1, 4) - 7),
+        "keyed numbers": _Keyed(keys[::-1], np.linspace(-1, 1, len(keys))),
+        "keyed across blocks": _Keyed(np.arange(rows, dtype=np.int64)[::-1] - rows // 2, np.arange(rows) % 3),
+        "keyed empty": [_Keyed(np.zeros(0, dtype=np.int64), np.zeros((0, 4), dtype=np.int64))],
     }
     path = tmp_path / "obj.json"
     _write_json(str(path), obj, compact=True)
-    expected = json.dumps(obj, separators=(",", ":"), sort_keys=True, default=np.ndarray.tolist)
+    expected = json.dumps(obj, separators=(",", ":"), sort_keys=True, default=_as_lists)
+    assert '"keyed empty":[{}]' in expected
     assert path.read_text() == expected + "\n"
     with pytest.raises(ValueError, match="array mark"):
         _write_json(str(path), {"s": _ARRAY_MARK, "a": np.zeros(1)}, compact=True)
@@ -862,10 +915,14 @@ def test_indented_json_writes_each_array_as_the_dump_of_its_list(tmp_path):
         "empty": np.zeros(0),
         "long": np.tile(floats, rows),
         "nested": [np.arange(5, dtype=np.int64), {"deeper": {"floats": floats, "empty": np.zeros(0, dtype=np.int64)}}],
+        "keyed": {
+            "numbers": _Keyed(np.array([10, -3, 2, -30]), floats[:4]),
+            "empty": _Keyed(np.zeros(0, dtype=np.int64), floats[:0]),
+        },
     }
     path = tmp_path / "obj.json"
     _write_json(str(path), obj)
-    assert path.read_text() == json.dumps(obj, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
+    assert path.read_text() == json.dumps(obj, indent=2, sort_keys=True, default=_as_lists) + "\n"
 
 
 @pytest.mark.parametrize(

@@ -179,7 +179,7 @@ def test_block_wise_placement_matches_whole_log_sort(n, source):
     assert np.array_equal(table.rows, rows) and table.leftover_trials == leftover
     # each lambda has as many rows as its rarest pair has trials in the balance counts
     report = lln_balance_check(log)
-    rarest = {v: min(c) for v, c in report.per_key_pair_counts.items()}
+    rarest = dict(zip(report.values.tolist(), report.counts.min(axis=1).tolist()))
     assert (0 in rarest.values()) == (len(source.weights) == 5_000)
     held = dict(zip(*(a.tolist() for a in np.unique(table.lam, return_counts=True))))
     assert {v: held.get(v, 0) for v in rarest} == rarest
@@ -195,7 +195,7 @@ def test_block_wise_placement_matches_whole_log_sort_past_2_16_groups():
     log = _hand_log(gen.integers(0, 4, n), lams, gen.choice([-1, 1], n), gen.choice([-1, 1], n))
     table = build_reordered_table(log, KeyMode.LAMBDA_ONLY)
     lam, rows, leftover = _whole_log_placement(log)
-    assert len(lln_balance_check(log).per_key_pair_counts) > 2**14 and len(rows) > 0
+    assert len(lln_balance_check(log).values) > 2**14 and len(rows) > 0
     assert np.array_equal(table.lam, lam) and np.array_equal(table.rows, rows) and table.leftover_trials == leftover
 
 
@@ -297,19 +297,28 @@ def test_lln_balance_check():
     spec = BellDeterministic(DiscreteSource.uniform(4))
     log = run_experiment(spec, QUAD, 400_000, seed=79)
     report = lln_balance_check(log)
-    assert set(report.per_key_pair_counts) == {0, 1, 2, 3}
+    assert report.values.tolist() == [0, 1, 2, 3] and report.counts.shape == (4, 4)
     assert report.max_abs_z <= 4.0
-    total = sum(sum(v) for v in report.per_key_pair_counts.values())
-    assert total == len(log)
+    assert report.counts.dtype == np.int64 and int(report.counts.sum()) == len(log)
 
 
 def test_lln_single_lambda_reduces_to_pair_counts():
     spec = BellDeterministic(DiscreteSource((1.0,)))
     log = run_experiment(spec, QUAD, 10_000, seed=83)
     report = lln_balance_check(log)
-    assert list(report.per_key_pair_counts) == [0]
-    counts = report.per_key_pair_counts[0]
-    assert counts == tuple(int(np.count_nonzero(log.pair_id == k)) for k in range(4))
+    assert report.values.tolist() == [0]
+    assert report.counts.tolist() == [[int(np.count_nonzero(log.pair_id == k)) for k in range(4)]]
+
+
+def test_lambda_table_keeps_the_balance_report_it_was_cut_from():
+    log = run_experiment(BellDeterministic(DiscreteSource.uniform(16)), QUAD, 10_000, seed=89)
+    table = build_reordered_table(log, KeyMode.LAMBDA_ONLY)
+    report = lln_balance_check(log)
+    assert np.array_equal(table.balance.values, report.values) and np.array_equal(table.balance.counts, report.counts)
+    assert table.balance.max_abs_z == report.max_abs_z
+    rows = dict(zip(*(a.tolist() for a in np.unique(table.lam, return_counts=True))))
+    assert rows == {v: c for v, c in zip(report.values.tolist(), report.counts.min(axis=1).tolist()) if c}
+    assert build_reordered_table(log, KeyMode.LAMBDA_TIME).balance is None
 
 
 def test_lln_flags_adversarial_log():

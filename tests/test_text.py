@@ -44,6 +44,26 @@ def test_int64_texts_are_str(values):
     assert kernel_text(v) == str_text(v)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=12))
+def test_int64_text_order_is_the_order_of_str(values):
+    v = np.array(values, dtype=np.int64)
+    assert [str(x) for x in v[text.order(v)].tolist()] == sorted(map(str, values))
+
+
+def test_text_order_of_every_width_and_trailing_zeros():
+    rng = np.random.default_rng(20183)
+    powers = [s * 10**k * d for s in (-1, 1) for k in range(19) for d in (1, 2, 9) if -(2**63) <= s * 10**k * d < 2**63]
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        info = np.iinfo(dtype)
+        values = np.unique(np.concatenate([rng.integers(info.min, info.max, 20_000, dtype=dtype, endpoint=True),
+                                           np.array([info.min, info.max, 0, 1, -1], dtype=dtype),
+                                           np.array([p for p in powers if info.min <= p <= info.max], dtype=dtype)]))
+        assert values[text.order(values)].tolist() == sorted(values.tolist(), key=str), dtype
+    with pytest.raises(TypeError, match="by its text"):
+        text.order(np.arange(3, dtype=np.uint64))
+
+
 def test_a_million_floats_are_str():
     rng = np.random.default_rng(20181)
     n = 200_000
