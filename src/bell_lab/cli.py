@@ -353,13 +353,15 @@ def _make_parent(path: str) -> None:
 _ARRAY_MARK = "\0ndarray\0"
 
 
-@dataclass(frozen=True, eq=False)
 class _Keyed:
     """A JSON object held as two arrays: key ``str(keys[i])``, of an integer array, holds
-    item i of ``values``, a number of a 1-D array or a row of a 2-D one."""
+    item i of ``values``, a number of a 1-D array or a row of a 2-D one. A plain class,
+    not a dataclass, so that importing ``cli`` generates no code for it."""
 
-    keys: np.ndarray
-    values: np.ndarray
+    __slots__ = ("keys", "values")
+
+    def __init__(self, keys: np.ndarray, values: np.ndarray):
+        self.keys, self.values = keys, values
 
 
 def _write_json(path: str, obj: dict, compact: bool = False) -> None:
