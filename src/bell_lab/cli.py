@@ -415,26 +415,14 @@ def _write_json_array(fh, array: np.ndarray, indent: int | None = None, keys: np
     for lo in range(0, len(array), _CSV_BLOCK_ROWS):
         rows = slice(lo, lo + _CSV_BLOCK_ROWS) if order is None else order[lo : lo + _CSV_BLOCK_ROWS]
         block = array[rows]
-        cells = text.cells(block) if block.ndim == 1 else _row_cells(block)
+        if block.ndim == 1:
+            cells = text.cells(block)
+        else:  # each row as its columns' cells in brackets
+            cells = text.rows([text.cells(column) for column in block.T], start=b"[", end=b"]")
         if keys is not None:  # each item as "key":item, or "key": item when indented
             cells = text.rows([text.cells(keys[rows]), cells], sep=b'":' if indent is None else b'": ', start=b'"')
         fh.write(("," + pad if lo else "") + text.join(cells, ("," + pad).encode()).decode())
     fh.write(pad[:-2] + ("]" if keys is None else "}"))  # the closing bracket's line is ``indent`` spaces in
-
-
-def _row_cells(block: np.ndarray) -> np.ndarray:
-    """The JSON text matrix of each row of a 2-D array: its cells in brackets. Each
-    distinct row is formatted once and indexed, as ``text.cells`` does for values: rows
-    are told apart by their bytes, viewed as one unsigned integer per row where a row is
-    1, 2, 4 or 8 bytes wide (an int8 table row of 4 cells is a ``u4``)."""
-    from . import text
-
-    width = block.shape[1] * block.itemsize
-    keys = np.ascontiguousarray(block).view(f"u{width}" if width in (1, 2, 4, 8) else f"V{width}").ravel()
-    distinct = text._distinct(keys)
-    rows = distinct.view(block.dtype).reshape(len(distinct), block.shape[1])
-    matrix = text.rows([text.cells(column) for column in rows.T], start=b"[", end=b"]")
-    return matrix[np.searchsorted(distinct, keys)]
 
 
 def _resolve_output(cfg: ExperimentConfig, out_dir: str | None, name: str, default: str | None) -> str | None:
@@ -696,7 +684,9 @@ def _emit_certificate(args, record: dict) -> None:
     print(text)
     if args.out:
         path = os.path.join(args.out, f"oracle-{record['operation']}.json")
-        _write_json(path, record)
+        _make_parent(path)
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
 
 
 def _load_finite_model(path: str) -> FiniteModel:

@@ -6,7 +6,9 @@ in that text, so a cell's padding may sit anywhere in its slot, and a block's te
 its cell matrices placed side by side with separator columns between them (``rows``),
 NUL bytes dropped (``text``). No Python object is made per cell.
 
-Integers are written two digits per step from a table of "00" to "99". A float
+Integers, each on its own, are written two digits per step from a table of "00" to
+"99". Floats are ``str`` of each below 128 values, under the kernel's fixed cost;
+where at most half are distinct, each distinct bit pattern is written once. A float
 x = m * 2**e2 in repr's positional range, 1e-4 <= |x| < 1e16, gets its shortest
 round-trip digits by Ryu's method (Adams, PLDI 2018) on exact integers: the 128-bit
 product 4m * 5**k, built from 32-bit halves, shifted right by 2 - e2 - k is x * 10**k
@@ -50,15 +52,23 @@ _LAST = np.where(np.arange(20) >= 20 - np.maximum(np.arange(21), 1)[:, None], 0x
 
 
 def cells(values: np.ndarray) -> np.ndarray:
-    """The NUL-padded text matrix of a 1-D integer or float array, one row per value.
-    When at most half the values are distinct, each distinct value is formatted once and
-    its row indexed; values are told apart by bit pattern, so -0.0 and 0.0 keep their own."""
+    """The NUL-padded text matrix of a 1-D integer or float array, one row per value:
+    each integer on its own, floats as the module docstring says."""
     values = np.ascontiguousarray(values)
+    if values.dtype.kind == "u":
+        return _digits(values.astype(_U64, copy=False))
+    if values.dtype.kind == "i":
+        signed = values.astype(np.int64, copy=False)
+        negative = signed < 0
+        magnitude = np.where(negative, ~signed.view(_U64) + _U64(1), signed.view(_U64))  # -2**63 is 2**63
+        return _signed(negative, _digits(magnitude))
+    if values.dtype.kind != "f":
+        raise TypeError(f"cannot write an array of dtype {values.dtype} as numbers")
     bits = values.view(f"u{values.itemsize}")
     distinct = _distinct(bits)
     if 2 * len(distinct) <= len(bits):
-        return _cells(distinct.view(values.dtype))[np.searchsorted(distinct, bits)]
-    return _cells(values)
+        return _float_cells(distinct.view(values.dtype))[np.searchsorted(distinct, bits)]
+    return _float_cells(values)
 
 
 def rows(columns: list[np.ndarray], sep: bytes = b",", start: bytes = b"", end: bytes = b"") -> np.ndarray:
@@ -99,25 +109,11 @@ def _constant(n: int, chars: bytes) -> np.ndarray:
 
 def _distinct(values: np.ndarray) -> np.ndarray:
     """The distinct values of an array, sorted. One ``np.sort`` and a mask: on 8,192
-    int64 values that took 34 us, against 272 us for ``np.unique``, and on 10**6 of them
-    26 ms against 794 ms (numpy 2.4.6, a 2-vCPU Xeon)."""
+    int64 values 34 us, against 272 us for ``np.unique`` (numpy 2.4.6, a 2-vCPU Xeon)."""
     ordered = np.sort(values)
     first = np.ones(len(ordered), dtype=bool)
     first[1:] = ordered[1:] != ordered[:-1]
     return ordered[first]
-
-
-def _cells(values: np.ndarray) -> np.ndarray:
-    if values.dtype.kind == "f":
-        return _float_cells(values.astype(np.float64, copy=False))
-    if values.dtype.kind == "u":
-        return _digits(values.astype(_U64, copy=False))
-    if values.dtype.kind != "i":
-        raise TypeError(f"cannot write an array of dtype {values.dtype} as numbers")
-    signed = values.astype(np.int64, copy=False)
-    negative = signed < 0
-    magnitude = np.where(negative, ~signed.view(_U64) + _U64(1), signed.view(_U64))  # -2**63 is 2**63
-    return _signed(negative, _digits(magnitude))
 
 
 def _signed(negative: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -153,6 +149,9 @@ def _keep_last(matrix: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def _float_cells(x: np.ndarray) -> np.ndarray:
+    if len(x) < 128:
+        return _str_cells(x)
+    x = x.astype(np.float64, copy=False)
     bits = x.view(_U64)
     q, places, ok = _shortest(bits)
     # The integer part, NUL in front; the point; the fraction's places digits, right-aligned.
@@ -240,6 +239,6 @@ def _interval(bits: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _str_cells(values: np.ndarray) -> np.ndarray:
-    """The text matrix of values that the fast path leaves: ``str`` of each, one at a time."""
+    """The text matrix of ``str`` of each value, one at a time."""
     texts = np.array([str(v) for v in values.tolist()], dtype="S")
     return texts.view(np.uint8).reshape(len(values), texts.itemsize)

@@ -888,6 +888,13 @@ def test_compact_json_writes_each_array_as_the_dump_of_its_list(tmp_path):
         "nested": [np.arange(5, dtype=np.int64), {"empty": np.zeros((0, 4), dtype=np.int8)}],
         "cells": np.tile(np.array([[1, -1, 0, 0], [0, 0, -1, 1]], dtype=np.int8), (rows, 1)),
         "lam": np.arange(rows, dtype=np.int64) % 16,
+        # 2-D blocks whose rows are all distinct, and ones with three distinct rows
+        "int8 rows": np.random.default_rng(5).permutation(2**16)[:rows].astype(np.uint16).view(np.int8).reshape(rows, 2),
+        "int64 rows": np.arange(4 * rows, dtype=np.int64).reshape(rows, 4) * -(2**40) + 3,
+        "float rows": np.random.default_rng(6).normal(size=(rows, 3)) * 10.0 ** np.arange(-4, 2, 2),
+        "three int8 rows": np.array([[1, -1], [-128, 127], [0, 0]], dtype=np.int8)[np.arange(rows) % 3],
+        "three int64 rows": np.array([[-(2**63), 0, 9], [2**63 - 1, -1, 10], [7, 7, 7]], dtype=np.int64)[np.arange(rows) % 3],
+        "three float rows": np.array([[0.1, -0.0], [0.0, 5e-324], [1e16, 1e-5]])[np.arange(rows) % 3],
         # keyed objects: keys in text order, "-1" < "-10" < "-2" < "0" < "10" < "1000" < "2"
         "keyed rows": _Keyed(keys, np.arange(4 * len(keys), dtype=np.int64).reshape(-1, 4) - 7),
         "keyed numbers": _Keyed(keys[::-1], np.linspace(-1, 1, len(keys))),
@@ -898,6 +905,8 @@ def test_compact_json_writes_each_array_as_the_dump_of_its_list(tmp_path):
     _write_json(str(path), obj, compact=True)
     expected = json.dumps(obj, separators=(",", ":"), sort_keys=True, default=_as_lists)
     assert '"keyed empty":[{}]' in expected
+    for name in ("int8 rows", "int64 rows", "float rows"):
+        assert len(np.unique(obj[name], axis=0)) == rows, name
     assert path.read_text() == expected + "\n"
     with pytest.raises(ValueError, match="array mark"):
         _write_json(str(path), {"s": _ARRAY_MARK, "a": np.zeros(1)}, compact=True)
@@ -937,9 +946,11 @@ def test_reports_are_the_indented_dump_of_their_own_text(tmp_path, capsys, comma
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
-def test_oracle_enumerate_certificate(capsys):
-    assert main(["oracle", "enumerate", "--m", "4"]) == 0
-    record = json.loads(capsys.readouterr().out)
+def test_oracle_enumerate_certificate(tmp_path, capsys):
+    assert main(["oracle", "enumerate", "--m", "4", "--out", str(tmp_path)]) == 0
+    printed = capsys.readouterr().out
+    assert (tmp_path / "oracle-enumerate.json").read_text() == printed  # the same text, serialized once
+    record = json.loads(printed)
     assert record["operation"] == "enumerate"
     assert record["value"] == 2.0
     assert record["inputs_digest"].startswith("sha256:")
@@ -955,7 +966,7 @@ def test_oracle_out_goes_after_the_operation(tmp_path, capsys):
     assert exc.value.code == 2
     assert list(tmp_path.iterdir()) == []
     assert main(["oracle", "enumerate", "--m", "2", "--out", str(tmp_path)]) == 0
-    assert json.loads((tmp_path / "oracle-enumerate.json").read_text()) == json.loads(capsys.readouterr().out)
+    assert (tmp_path / "oracle-enumerate.json").read_text() == capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

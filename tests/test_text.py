@@ -96,6 +96,46 @@ def test_integers_of_every_width_are_str():
     assert kernel_text(values) == str_text(values)
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64])
+def test_integers_take_the_integer_kernel_at_every_width(monkeypatch, dtype):
+    info = np.iinfo(dtype)
+    rng = np.random.default_rng(info.bits)
+    monkeypatch.setattr(text, "_distinct", None)  # integers are never deduplicated
+    for v in (np.array([info.min], dtype=dtype), np.array([info.max], dtype=dtype), np.full(4096, info.max, dtype=dtype),
+              np.array([info.min, info.max, 0, 1], dtype=dtype),
+              np.where(np.arange(4096) % 3 > 0, -1, 1).astype(dtype),  # +-1 outcomes; -1 wraps in the unsigned
+              (np.arange(4096) % 16).astype(dtype),  # lambda indices
+              np.arange(4096).astype(dtype) + dtype(info.min),  # arange indices; 8 bits wrap
+              rng.integers(info.min, info.max, 4096, dtype=dtype, endpoint=True)):
+        assert kernel_text(v) == str_text(v), v[:4]
+
+
+def counting_kernel(monkeypatch) -> list[int]:
+    """The lengths of the float arrays that the float kernel's digit search gets."""
+    calls, real = [], text._shortest
+    monkeypatch.setattr(text, "_shortest", lambda bits: calls.append(len(bits)) or real(bits))
+    return calls
+
+
+@pytest.mark.parametrize("distinct", [[0.1], [-0.0, 0.0], [5e-324, 1e16, 1e-5], [-0.0, 0.0, 1e16, 0.7853981633974483]])
+def test_float_blocks_of_few_distinct_values_are_str_per_value(monkeypatch, distinct):
+    calls = counting_kernel(monkeypatch)
+    rng = np.random.default_rng(len(distinct))
+    for n in (1, 4, 127, 128, 4096):
+        values = np.array(distinct)[rng.permutation(np.arange(n) % len(distinct))]
+        assert kernel_text(values) == str_text(values), n
+    assert calls == []  # a block's few distinct values are written by str, below the kernel's fixed cost
+
+
+@pytest.mark.parametrize("n, kernel", [(127, False), (128, True), (4096, True)])
+def test_random_floats_are_str_per_value_below_128_and_the_kernel_from_128(monkeypatch, n, kernel):
+    calls = counting_kernel(monkeypatch)
+    rng = np.random.default_rng(n)
+    values = rng.normal(size=n) * 10.0 ** rng.integers(-6, 18, n)
+    assert kernel_text(values) == str_text(values)
+    assert calls == ([n] if kernel else [])
+
+
 def test_fast_path_covers_nearly_every_cell_of_an_angle_log(monkeypatch):
     # A kernel that fell back to str everywhere would still write the right bytes.
     log = run_experiment(FactorizableInstrument(epsilon=0.25), QUAD, 10**5, seed=5)
