@@ -19,6 +19,7 @@ Exit codes are fixed and scriptable:
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import json
 import math
@@ -345,8 +346,11 @@ def _estimates_json(cfg: ExperimentConfig, estimates) -> list[dict]:
 
 
 def _make_parent(path: str) -> None:
-    """Create the directory that ``path`` names a file in, if it is missing."""
+    """Create the directory that ``path`` names a file in, if it is missing; a path that
+    names a directory is an ``IsADirectoryError``, as ``open`` would raise."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 # Stands in for each numpy array in the text; json.dumps writes it as "\u0000ndarray\u0000".
@@ -427,14 +431,8 @@ def _write_json_array(fh, array: np.ndarray, indent: int | None = None, keys: np
 
 def _resolve_output(cfg: ExperimentConfig, out_dir: str | None, name: str, default: str | None) -> str | None:
     """Config path wins (joined under --out if relative); --out alone uses defaults."""
-    configured = cfg.outputs.get(name)
-    if configured is not None:
-        if out_dir is not None and not os.path.isabs(configured):
-            return os.path.join(out_dir, configured)
-        return configured
-    if out_dir is not None and default is not None:
-        return os.path.join(out_dir, default)
-    return None
+    path = cfg.outputs.get(name, None if out_dir is None else default)
+    return path if path is None or out_dir is None else os.path.join(out_dir, path)  # join keeps an absolute path
 
 
 # --- simulate ------------------------------------------------------------------
@@ -493,6 +491,9 @@ def cmd_simulate(args) -> int:
     cfg = parse_config_file(args.config)
     threads = _threads(args)
     log_path = _resolve_output(cfg, args.out, "trial_log", None)
+    report_path = _resolve_output(cfg, args.out, "report", "report.json")
+    for path in filter(None, (report_path, log_path, args.sweep, args.convergence)):
+        _make_parent(path)  # before the run: a path that cannot be written fails with no output written
     checkpoints = _convergence_checkpoints(cfg.n_trials) if args.convergence else [cfg.n_trials]
     # Only the trial log needs every column; the reports read each pair's sums.
     if log_path:
@@ -518,12 +519,10 @@ def cmd_simulate(args) -> int:
     if cfg.model.setting_dependent_distribution:
         print("  flag: setting_dependent_distribution = true")
 
-    report_path = _resolve_output(cfg, args.out, "report", "report.json")
     if report_path:
         _write_json(report_path, report)
         print(f"  report -> {report_path}")
     if log_path:
-        _make_parent(log_path)
         log.to_csv(log_path)
         print(f"  trial log -> {log_path}")
     if args.sweep:

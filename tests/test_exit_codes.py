@@ -7,7 +7,7 @@ import io
 import os
 import tempfile
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bell_lab.cli import _CONFIG_KEYS, main
@@ -26,7 +26,8 @@ VALID = {
     "model.source.kind": ["uniform_angle", "discrete"],
     "model.source.size": ["16", "5000"],
     "model.source.weights": ["0.25 0 0.75", "1"],
-    **{key: [value] for key, value in {**QUAD, **OUTPUTS}.items()},
+    **{key: [value] for key, value in QUAD.items()},
+    **{key: [value, "."] for key, value in OUTPUTS.items()},  # "." names a directory
     "n_trials": ["3", "1000", "10000"],
     "seed": ["7"],
 }
@@ -81,6 +82,9 @@ def config_texts(draw) -> str:
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(command=st.sampled_from(["simulate", "check", "tables"]), config=config_texts(),
        threads=st.sampled_from(["1", "2"]), max_rows=st.sampled_from(["-1", "0", "3"]))
+# A trial log that cannot be written, named after a report that can.
+@example("simulate", "model.kind = bell_deterministic\n" + "".join(f"{k} = {v}\n" for k, v in QUAD.items())
+         + "seed = 7\nn_trials = 1000\noutputs.trial_log = .\n", "1", "0")
 def test_every_config_ends_in_a_documented_exit_code(command, config, threads, max_rows):
     with tempfile.TemporaryDirectory() as tmp:
         path, out_dir = os.path.join(tmp, "run.cfg"), os.path.join(tmp, "out")

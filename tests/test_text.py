@@ -30,11 +30,23 @@ def str_text(values: np.ndarray) -> bytes:
     return "\n".join(map(str, values.tolist())).encode()
 
 
+def kernel_sized(values: list[float]) -> np.ndarray:
+    """``values`` and 128 distinct floats after them: mostly distinct, and at least 128,
+    so the float kernel writes each value, not ``str`` per value and not the dedupe."""
+    return np.concatenate([values, np.random.default_rng(20180).random(128)])
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8))
 def test_float_texts_are_str(values):
-    x = np.array(values, dtype=np.float64)
+    x = kernel_sized(values)
     assert kernel_text(x) == str_text(x)
+
+
+def test_float_texts_are_str_through_the_kernel(monkeypatch):
+    calls = counting_kernel(monkeypatch)
+    kernel_text(kernel_sized([0.1, -0.0]))
+    assert calls == [130]
 
 
 @settings(max_examples=100, deadline=None)
