@@ -5,15 +5,17 @@ degrees, and a strict schema: unknown or duplicate keys fail loudly with the
 key and line named, because a silently ignored misspelling in a
 correctness-critical tool is worse than an error.
 
-Exit codes are fixed and scriptable:
+Exit codes are fixed and scriptable (``_EXITS`` gives each error's code and message):
 
 * 0 — success (a bound VIOLATION verdict is a result, not an error)
-* 2 — invalid config, thread count, oracle or table argument or input file,
-  an output path that cannot be written, a run too large for memory, or a
-  worker process that ended without its result (e.g. killed by a signal)
-* 3 — model error or failed premise (e.g. anticorrelation pilot)
-* 4 — table precondition (lambda-keyed reordering of a continuous source)
-* 5 — enumeration size guard
+* 2 — ``config error:``, ``output error:``, ``worker error:`` or ``memory
+  error:``: an invalid config, thread count, oracle or table argument or input
+  file, an output path that cannot be written, a worker process that ended
+  without its result (e.g. killed by a signal), or a run too large for memory
+* 3 — ``model error:`` or ``error:``: model error or failed premise (e.g.
+  anticorrelation pilot)
+* 4 — ``table precondition failed:`` lambda-keyed reordering of a continuous source
+* 5 — ``size guard:`` enumeration size guard
 """
 
 from __future__ import annotations
@@ -345,12 +347,15 @@ def _estimates_json(cfg: ExperimentConfig, estimates) -> list[dict]:
     return out
 
 
-def _make_parent(path: str) -> None:
-    """Create the directory that ``path`` names a file in, if it is missing; a path that
-    names a directory is an ``IsADirectoryError``, as ``open`` would raise."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    if os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+def _make_parent(path: str | None) -> str | None:
+    """Create the directory that ``path`` (None for no output) names a file in, if it is
+    missing, and return ``path``; a path that names a directory is an ``IsADirectoryError``,
+    as ``open`` would raise. Each command checks each output path so before it runs or prints."""
+    if path:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    return path
 
 
 # Stands in for each numpy array in the text; json.dumps writes it as "\u0000ndarray\u0000".
@@ -392,7 +397,6 @@ def _write_json(path: str, obj: dict, compact: bool = False) -> None:
     pieces = json.dumps(obj, sort_keys=True, default=mark, **layout).split(json.dumps(_ARRAY_MARK))
     if len(pieces) != len(arrays) + 1:
         raise ValueError(f"a string of the object equals the array mark {_ARRAY_MARK!r}")
-    _make_parent(path)
     with open(path, "w") as fh:
         fh.write(pieces[0])
         for (array, keys), before, after in zip(arrays, pieces, pieces[1:]):
@@ -430,9 +434,10 @@ def _write_json_array(fh, array: np.ndarray, indent: int | None = None, keys: np
 
 
 def _resolve_output(cfg: ExperimentConfig, out_dir: str | None, name: str, default: str | None) -> str | None:
-    """Config path wins (joined under --out if relative); --out alone uses defaults."""
+    """Config path wins (joined under --out if relative; the join keeps an absolute one);
+    --out alone uses defaults. Checked by ``_make_parent``."""
     path = cfg.outputs.get(name, None if out_dir is None else default)
-    return path if path is None or out_dir is None else os.path.join(out_dir, path)  # join keeps an absolute path
+    return _make_parent(path if path is None or out_dir is None else os.path.join(out_dir, path))
 
 
 # --- simulate ------------------------------------------------------------------
@@ -457,7 +462,6 @@ def _sweep_rows(cfg: ExperimentConfig, threads: int) -> list[tuple[float, float,
 
 def _write_csv(path: str, header: str, rows) -> None:
     """Write the ``header`` line, then each row's values as ``repr`` texts joined by commas."""
-    _make_parent(path)
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
         for row in rows:
@@ -490,10 +494,10 @@ def _threads(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = parse_config_file(args.config)
     threads = _threads(args)
-    log_path = _resolve_output(cfg, args.out, "trial_log", None)
     report_path = _resolve_output(cfg, args.out, "report", "report.json")
-    for path in filter(None, (report_path, log_path, args.sweep, args.convergence)):
-        _make_parent(path)  # before the run: a path that cannot be written fails with no output written
+    log_path = _resolve_output(cfg, args.out, "trial_log", None)
+    _make_parent(args.sweep)
+    _make_parent(args.convergence)
     checkpoints = _convergence_checkpoints(cfg.n_trials) if args.convergence else [cfg.n_trials]
     # Only the trial log needs every column; the reports read each pair's sums.
     if log_path:
@@ -545,6 +549,7 @@ def _verdict_line(name: str, ok: bool, detail: str) -> str:
 def cmd_check(args) -> int:
     cfg = parse_config_file(args.config)
     threads = _threads(args)
+    report_path = _resolve_output(cfg, args.out, "report", "check.json")
     report = _report_header(cfg)
     report["schema"] = "bell-lab.check.v1"
     quad = cfg.quad
@@ -615,7 +620,6 @@ def cmd_check(args) -> int:
         "flags": flags,
         "verdict": "PASS" if chsh_ok else "VIOLATION",
     }
-    report_path = _resolve_output(cfg, args.out, "report", "check.json")
     if report_path:
         _write_json(report_path, report)
         print(f"  report -> {report_path}")
@@ -626,20 +630,23 @@ def cmd_check(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    from .tables import build_reordered_table, lln_balance_check, render_table, table_to_json_obj
+    from .tables import build_reordered_table, lln_balance_check, render_table, require_orderable, table_to_json_obj
 
     if args.max_rows < 0:
         raise ConfigError(f"--max-rows must be >= 0, got {args.max_rows}")
     cfg = parse_config_file(args.config)
     threads = _threads(args)
     key_mode = KeyMode(args.key_mode)
+    discrete = isinstance(cfg.model.source, DiscreteSource)
+    require_orderable(key_mode, discrete)  # before the output path: an input bad in both ways exits 4
+    table_path = _resolve_output(cfg, args.out, "table", "table.json")
     log = run_experiment(cfg.model, cfg.quad, cfg.n_trials, cfg.seed, threads=threads)
     table = build_reordered_table(log, key_mode)
     complete = table.rows.all(axis=1)
     sums, sum_counts = np.unique(table.rows[complete].sum(axis=1, dtype=np.int64), return_counts=True)
     undefined = len(complete) - int(np.count_nonzero(complete))
 
-    leftover_fraction = table.leftover_trials / table.n_trials if table.n_trials else 0.0
+    leftover_fraction = table.leftover_trials / table.n_trials
     print(f"bell-lab tables: key mode {key_mode.value}")
     print(render_table(table, max_rows=args.max_rows))
     print(f"  leftover fraction: {leftover_fraction:.4f}")
@@ -650,14 +657,13 @@ def cmd_tables(args) -> int:
         print(f"  row-sum histogram: {hist_txt}")
 
     lln_json = None
-    if log.lambda_kind == "discrete":
+    if discrete:
         balance = table.balance or lln_balance_check(log)  # a lambda-mode table holds its counts
         print(f"  balance check: max |z| = {balance.max_abs_z:.3f} over {len(balance.values)} lambda values")
         lln_json = {"max_abs_z": balance.max_abs_z, "per_key_pair_counts": _Keyed(balance.values, balance.counts)}
     else:
         print("  balance check: skipped (continuous lambda never repeats)")
 
-    table_path = _resolve_output(cfg, args.out, "table", "table.json")
     if table_path:
         obj = _report_header(cfg)
         obj["schema"] = "bell-lab.table-report.v1"
@@ -676,16 +682,6 @@ def cmd_tables(args) -> int:
 
 def _digest_inputs(obj) -> str:
     return "sha256:" + sha256(json.dumps(obj, sort_keys=True).encode("utf-8")).hexdigest()
-
-
-def _emit_certificate(args, record: dict) -> None:
-    text = json.dumps(record, indent=2, sort_keys=True)
-    print(text)
-    if args.out:
-        path = os.path.join(args.out, f"oracle-{record['operation']}.json")
-        _make_parent(path)
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
 
 
 def _load_finite_model(path: str) -> FiniteModel:
@@ -713,61 +709,44 @@ def cmd_oracle(args) -> int:
             result = enumerate_deterministic_strategies(args.settings1, args.settings2, args.m)
         except ValueError as exc:  # too few settings or lambda values
             raise ConfigError(str(exc)) from None
-        record = {
-            "operation": "enumerate",
-            "inputs_digest": _digest_inputs(
-                {"n_settings_1": args.settings1, "n_settings_2": args.settings2, "m": args.m}
-            ),
-            "value": result.max_abs_chsh,
-            "certificate": {
-                "vertices_scanned": result.vertices_scanned,
-                "facets": [{"signs": list(signs), "max": top} for signs, top in result.facets],
-                "argmax_a": result.a_table.tolist(),
-                "argmax_b": result.b_table.tolist(),
-            },
+        inputs = {"n_settings_1": args.settings1, "n_settings_2": args.settings2, "m": args.m}
+        value = result.max_abs_chsh
+        certificate = {
+            "vertices_scanned": result.vertices_scanned,
+            "facets": [{"signs": list(signs), "max": top} for signs, top in result.facets],
+            "argmax_a": result.a_table.tolist(),
+            "argmax_b": result.b_table.tolist(),
         }
-        _emit_certificate(args, record)
-        return 0
+    else:
+        try:
+            quad = SettingQuad.from_degrees(*args.quad_deg)
+        except ValueError as exc:  # a non-finite angle
+            raise ConfigError(f"--quad-deg: {exc}") from None
+        inputs = {"quad_deg": args.quad_deg}
+        if args.oracle_op == "quantum":
+            value = singlet_chsh(quad)
+            per_pair = [
+                {"setting_1_deg": s1.degrees, "setting_2_deg": s2.degrees, "sign": sign,
+                 "correlation": singlet_correlation(s1, s2)}
+                for s1, s2, sign in chsh_pairs(quad)
+            ]
+            certificate = {"per_pair": per_pair}
+        else:
+            fm = _load_finite_model(args.model)
+            overrides = [_load_finite_model(path) for path in args.per_pair] if args.per_pair else None
+            value = exact_chsh(fm, quad, per_pair_distributions=overrides)
+            inputs["model"] = finite_model_to_json_obj(fm)
+            inputs["per_pair"] = [finite_model_to_json_obj(m) for m in overrides] if overrides else None
+            certificate = {"m": fm.m, "per_pair_overrides": bool(overrides)}
 
-    quad_deg = args.quad_deg
-    try:
-        quad = SettingQuad.from_degrees(*quad_deg)
-    except ValueError as exc:  # a non-finite angle
-        raise ConfigError(f"--quad-deg: {exc}") from None
-    if args.oracle_op == "quantum":
-        value = singlet_chsh(quad)
-        record = {
-            "operation": "quantum",
-            "inputs_digest": _digest_inputs({"quad_deg": quad_deg}),
-            "value": value,
-            "certificate": {
-                "per_pair": [
-                    {"setting_1_deg": s1.degrees, "setting_2_deg": s2.degrees, "sign": sign,
-                     "correlation": singlet_correlation(s1, s2)}
-                    for s1, s2, sign in chsh_pairs(quad)
-                ],
-            },
-        }
-        _emit_certificate(args, record)
-        return 0
-
-    # exact
-    fm = _load_finite_model(args.model)
-    overrides = [_load_finite_model(path) for path in args.per_pair] if args.per_pair else None
-    value = exact_chsh(fm, quad, per_pair_distributions=overrides)
-    record = {
-        "operation": "exact",
-        "inputs_digest": _digest_inputs(
-            {
-                "model": finite_model_to_json_obj(fm),
-                "per_pair": [finite_model_to_json_obj(m) for m in overrides] if overrides else None,
-                "quad_deg": quad_deg,
-            }
-        ),
-        "value": value,
-        "certificate": {"m": fm.m, "per_pair_overrides": bool(overrides)},
-    }
-    _emit_certificate(args, record)
+    record = {"operation": args.oracle_op, "inputs_digest": _digest_inputs(inputs), "value": value,
+              "certificate": certificate}
+    path = _make_parent(os.path.join(args.out, f"oracle-{args.oracle_op}.json") if args.out else None)
+    text = json.dumps(record, indent=2, sort_keys=True)
+    print(text)
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
     return 0
 
 
@@ -842,43 +821,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# README's exit-code table: an error type, its exit code and its stderr message. The first row
+# an error matches wins, so ConfigError and WorkerFailed stay above their base class BellLabError.
+_EXITS = (
+    (ConfigError, 2, "config error: {}"),
+    (OSError, 2, "output error: {}"),  # unreadable inputs are ConfigErrors: this is an output write
+    (WorkerFailed, 2, "worker error: {}"),  # e.g. the OOM killer's SIGKILL
+    (MemoryError, 2, "memory error: not enough memory for this run ({})"),  # e.g. a source too large to allocate
+    (AnticorrelationViolated, 3, "model error: {}\n(the three-setting inequality is derived assuming perfect "
+     "anticorrelation; a model that violates it at equal settings has no such statistic)"),
+    ((InvalidSpec, InsufficientData, UnknownSetting), 3, "model error: {}"),
+    (ContinuousLambdaUnorderable, 4, "table precondition failed: {}"),
+    (TooLarge, 5, "size guard: {}"),
+    (BellLabError, 3, "error: {}"),  # any future subtype: treat as model error
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:  # unreadable inputs are ConfigErrors: this is an output write
-        print(f"output error: {exc}", file=sys.stderr)
-        return 2
-    except WorkerFailed as exc:  # e.g. the OOM killer's SIGKILL
-        print(f"worker error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:  # e.g. n_trials or model.source.size too large to allocate
-        detail = str(exc) or "allocation failed"
-        print(f"memory error: not enough memory for this run ({detail})", file=sys.stderr)
-        return 2
-    except AnticorrelationViolated as exc:
-        print(
-            f"model error: {exc}\n"
-            "(the three-setting inequality is derived assuming perfect anticorrelation; "
-            "a model that violates it at equal settings has no such statistic)",
-            file=sys.stderr,
-        )
-        return 3
-    except (InvalidSpec, InsufficientData, UnknownSetting) as exc:
-        print(f"model error: {exc}", file=sys.stderr)
-        return 3
-    except ContinuousLambdaUnorderable as exc:
-        print(f"table precondition failed: {exc}", file=sys.stderr)
-        return 4
-    except TooLarge as exc:
-        print(f"size guard: {exc}", file=sys.stderr)
-        return 5
-    except BellLabError as exc:  # any future subtype: treat as model error
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    except (BellLabError, OSError, MemoryError) as exc:
+        code, message = next((code, message) for kinds, code, message in _EXITS if isinstance(exc, kinds))
+        detail = "allocation failed" if isinstance(exc, MemoryError) and not str(exc) else exc
+        print(message.format(detail), file=sys.stderr)
+        return code
 
 
 def entry() -> int:

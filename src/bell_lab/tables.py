@@ -76,6 +76,16 @@ def _require_four_columns(log: TrialLog) -> None:
         raise ValueError(f"outcome tables need a four-pair log, got {log.n_pairs} pairs")
 
 
+def require_orderable(key_mode: KeyMode, discrete: bool) -> None:
+    """Refuse lambda-keyed reordering unless the source is ``discrete``: ``tables`` asks
+    this of its config before the run, ``build_reordered_table`` of its log."""
+    if key_mode is KeyMode.LAMBDA_ONLY and not discrete:
+        raise ContinuousLambdaUnorderable(
+            "lambda-keyed reordering needs a discrete source whose value set is "
+            "much smaller than the number of trials; a continuous lambda never repeats"
+        )
+
+
 def build_reordered_table(log: TrialLog, key_mode: KeyMode) -> OutcomeTable:
     """Greedily regroup trials into four-column rows by the chosen key.
 
@@ -88,6 +98,7 @@ def build_reordered_table(log: TrialLog, key_mode: KeyMode) -> OutcomeTable:
     the log.
     """
     _require_four_columns(log)
+    require_orderable(key_mode, log.lambda_kind == "discrete")
     n = len(log)
     signs = np.asarray(CHSH_SIGNS, dtype=np.int8)
 
@@ -96,12 +107,6 @@ def build_reordered_table(log: TrialLog, key_mode: KeyMode) -> OutcomeTable:
         rows = np.zeros((n, 4), dtype=np.int8)
         rows[np.arange(n), log.pair_id] = signs[log.pair_id] * log.a * log.b
         return OutcomeTable(key_mode, log.lam, log.t, rows, leftover_trials=n, n_trials=n)
-
-    if log.lambda_kind != "discrete":
-        raise ContinuousLambdaUnorderable(
-            "lambda-keyed reordering needs a discrete source whose value set is "
-            "much smaller than the number of trials; a continuous lambda never repeats"
-        )
 
     # The j-th trial (in index order) of each (lambda, pair) group fills row j
     # of that lambda; a lambda has as many rows as its rarest pair has trials.

@@ -27,7 +27,17 @@ from bell_lab.cli import (
     parse_config_text,
     serialize_config,
 )
-from bell_lab.errors import ConfigError
+from bell_lab.errors import (
+    AnticorrelationViolated,
+    BellLabError,
+    ConfigError,
+    ContinuousLambdaUnorderable,
+    InsufficientData,
+    InvalidSpec,
+    TooLarge,
+    UnknownSetting,
+    WorkerFailed,
+)
 from bell_lab.models import FAMILIES, BellDeterministic, DiscreteSource, UniformAngleSource
 from bell_lab.simulate import _CSV_BLOCK_ROWS, TrialLog, run_experiment
 from bell_lab.tables import KeyMode, Sum, Undefined, build_reordered_table, row_sums
@@ -349,15 +359,117 @@ def test_check_refuses_setting_pair_dependent_exit_three(tmp_path, capsys, monke
     assert not (out / "check.json").exists()
 
 
-def test_tables_continuous_lambda_exit_four(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, MINIMAL)
-    assert main(["tables", "--config", cfg, "--key-mode", "lambda"]) == 4
-    err = capsys.readouterr().err
-    assert "much smaller" in err  # quotes the cardinality precondition
+def forbid_runs(monkeypatch):
+    from bell_lab import simulate
+
+    def no_run(*args):
+        raise AssertionError("the command ran the model's trials")
+
+    monkeypatch.setattr(simulate, "_run_blocks", no_run)
+
+
+def test_tables_continuous_lambda_exit_four(tmp_path, capsys, monkeypatch):
+    # The config names the source, so the precondition is checked before the run, whose
+    # log alone would take 51 TB at 10**12 trials, and before the output path: an input
+    # bad in both ways exits 4.
+    forbid_runs(monkeypatch)
+    a_file = tmp_path / "a-file"
+    a_file.write_text("")
+    for n_trials in (1000, 10**12):
+        cfg = write_cfg(tmp_path, MINIMAL.replace("n_trials = 1000", f"n_trials = {n_trials}"))
+        assert main(["tables", "--config", cfg, "--key-mode", "lambda", "--out", str(a_file)]) == 4
+        assert capsys.readouterr() == (
+            "",
+            "table precondition failed: lambda-keyed reordering needs a discrete source whose value set is much "
+            "smaller than the number of trials; a continuous lambda never repeats\n",  # the cardinality precondition
+        )
+
+
+DISCRETE_16 = MINIMAL + "model.source.kind = discrete\nmodel.source.size = 16\n"
+PILOT_FAILS = MINIMAL.replace("bell_deterministic", "factorizable_instrument") + "model.epsilon = 0.5\n"
+
+
+@pytest.mark.parametrize(
+    "config, argv",
+    [
+        (DISCRETE_16, ["simulate", "--sweep", "sweep.csv"]),
+        (DISCRETE_16, ["check"]),
+        (DISCRETE_16, ["check", "--quantum-reference"]),
+        (PILOT_FAILS, ["check"]),  # the output path comes before the pilot: exit 2, not 3
+        (DISCRETE_16, ["tables", "--key-mode", "lambda"]),
+        (DISCRETE_16, ["tables", "--key-mode", "lambda-time"]),
+        (None, ["oracle", "enumerate", "--m", "4"]),
+        (None, ["oracle", "quantum", "--quad-deg", "0", "45", "135", "90"]),
+        (None, ["oracle", "exact", "--model", "model.json", "--quad-deg", "0", "45", "135", "90"]),
+    ],
+    ids=["simulate", "check", "check-quantum", "check-pilot-fails", "tables-lambda", "tables-lambda-time",
+         "oracle-enumerate", "oracle-quantum", "oracle-exact"],
+)
+def test_an_output_path_that_cannot_be_written_fails_before_the_command_runs_or_prints(
+    tmp_path, capsys, monkeypatch, config, argv
+):
+    from bell_lab.core import SettingQuad
+    from bell_lab.oracle import discretize_model, finite_model_to_json_obj
+
+    forbid_runs(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    quad = SettingQuad.from_degrees(0, 45, 135, 90)
+    fm = discretize_model(BellDeterministic(), [quad.a, quad.b, quad.c, quad.d], grid=8)
+    (tmp_path / "model.json").write_text(json.dumps(finite_model_to_json_obj(fm)))
+    if config is not None:
+        argv = [argv[0], "--config", write_cfg(tmp_path, config), *argv[1:]]
+    a_file = tmp_path / "a-file"
+    a_file.write_text("")
+    assert main([*argv, "--out", str(a_file)]) == 2
+    assert capsys.readouterr() == ("", f"output error: [Errno 17] File exists: {str(a_file)!r}\n")
+    assert sorted(os.listdir(tmp_path)) == ["a-file", *(["exp.cfg"] if config else []), "model.json"]
 
 
 def test_oracle_guard_exit_five(capsys):
     assert main(["oracle", "enumerate", "--m", "1000000"]) == 5
+
+
+class _FutureError(BellLabError):
+    """A BellLabError subtype that README's table does not name."""
+
+
+@pytest.mark.parametrize(
+    "error, code, stderr",
+    [
+        (ConfigError("bad value", key="seed", line=3), 2, "config error: bad value (key 'seed', line 3)\n"),
+        (IsADirectoryError(21, "Is a directory", "out/."), 2, "output error: [Errno 21] Is a directory: 'out/.'\n"),
+        (WorkerFailed("a worker process ended without its result (signal 9)"), 2,
+         "worker error: a worker process ended without its result (signal 9)\n"),
+        (MemoryError(), 2, "memory error: not enough memory for this run (allocation failed)\n"),
+        (MemoryError("Unable to allocate 74.5 GiB"), 2,
+         "memory error: not enough memory for this run (Unable to allocate 74.5 GiB)\n"),
+        (AnticorrelationViolated(362, 1000), 3,
+         "model error: anticorrelation violated in 362 of 1000 pilot trials; the three-setting inequality "
+         "presupposes A = -B at equal settings\n(the three-setting inequality is derived assuming perfect "
+         "anticorrelation; a model that violates it at equal settings has no such statistic)\n"),
+        (InvalidSpec("epsilon must be in [0, 1)"), 3, "model error: epsilon must be in [0, 1)\n"),
+        (InsufficientData(1, 1), 3,
+         "model error: pair_id 1 has 1 trial(s); need at least 2 for a standard error\n"),
+        (UnknownSetting("no detector column for setting 30 deg"), 3,
+         "model error: no detector column for setting 30 deg\n"),
+        (ContinuousLambdaUnorderable("a continuous lambda never repeats"), 4,
+         "table precondition failed: a continuous lambda never repeats\n"),
+        (TooLarge("too many cells"), 5, "size guard: too many cells\n"),
+        (_FutureError("something new"), 3, "error: something new\n"),
+    ],
+    ids=lambda value: type(value).__name__ if isinstance(value, BaseException) else None,
+)
+def test_each_error_ends_in_its_exit_code_and_message(monkeypatch, capsys, error, code, stderr):
+    # README's exit-code table, row by row: a command that raises the error exits with its
+    # code and prints exactly its message, and nothing on stdout.
+    from bell_lab import cli
+
+    def failing(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_oracle", failing)
+    assert main(["oracle", "quantum", "--quad-deg", "0", "45", "135", "90"]) == code
+    assert capsys.readouterr() == ("", stderr)
 
 
 @pytest.mark.parametrize(
