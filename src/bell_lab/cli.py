@@ -753,8 +753,22 @@ def cmd_oracle(args) -> int:
 # --- entry point -------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every argument that ``float`` reads as a value, never
+    as an option: argparse itself takes -10 and -1.5 for numbers but -1e1 and -inf for
+    unknown options, so ``--quad-deg -1e1 45 135 90`` would lack an angle. Subparsers
+    are made of the same class."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bell-lab",
         description="Simulation and verification laboratory for two-station correlation experiments",
     )

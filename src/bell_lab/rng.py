@@ -30,12 +30,26 @@ from _blake2 import blake2b
 
 import numpy as np
 
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+
+def _constant(value: int) -> np.ndarray:
+    """``value`` as a read-only 0-d uint64 array. The hashing constants are made once
+    as such: a ufunc takes an array operand as it is, where it converts a Python int or
+    a numpy scalar on every call."""
+    constant = np.array(value, dtype=np.uint64)
+    constant.flags.writeable = False
+    return constant
+
+
+_GAMMA = _constant(0x9E3779B97F4A7C15)
+_MIX1 = _constant(0xBF58476D1CE4E5B9)
+_MIX2 = _constant(0x94D049BB133111EB)
+_SHIFT11, _SHIFT27, _SHIFT30, _SHIFT31 = map(_constant, (11, 27, 30, 31))
 
 # Fixed per-draw tweak so draw=0,1,... index independent words.
-_DRAW_SALT = np.uint64(0xD1B54A32D192ED03)
+_DRAW_SALT = _constant(0xD1B54A32D192ED03)
+# The tweak of draw 0, 0 * _DRAW_SALT + _GAMMA: the draw of every call but the
+# time-tagged family's.
+_DRAW0_TWEAK = _GAMMA
 
 
 def _finalize(x: np.ndarray) -> np.ndarray:
@@ -46,11 +60,11 @@ def _finalize(x: np.ndarray) -> np.ndarray:
     scalars would warn of the overflow.
     """
     x += _GAMMA
-    x ^= x >> np.uint64(30)
+    x ^= x >> _SHIFT30
     x *= _MIX1
-    x ^= x >> np.uint64(27)
+    x ^= x >> _SHIFT27
     x *= _MIX2
-    x ^= x >> np.uint64(31)
+    x ^= x >> _SHIFT31
     return x
 
 
@@ -61,10 +75,16 @@ def stream_key(label: str) -> int:
     return int.from_bytes(digest, "little")
 
 
+@lru_cache(maxsize=None)
+def _label_key(label: str) -> np.ndarray:
+    """``stream_key(label)`` as a ``_constant``."""
+    return _constant(stream_key(label))
+
+
 def _base(seed: int, label: str, idx: np.ndarray) -> np.ndarray:
     """The base of each index's words: the first two finalizer passes, which depend
     only on (seed, label, index). A fresh array, 0-d for a 0-d ``idx``."""
-    x = np.asarray(idx ^ np.uint64(stream_key(label)))
+    x = np.asarray(idx ^ _label_key(label))
     _finalize(x)
     x ^= np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
     return _finalize(x)
@@ -91,9 +111,12 @@ def hash_words(seed: int, label: str, indices, draw=0) -> np.ndarray:
         base = _base(seed, label, idx)
         if not idx.flags.writeable:
             _last_base = (idx, (seed, label), base)
-    tweak = np.array(draw, dtype=np.uint64)  # a copy that the in-place steps may change
-    tweak *= _DRAW_SALT
-    tweak += _GAMMA
+    if isinstance(draw, int) and draw == 0:
+        tweak = _DRAW0_TWEAK
+    else:
+        tweak = np.array(draw, dtype=np.uint64)  # a copy that the in-place steps may change
+        tweak *= _DRAW_SALT
+        tweak += _GAMMA
     return _finalize(np.asarray(base ^ tweak))  # a fresh array: the kept base stays as it was
 
 
@@ -104,7 +127,7 @@ def uniforms(seed: int, label: str, indices, draw=0) -> np.ndarray:
 
 def _unit_floats(words: np.ndarray) -> np.ndarray:
     """Each word's top 53 bits as a float64 in [0, 1)."""
-    return (words >> np.uint64(11)).astype(np.float64) * (2.0**-53)
+    return (words >> _SHIFT11).astype(np.float64) * (2.0**-53)
 
 
 def uniform(seed: int, label: str, index: int, draw: int = 0) -> float:

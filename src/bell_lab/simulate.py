@@ -10,7 +10,7 @@ runner evaluates one run (``run_pairs``) or a list of runs (``run_sums_each``, w
 ``run_sums`` calls with the segments of one run, and ``check`` with its three-pair and
 four-pair experiments). Runs of the same range and seed share one pass: each block
 hashes their die word and draws their source values once. With w = min(threads, cores),
-the runner cuts every run into near-equal blocks of at most min(8,192, ceil(total trials
+the runner cuts every run into near-equal blocks of at most min(16,384, ceil(total trials
 / w)) trials, numbers the blocks of all its runs in run order and puts one ticket per
 chunk of them into a pipe; W = min(w, blocks) worker processes, this one and W - 1
 children made by ``os.fork``, claim the tickets until none is left, and each child
@@ -160,8 +160,14 @@ class TrialLog:
         """``run_sums`` of this log, from its columns: each pair's (count, sum of A*B)
         over the first c trials for each c of ``checkpoints`` (default: the whole log),
         the running total of the sums of its segments (``_segments``)."""
-        cuts = [slice(segment.start, segment.stop) for segment in _segments(len(self), checkpoints)]
-        return np.cumsum([_pair_sums(self.pair_id[c], self.a[c], self.b[c], self.n_pairs) for c in cuts], axis=0)
+        sums = []
+        for segment in _segments(len(self), checkpoints):
+            counts = np.zeros(2 * self.n_pairs, dtype=np.intp)
+            for lo in segment[::_BLOCK_TRIALS]:  # a block at a time, to bound the temporaries
+                c = slice(lo, min(lo + _BLOCK_TRIALS, segment.stop))
+                counts += _tally(self.pair_id[c], self.a[c], self.b[c], self.n_pairs)
+            sums.append(_pair_sums(counts))
+        return np.cumsum(sums, axis=0)
 
     # -- serialization --------------------------------------------------
 
@@ -248,11 +254,13 @@ def _reject_outcomes(a, b, first: int = 0) -> None:
 
 
 # Most trials per block, the runner's unit of work: every kernel temporary is
-# at most one block long whatever n_trials is. At 2**14 trials a float64 or
-# uint64 temporary is 128 KiB, glibc's default mmap threshold: the temporaries a
-# block frees then exceed the heap's trim threshold, so every block faults in
-# fresh pages (200-300 minor faults a block). At 2**13 the heap keeps them.
-_BLOCK_TRIALS = 1 << 13
+# at most one block long whatever n_trials is. A block has a fixed cost of about
+# 165 us (some 200 numpy calls), which longer blocks spread over more trials. At
+# 2**14 trials its temporaries peak at 1.34 MiB (84 B a trial): under the trim
+# threshold that _raise_the_trim_threshold sets, so the heap keeps their pages
+# and a block faults in none, and under a core's 2 MiB L2 cache. At 2**15 a
+# block exceeds both: 30,000 faults in a 2 * 10**6-trial run, and slower trials.
+_BLOCK_TRIALS = 1 << 14
 
 # Most tickets of one call of the runner: each is four bytes, so that all of them
 # fit in one page, which a pipe always holds.
@@ -268,7 +276,7 @@ if sys.platform.startswith("linux"):
     _PRCTL.argtypes = [ctypes.c_int, ctypes.c_ulong]
     _PRCTL.restype = ctypes.c_int
 
-# A block's temporaries take at most about 0.8 MB. glibc gives the free memory at the
+# A block's temporaries take at most about 1.4 MB. glibc gives the free memory at the
 # top of its heap back to the system once it exceeds the trim threshold, 128 KiB at
 # first, and whether a block's frees end at the top depends on the heap's layout: in
 # some layouts each block of a 10**6-trial check faulted its pages in afresh, 15,000
@@ -471,16 +479,18 @@ def _run_blocks(spec: ModelFamily, runs, workers: int, reduce) -> list:
         os.close(read_end)
 
 
-def _pair_sums(pair_id: np.ndarray, a: np.ndarray, b: np.ndarray, n_pairs: int) -> np.ndarray:
-    """Each pair's (count, sum of A*B) over the trials of the columns ``pair_id``, ``a`` and
-    ``b``, int64 of shape (n_pairs, 2), tallied a block at a time to bound the temporaries."""
-    total = np.zeros((n_pairs, 2), dtype=np.int64)
-    for lo in range(0, len(pair_id), _BLOCK_TRIALS):
-        hi = lo + _BLOCK_TRIALS
-        key = 2 * pair_id[lo:hi].astype(np.intp) + (a[lo:hi] == b[lo:hi])
-        minus, plus = np.bincount(key, minlength=2 * n_pairs).reshape(n_pairs, 2).T
-        total += np.stack((minus + plus, plus - minus), axis=1)
-    return total
+def _tally(pair_id: np.ndarray, a: np.ndarray, b: np.ndarray, n_pairs: int) -> np.ndarray:
+    """The raw counts of ``_pair_sums``: element 2k + 1 counts pair k's trials with
+    A = B, element 2k its trials with A != B. ``pair_id`` is widened first: a trial
+    log's is int8, in which 2 * pair_id overflows past 63."""
+    return np.bincount(2 * pair_id.astype(np.intp, copy=False) + (a == b), minlength=2 * n_pairs)
+
+
+def _pair_sums(counts: np.ndarray) -> np.ndarray:
+    """Each pair's (count, sum of A*B), int64 of shape (n_pairs, 2), from the raw counts
+    of ``_tally``."""
+    minus, plus = counts.astype(np.int64, copy=False).reshape(-1, 2).T
+    return np.stack((minus + plus, plus - minus), axis=1)
 
 
 def _segments(n_trials: int, checkpoints=None) -> list[range]:
@@ -569,9 +579,10 @@ def run_sums_each(spec: ModelFamily, runs, threads: int | None = None) -> list[n
             raise InvalidSpec(f"n_trials must be >= 1, got {len(trials)}")
 
     def tally(k: int, _lo: int, block: dict) -> np.ndarray:
-        return _pair_sums(block["pair_id"], block["a"], block["b"], len(runs[k][0]))
+        return _tally(block["pair_id"], block["a"], block["b"], len(runs[k][0]))
 
-    return _run_blocks(spec, runs, _workers(threads, sum(len(trials) for _pairs, trials, _seed in runs)), tally)
+    workers = _workers(threads, sum(len(trials) for _pairs, trials, _seed in runs))
+    return [_pair_sums(counts) for counts in _run_blocks(spec, runs, workers, tally)]
 
 
 def experiment_pairs(quad: SettingQuad) -> list[tuple[Setting, Setting]]:

@@ -43,6 +43,8 @@ EDGE = ["nan", "-0", "1e400", "1_000", "1" * 30, "-" + "9" * 30, "\0", "a\0b", "
         "0.25, -0.5", "inf inf", "0x10"]
 BASE = ("model.kind = bell_deterministic\n" + "".join(f"{k} = {v}\n" for k, v in QUAD.items())
         + "seed = 7\nn_trials = 1000\n")
+# Too few trials for every pair to have the two that an estimate needs.
+THREE_TRIALS = BASE.replace("n_trials = 1000\n", "n_trials = 3\n")
 KEYS = sorted(_CONFIG_KEYS) + ["model.unknown", "quad.e_deg", "Seed"]
 # Where --out points: a directory still to be made, or an existing file (no output can go under it).
 OUT = ["dir", "file"]
@@ -67,7 +69,8 @@ def values(key: str) -> st.SearchStrategy[str]:
 def config_texts(draw) -> str:
     """A valid config that names every output, then up to three edits, in any line order:
     a key (known or not) set to a value or added once more, a key dropped, or a line
-    without '='."""
+    without '='. Over half the configs are left unedited, so that many reach their
+    command: nearly every edit is refused as a config error."""
     family = draw(st.sampled_from(sorted(FAMILIES)))
     entries = [("model.kind", family), *QUAD.items(), *OUTPUTS.items(), ("seed", "7"),
                ("n_trials", draw(st.sampled_from(["1000", "10000"])))]
@@ -76,7 +79,7 @@ def config_texts(draw) -> str:
     source = draw(st.sampled_from(["", "model.source.size", "model.source.weights"]))
     if source:
         entries += [("model.source.kind", "discrete"), (source, draw(st.sampled_from(VALID[source])))]
-    for _ in range(draw(st.integers(0, 3))):
+    for _ in range(draw(st.integers(0, 8).map(lambda k: k if k <= 3 else 0))):
         edit, key = draw(st.sampled_from(["set", "add", "drop", "line"])), draw(st.sampled_from(KEYS))
         if edit in ("set", "drop"):
             entries = [entry for entry in entries if entry[0] != key]
@@ -116,7 +119,7 @@ def model_texts(draw) -> str:
     return json.dumps(obj)
 
 
-ANGLES = list(QUAD.values()) + ["-0", "360.5", "1e-300", "1e300", "1e400", "nan", "inf"]
+ANGLES = list(QUAD.values()) + ["-0", "-1e1", "360.5", "1e-300", "1e300", "1e400", "nan", "inf", "-inf"]
 quads = st.one_of(st.just(list(QUAD.values())), st.lists(st.sampled_from(ANGLES), min_size=4, max_size=4))
 
 
@@ -163,11 +166,23 @@ def check_exit(code, out, err, written):
 # An output directory that is a file: refused before the verdicts or the table print.
 @example("check", BASE, "1", "0", "lambda", "file")
 @example("tables", BASE, "1", "0", "lambda-time", "file")
+# A lambda-keyed table of a uniform-angle source (exit 4), and a run's InsufficientData (exit 3).
+@example("tables", BASE, "1", "0", "lambda", "dir")
+@example("simulate", THREE_TRIALS, "1", "0", "lambda", "dir")
 def test_every_config_ends_in_a_documented_exit_code(command, config, threads, max_rows, key_mode, out):
     argv = [command, "--config", "run.cfg", "--threads", threads]
     if command == "tables":
         argv += ["--max-rows", max_rows, "--key-mode", key_mode]
     check_exit(*run(argv, out, [("run.cfg", config)]))
+
+
+def test_the_run_refusals_end_in_their_own_exit_codes():
+    code, out, err, written = run(["tables", "--config", "run.cfg", "--key-mode", "lambda"], "dir", [("run.cfg", BASE)])
+    assert (code, out, written) == (4, "", [])
+    assert err.startswith("table precondition failed: "), err
+    code, _out, err, written = run(["simulate", "--config", "run.cfg"], "dir", [("run.cfg", THREE_TRIALS)])
+    assert (code, written) == (3, [])
+    assert err.startswith("model error: "), err
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -189,3 +204,14 @@ def test_every_oracle_call_ends_in_a_documented_exit_code(operation, out, data):
             files += [(f"pair{k}.json", data.draw(model_texts())) for k in range(4)]
             argv += ["--per-pair", *(name for name, _ in files[1:])]
     check_exit(*run(argv, out, files))
+
+
+def test_a_negative_angle_reaches_the_command_in_any_float_text():
+    # argparse takes -10 for a number but -1e1 and -inf for options; both are angle texts.
+    code, out, err, _written = run(["oracle", "quantum", "--quad-deg", "-1e1", "45", "135", "90"], None)
+    ten, out_ten, _err, _written = run(["oracle", "quantum", "--quad-deg", "-10", "45", "135", "90"], None)
+    assert (code, ten, err) == (0, 0, "")
+    assert json.loads(out)["value"] == json.loads(out_ten)["value"]
+    code, out, err, _written = run(["oracle", "quantum", "--quad-deg", "-inf", "45", "135", "90"], None)
+    assert (code, out) == (2, "")
+    assert err == "config error: --quad-deg: angle must be finite, got -inf\n"

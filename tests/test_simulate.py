@@ -12,6 +12,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -378,22 +379,31 @@ def test_every_error_crosses_the_pipe_unchanged(cls):
 
 def test_a_failing_child_ends_the_run_before_the_parent_share_is_done(monkeypatch):
     # The run's 2,000 blocks of 100 trials take the parent at least 2 ms each; the
-    # child fails in its first block, and the parent notices before its next block.
+    # child fails in its first block, once the parent has begun its own first block
+    # (a byte through a pipe), and the parent notices before its next block.
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(simulate, "_BLOCK_TRIALS", 100)
     parent, parent_blocks = os.getpid(), []
+    begun_read, begun_write = os.pipe()
 
     class SlowParentFailingChild(FactorizableInstrument):
         def instrument_arrays(self, seed, t, theta_local, station, pair_id=None):
             if os.getpid() == parent and station is Station.S1:
                 parent_blocks.append(int(t[0]))
+                if len(parent_blocks) == 1:
+                    os.write(begun_write, b"x")
                 time.sleep(0.002)
             elif os.getpid() != parent:
+                os.read(begun_read, 1)
                 raise InvalidSpec("a block failed in a child")
             return super().instrument_arrays(seed, t, theta_local, station, pair_id)
 
-    with pytest.raises(InvalidSpec, match="a block failed in a child"):
-        simulate.run_sums(SlowParentFailingChild(epsilon=0.3), simulate.experiment_pairs(QUAD), 200_000, 5, 2)
+    try:
+        with pytest.raises(InvalidSpec, match="a block failed in a child"):
+            simulate.run_sums(SlowParentFailingChild(epsilon=0.3), simulate.experiment_pairs(QUAD), 200_000, 5, 2)
+    finally:
+        os.close(begun_read)
+        os.close(begun_write)
     assert 0 < len(parent_blocks) < 500
     _no_child_left()
 
@@ -536,15 +546,35 @@ print(json.dumps({"blocks": -(-n // simulate._BLOCK_TRIALS), "faults": found}))
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor page faults")
 def test_blocks_fault_in_no_fresh_pages():
-    # At 2**14 trials a float64 temporary is 128 KiB, glibc's mmap threshold, and each
-    # block of a 10**6-trial run faulted in 190-320 fresh pages; the runner's blocks
-    # reuse the heap's pages, each family's and check's shared pair of runs alike.
+    # A block's temporaries stay under the trim threshold that the runner raises once,
+    # so its blocks reuse the heap's pages, each family's and check's shared pair of
+    # runs alike. Blocks of 2**15 trials exceed it and fault in about 500 pages each.
     env = {k: v for k, v in os.environ.items() if k != "BELL_LAB_THREADS"}
     env["PYTHONPATH"] = str(Path(__file__).parents[1] / "src")
     proc = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert all(f <= 8 * result["blocks"] for f in result["faults"].values()), result
+
+
+@pytest.mark.parametrize("experiment", ["factorizable_instrument", "check"])
+def test_a_block_holds_under_100_bytes_a_trial(experiment):
+    # The blocks trade memory for speed: at 2**14 trials a block's traced peak was 84 B a
+    # trial. A one-worker run evaluates one block at a time, after a warm-up run.
+    three = [(QUAD.a, QUAD.b), (QUAD.a, QUAD.c), (QUAD.b, QUAD.c)]
+    if experiment == "check":  # its shared pair of runs
+        spec, pair_lists = FAMILIES["time_tagged_anticorrelated"](), [three, simulate.experiment_pairs(QUAD)]
+    else:
+        spec, pair_lists = FactorizableInstrument(epsilon=0.25), [simulate.experiment_pairs(QUAD)]
+    runs = [(pairs, range(10**5), 7) for pairs in pair_lists]
+    simulate.run_sums_each(spec, runs, 1)
+    tracemalloc.start()
+    try:
+        simulate.run_sums_each(spec, runs, 1)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * simulate._BLOCK_TRIALS, f"{peak / simulate._BLOCK_TRIALS:.1f} B a block trial"
 
 
 def test_pair_choice_uniformity():
